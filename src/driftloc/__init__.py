@@ -19,7 +19,7 @@ from .errors import (DatasetFormatError, DriftlocError, HingeInactiveError,
 from .evaluate import (EvalReport, SweepResult, evaluate_baseline_over_time,
                        evaluate_over_time, fpr_sweep, localization_error)
 from .localizer import (EmbeddingIndex, Prediction, TrainConfig,
-                        baseline_knn_predict, predict, train)
+                        baseline_knn_predict, predict, predict_batch, train)
 from .model_io import load_model, save_model
 from .preprocess import FingerprintImage, normalize_rssi, to_image
 from .sampler import (NegativePmf, Triplet, build_pmf_table, default_sigma_sel,
@@ -40,7 +40,7 @@ __all__ = [
     "encode_batch", "evaluate_baseline_over_time", "evaluate_over_time",
     "fpr_sweep", "generate", "gradient_check", "init_model", "load_dataset",
     "load_model", "localization_error", "make_batch", "negative_pmf",
-    "normalize_rssi", "predict", "preset", "sample_triplet", "save_dataset",
+    "normalize_rssi", "predict", "predict_batch", "preset", "sample_triplet", "save_dataset",
     "save_model", "split_by_ci", "to_image", "train", "train_step",
     "triplet_loss", "write_scenario",
 ]

@@ -17,15 +17,14 @@ import numpy as np
 
 from . import simulate as sim
 from .augment import AugmentConfig
-from .data import (Fingerprint, FingerprintDataset, FloorPlan, ReferencePoint,
-                   load_dataset, load_fingerprints_csv, split_by_ci)
-from .data import _load_floorplan_rows  # floorplan half of load_dataset
+from .data import (FingerprintDataset, FloorPlan, ReferencePoint, load_dataset,
+                   load_fingerprints_csv, load_floorplan, split_by_ci)
 from .encoder import (EncoderConfig, encode, gradient_check, init_model,
                       small_check_config, triplet_loss)
 from .errors import DatasetFormatError, DriftlocError
 from .evaluate import (evaluate_baseline_over_time, evaluate_over_time,
                        fpr_sweep, write_report_csv, write_sweep_csv)
-from .localizer import TrainConfig, predict, train
+from .localizer import TrainConfig, predict_batch, train
 from .model_io import load_model_full, save_model
 from .preprocess import FingerprintImage
 from .sampler import Triplet
@@ -163,11 +162,10 @@ def _add_eval(sub):
 
 
 def _floorplan_from_model(index, registry: tuple[str, ...]) -> FloorPlan:
-    seen: dict[int, ReferencePoint] = {}
-    for _, rp_id, x, y in index.entries():
-        if rp_id not in seen:
-            seen[rp_id] = ReferencePoint(rp_id=rp_id, x=x, y=y)
-    return FloorPlan(rps=tuple(seen[r] for r in sorted(seen)), ap_registry=registry)
+    rp_ids, first = np.unique(index.rp_ids, return_index=True)
+    rps = [ReferencePoint(rp_id=rp, x=x, y=y) for rp, x, y in
+           zip(rp_ids.tolist(), index.xs[first].tolist(), index.ys[first].tolist())]
+    return FloorPlan(rps=rps, ap_registry=registry)
 
 
 def _dataset_for_model(args, index, extra) -> FingerprintDataset:
@@ -175,8 +173,7 @@ def _dataset_for_model(args, index, extra) -> FingerprintDataset:
     if registry == ("",):
         raise DriftlocError("model file lacks the AP registry; cannot align scans")
     if args.floorplan:
-        floorplan = FloorPlan(rps=_load_floorplan_rows(Path(args.floorplan)),
-                              ap_registry=registry)
+        floorplan = FloorPlan(rps=load_floorplan(args.floorplan), ap_registry=registry)
     else:
         floorplan = _floorplan_from_model(index, registry)
     dataset = load_fingerprints_csv(args.fingerprints, floorplan.rps)
@@ -297,8 +294,9 @@ def _add_predict(sub):
     p.add_argument("--rule", choices=["vote", "centroid"], default="vote")
 
 
-def load_scans(path: str | Path, registry: tuple[str, ...]) -> list[np.ndarray]:
-    """Parse scan rows aligned by AP column name to a training registry.
+def load_scans(path: str | Path, registry: tuple[str, ...]) -> np.ndarray:
+    """Parse scan rows aligned by AP column name to a training registry,
+    as an (m, len(registry)) dBm array.
 
     Registry APs absent from the file are filled with -100; columns for
     unknown APs are ignored (post-deployment networks grow).  Leading
@@ -342,7 +340,7 @@ def load_scans(path: str | Path, registry: tuple[str, ...]) -> list[np.ndarray]:
             scans.append(rssi)
     if not scans:
         raise DatasetFormatError(f"{path}: no scan rows")
-    return scans
+    return np.stack(scans)
 
 
 def _cmd_predict(args) -> int:
@@ -350,11 +348,10 @@ def _cmd_predict(args) -> int:
     registry = tuple(extra.get("ap_registry", "").split(","))
     if registry == ("",):
         raise DriftlocError("model file lacks the AP registry; cannot align scans")
+    preds = predict_batch(model, index, load_scans(args.scan, registry), args.k, args.rule)
     writer = csv.writer(sys.stdout)
     writer.writerow(["x_m", "y_m", "rp_id"])
-    for rssi in load_scans(args.scan, registry):
-        scan = Fingerprint(rp_id=int(index.rp_ids[0]), ci=0, rssi=rssi)  # labels unused
-        p = predict(model, index, scan, args.k, args.rule)
+    for p in preds:
         writer.writerow([f"{p.x:.4f}", f"{p.y:.4f}", p.rp_id])
     return 0
 
@@ -395,8 +392,8 @@ def main(argv: list[str] | None = None) -> int:
         )
     try:
         return _COMMANDS[args.command](args)
-    except (DriftlocError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (DriftlocError, ValueError, OSError, FloatingPointError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -163,7 +163,8 @@ def _parse_int(cell: str, row: int, what: str) -> int:
         raise DatasetFormatError(f"non-integer {what}: {cell!r}", row=row) from None
 
 
-def _load_floorplan_rows(path: Path) -> tuple[ReferencePoint, ...]:
+def load_floorplan(path: str | Path) -> tuple[ReferencePoint, ...]:
+    """Reference points of a floorplan CSV (``rp_id,x_m,y_m``), in file order."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -201,7 +202,7 @@ def load_dataset(floorplan_path: str | Path, fingerprints_path: str | Path) -> F
     malformed header, non-numeric cell, out-of-range RSSI, or fingerprint
     referencing an unknown rp_id.
     """
-    rps = _load_floorplan_rows(Path(floorplan_path))
+    rps = load_floorplan(floorplan_path)
     return load_fingerprints_csv(fingerprints_path, rps)
 
 

@@ -183,14 +183,18 @@ def _check_images(model: EncoderModel, images: Sequence[FingerprintImage]) -> in
     return n_real
 
 
-def encode_batch(model: EncoderModel, images: Sequence[FingerprintImage],
+def encode_batch(model: EncoderModel,
+                 images: Sequence[FingerprintImage] | np.ndarray,
                  mode: str = "infer",
                  rng: np.random.Generator | None = None) -> np.ndarray:
     """Embed a batch of images; rows have unit Euclidean norm.
 
-    Train mode adds Gaussian input noise to the real-AP pixels and applies
-    dropout, both driven by ``rng``.  Inference is deterministic and
-    rejects a generator argument.
+    ``images`` is a sequence of :class:`FingerprintImage` or, in inference
+    mode, an (m, side*side) array of row-major pixels in [0, 1] such as
+    :func:`~driftloc.preprocess.pixel_rows` returns.  Train mode adds
+    Gaussian input noise to the real-AP pixels and applies dropout, both
+    driven by ``rng``.  Inference is deterministic and rejects a generator
+    argument.
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
@@ -201,12 +205,21 @@ def encode_batch(model: EncoderModel, images: Sequence[FingerprintImage],
         raise ValueError("inference is deterministic; no generator allowed")
     if len(images) == 0:
         raise ValueError("empty image batch")
-    n_real = _check_images(model, images)
     s = model.input_side
-    flats = np.stack([img.flat for img in images])
-    if train and model.config.noise_sigma > 0.0:
-        flats = noise_flat(flats, n_real, model.config.noise_sigma, rng)
-    x = flats.reshape(len(images), 1, s, s)
+    if isinstance(images, np.ndarray):
+        if train:
+            raise ValueError("train mode needs FingerprintImages: noise covers real-AP pixels only")
+        flats = np.asarray(images, dtype=np.float64)
+        if flats.ndim != 2 or flats.shape[1] != s * s:
+            raise ValueError(f"pixel rows of shape {flats.shape} do not fit model input side {s}")
+        if not np.all((flats >= 0.0) & (flats <= 1.0)):
+            raise ValueError("pixel values must lie in [0, 1]")
+    else:
+        n_real = _check_images(model, images)
+        flats = np.stack([img.flat for img in images])
+        if train and model.config.noise_sigma > 0.0:
+            flats = noise_flat(flats, n_real, model.config.noise_sigma, rng)
+    x = flats.reshape(len(flats), 1, s, s)
     e, _ = _forward(model, x, train, rng)
     return e
 

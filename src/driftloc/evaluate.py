@@ -20,8 +20,11 @@ import numpy as np
 from .data import Fingerprint, FingerprintDataset, ReferencePoint, split_by_ci
 from .encoder import EncoderModel
 from .localizer import (EmbeddingIndex, Prediction, TrainConfig,
-                        baseline_predict_with_index, build_baseline_index,
-                        predict, train)
+                        baseline_predict_batch, build_baseline_index,
+                        predict_batch, train)
+# Unused here; perfbench/spans.py traces the per-scan entry points under
+# this module's names.
+from .localizer import baseline_predict_with_index, predict  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -54,16 +57,18 @@ def localization_error(pred: Prediction, truth: ReferencePoint) -> float:
     return math.hypot(pred.x - truth.x, pred.y - truth.y)
 
 
-def _run_eval(predict_fn: Callable[[Fingerprint], Prediction],
-              test: FingerprintDataset, method_label: str) -> EvalReport:
+def _report(preds: Sequence[Prediction], test: FingerprintDataset,
+            method_label: str) -> EvalReport:
+    """Aggregate per-query errors of ``preds``, one per test fingerprint in
+    order, per CI and overall."""
     if len(test) == 0:
         raise ValueError("empty test set")
     truth = {rp.rp_id: rp for rp in test.floorplan.rps}
     err_sum: dict[int, float] = {}
     n: dict[int, int] = {}
     total = 0.0
-    for fp in test.fingerprints:
-        e = localization_error(predict_fn(fp), truth[fp.rp_id])
+    for pred, fp in zip(preds, test.fingerprints, strict=True):
+        e = localization_error(pred, truth[fp.rp_id])
         err_sum[fp.ci] = err_sum.get(fp.ci, 0.0) + e
         n[fp.ci] = n.get(fp.ci, 0) + 1
         total += e
@@ -75,22 +80,35 @@ def _run_eval(predict_fn: Callable[[Fingerprint], Prediction],
     )
 
 
+def _run_eval(predict_fn: Callable[[Fingerprint], Prediction],
+              test: FingerprintDataset, method_label: str) -> EvalReport:
+    """The harness with one ``predict_fn`` call per test fingerprint: the
+    per-scan reference that the batched harness is tested against."""
+    return _report([predict_fn(fp) for fp in test.fingerprints], test, method_label)
+
+
+def _rssi_rows(test: FingerprintDataset) -> np.ndarray:
+    if len(test) == 0:
+        raise ValueError("empty test set")
+    return np.stack([fp.rssi for fp in test.fingerprints])
+
+
 def evaluate_over_time(model: EncoderModel, index: EmbeddingIndex,
                        test: FingerprintDataset, k: int = 3,
                        rule: str = "vote") -> EvalReport:
-    """Predict every test fingerprint through the encoder+KNN pipeline and
-    aggregate errors per CI."""
-    return _run_eval(lambda fp: predict(model, index, fp, k, rule), test,
-                     EMBEDDING_METHOD)
+    """Predict every test fingerprint through the encoder+KNN pipeline in
+    one batched call and aggregate errors per CI."""
+    preds = predict_batch(model, index, _rssi_rows(test), k, rule)
+    return _report(preds, test, EMBEDDING_METHOD)
 
 
 def evaluate_baseline_over_time(train_set: FingerprintDataset,
                                 test: FingerprintDataset, k: int = 3,
                                 rule: str = "vote") -> EvalReport:
     """Same harness, raw-RSSI KNN instead of the encoder."""
-    bidx = build_baseline_index(train_set)
-    return _run_eval(lambda fp: baseline_predict_with_index(bidx, fp, k, rule),
-                     test, BASELINE_METHOD)
+    preds = baseline_predict_batch(build_baseline_index(train_set),
+                                   _rssi_rows(test), k, rule)
+    return _report(preds, test, BASELINE_METHOD)
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,15 @@ from .augment import AugmentConfig
 from .data import Fingerprint, FingerprintDataset
 from .encoder import EncoderConfig, EncoderModel, encode_batch, init_model, train_step
 from .nn import AdamState
-from .preprocess import image_side, to_image
+from .preprocess import image_side, normalize_rows, pixel_rows, to_image
 from .sampler import build_pmf_table, default_sigma_sel, make_batch
 
 logger = logging.getLogger(__name__)
+
+# Queries embed in blocks of this many rows: the rows of one default
+# training forward (3 x 32), so inference never holds more activations
+# than training does.
+QUERY_BLOCK = 96
 
 
 @dataclass(frozen=True)
@@ -89,12 +94,6 @@ class EmbeddingIndex:
     def embed_dim(self) -> int:
         return self.embeddings.shape[1]
 
-    def entries(self):
-        """Iterate (embedding, rp_id, x, y) tuples."""
-        for i in range(len(self)):
-            yield (self.embeddings[i], int(self.rp_ids[i]),
-                   float(self.xs[i]), float(self.ys[i]))
-
 
 @dataclass(frozen=True)
 class Prediction:
@@ -152,10 +151,7 @@ def train(train_set: FingerprintDataset, cfg: TrainConfig, seed: int,
     return model, index
 
 
-def _knn_decide(dists: np.ndarray, rp_ids: np.ndarray, xs: np.ndarray,
-                ys: np.ndarray, k: int, rule: str) -> Prediction:
-    """Shared decision core for embedding-space and raw-RSSI KNN."""
-    n = dists.shape[0]
+def _check_query(n: int, k: int, rule: str) -> None:
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > n:
@@ -163,12 +159,10 @@ def _knn_decide(dists: np.ndarray, rp_ids: np.ndarray, xs: np.ndarray,
     if rule not in ("vote", "centroid"):
         raise ValueError(f"unknown decision rule {rule!r}")
 
-    order = np.lexsort((np.arange(n), rp_ids, dists))[:k]
-    nb_rp = [int(rp_ids[i]) for i in order]
-    nb_dist = [float(dists[i]) for i in order]
-    nb_x = [float(xs[i]) for i in order]
-    nb_y = [float(ys[i]) for i in order]
 
+def _decide(nb_rp: list[int], nb_dist: list[float], nb_x: list[float],
+            nb_y: list[float], rule: str) -> Prediction:
+    """Decision rule over one query's k neighbours, in consultation order."""
     votes: dict[int, int] = {}
     for rp in nb_rp:
         votes[rp] = votes.get(rp, 0) + 1
@@ -193,17 +187,64 @@ def _knn_decide(dists: np.ndarray, rp_ids: np.ndarray, xs: np.ndarray,
                       neighbor_rps=tuple(zip(nb_rp, nb_dist)))
 
 
-def predict(model: EncoderModel, index: EmbeddingIndex, scan: Fingerprint,
-            k: int = 3, rule: str = "vote") -> Prediction:
-    """Embed a scan (no noise, no dropout) and locate it by exact KNN over
-    the index."""
+def _knn_rows(dists: np.ndarray, by_rp: np.ndarray, rp_ids: np.ndarray,
+              xs: np.ndarray, ys: np.ndarray, k: int, rule: str) -> list[Prediction]:
+    """Exact top-k and decision for each row of an (m, n) distance table.
+
+    ``by_rp`` lists the table positions in (rp_id, position) order; a
+    stable sort of each row's distances in that order yields neighbours in
+    (distance, rp_id, position) order.
+    """
+    nb = by_rp[np.argsort(dists[:, by_rp], axis=1, kind="stable")[:, :k]]
+    return [_decide(*cols, rule) for cols in zip(
+        rp_ids[nb].tolist(), np.take_along_axis(dists, nb, axis=1).tolist(),
+        xs[nb].tolist(), ys[nb].tolist())]
+
+
+def _knn_decide(dists: np.ndarray, rp_ids: np.ndarray, xs: np.ndarray,
+                ys: np.ndarray, k: int, rule: str) -> Prediction:
+    """Decision for one query from its distances to every table row."""
+    _check_query(dists.shape[0], k, rule)
+    return _knn_rows(dists[None, :], np.argsort(rp_ids, kind="stable"),
+                     rp_ids, xs, ys, k, rule)[0]
+
+
+def _knn_blocks(rows: np.ndarray, to_query: Callable[[np.ndarray], np.ndarray],
+                table: np.ndarray, rp_ids: np.ndarray, xs: np.ndarray,
+                ys: np.ndarray, k: int, rule: str) -> list[Prediction]:
+    """Exact KNN of every row against ``table``, QUERY_BLOCK rows at a time.
+
+    ``to_query`` maps a block of rows to its (b, d) query vectors.
+    Distances are elementwise differences, so identical table rows get
+    identical distances.
+    """
+    _check_query(len(table), k, rule)
+    by_rp = np.argsort(rp_ids, kind="stable")
+    out: list[Prediction] = []
+    for lo in range(0, len(rows), QUERY_BLOCK):
+        q = to_query(rows[lo:lo + QUERY_BLOCK])
+        diff = table[None, :, :] - q[:, None, :]
+        dists = np.sqrt(np.square(diff, out=diff).sum(axis=-1))
+        out += _knn_rows(dists, by_rp, rp_ids, xs, ys, k, rule)
+    return out
+
+
+def predict_batch(model: EncoderModel, index: EmbeddingIndex, rssi_rows: np.ndarray,
+                  k: int = 3, rule: str = "vote") -> list[Prediction]:
+    """Locate every row of an (m, n_aps) dBm array: embed the scans (no
+    noise, no dropout) and run exact KNN over the index."""
     if model.config.embed_dim != index.embed_dim:
         raise ValueError("model and index disagree on embedding length")
-    img = to_image(scan)
-    q = encode_batch(model, [img], mode="infer")[0]
-    diff = index.embeddings.astype(np.float64) - q
-    dists = np.sqrt((diff * diff).sum(axis=1))
-    return _knn_decide(dists, index.rp_ids, index.xs, index.ys, k, rule)
+    pixels = pixel_rows(rssi_rows)
+    return _knn_blocks(pixels, lambda b: encode_batch(model, b, mode="infer"),
+                       index.embeddings.astype(np.float64), index.rp_ids,
+                       index.xs, index.ys, k, rule)
+
+
+def predict(model: EncoderModel, index: EmbeddingIndex, scan: Fingerprint,
+            k: int = 3, rule: str = "vote") -> Prediction:
+    """Locate one scan: a one-row :func:`predict_batch`."""
+    return predict_batch(model, index, scan.rssi[None, :], k, rule)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,8 +264,7 @@ class BaselineIndex:
 def build_baseline_index(train_set: FingerprintDataset) -> BaselineIndex:
     if len(train_set) == 0:
         raise ValueError("empty training set")
-    vecs = np.stack([np.clip((f.rssi + 100.0) / 100.0, 0.0, 1.0)
-                     for f in train_set.fingerprints])
+    vecs = normalize_rows(np.stack([f.rssi for f in train_set.fingerprints]))
     rp_coord = {rp.rp_id: (rp.x, rp.y) for rp in train_set.floorplan.rps}
     rp_ids = np.array([f.rp_id for f in train_set.fingerprints], dtype=np.int64)
     xs = np.array([rp_coord[f.rp_id][0] for f in train_set.fingerprints])
@@ -232,14 +272,20 @@ def build_baseline_index(train_set: FingerprintDataset) -> BaselineIndex:
     return BaselineIndex(vectors=vecs, rp_ids=rp_ids, xs=xs, ys=ys)
 
 
+def baseline_predict_batch(bidx: BaselineIndex, rssi_rows: np.ndarray,
+                           k: int = 3, rule: str = "vote") -> list[Prediction]:
+    """Encoder-free KNN of every row of an (m, n_aps) dBm array on
+    normalized RSSI vectors, same decision rule as :func:`predict_batch`."""
+    rows = normalize_rows(rssi_rows)
+    if rows.shape[1] != bidx.vectors.shape[1]:
+        raise ValueError("scan is not aligned to the training registry")
+    return _knn_blocks(rows, lambda b: b, bidx.vectors, bidx.rp_ids,
+                       bidx.xs, bidx.ys, k, rule)
+
+
 def baseline_predict_with_index(bidx: BaselineIndex, scan: Fingerprint,
                                 k: int = 3, rule: str = "vote") -> Prediction:
-    if scan.rssi.size != bidx.vectors.shape[1]:
-        raise ValueError("scan is not aligned to the training registry")
-    q = np.clip((scan.rssi + 100.0) / 100.0, 0.0, 1.0)
-    diff = bidx.vectors - q
-    dists = np.sqrt((diff * diff).sum(axis=1))
-    return _knn_decide(dists, bidx.rp_ids, bidx.xs, bidx.ys, k, rule)
+    return baseline_predict_batch(bidx, scan.rssi[None, :], k, rule)[0]
 
 
 def baseline_knn_predict(train_set: FingerprintDataset, scan: Fingerprint,

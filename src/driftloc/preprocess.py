@@ -73,16 +73,36 @@ def image_side(n_real: int) -> int:
     return math.isqrt(n_real - 1) + 1
 
 
+def normalize_rows(rssi: np.ndarray) -> np.ndarray:
+    """Map an (m, n) dBm array onto [0, 1] row by row, as
+    :func:`normalize_rssi` does for one value."""
+    rssi = np.asarray(rssi, dtype=np.float64)
+    if rssi.ndim != 2 or rssi.shape[1] == 0:
+        raise ValueError("rssi rows must form a 2-D array with at least one column")
+    if not np.all(np.isfinite(rssi)):
+        raise ValueError("rssi values must be finite")
+    return np.clip((rssi + 100.0) / 100.0, 0.0, 1.0)
+
+
+def pixel_rows(rssi: np.ndarray) -> np.ndarray:
+    """Normalize an (m, n) dBm array and zero-pad each row to s*s pixels,
+    s = image_side(n): the row-major flat images of the m scans."""
+    norm = normalize_rows(rssi)
+    m, n = norm.shape
+    s = image_side(n)
+    flat = np.zeros((m, s * s), dtype=np.float64)
+    flat[:, :n] = norm
+    return flat
+
+
 def image_from_rssi(rssi: np.ndarray) -> FingerprintImage:
     """Normalize a dBm vector and reshape it into a square image."""
     rssi = np.asarray(rssi, dtype=np.float64)
     if rssi.ndim != 1 or rssi.size == 0:
         raise ValueError("rssi must be a non-empty 1-D vector")
-    n = rssi.size
-    s = image_side(n)
-    flat = np.zeros(s * s, dtype=np.float64)
-    flat[:n] = np.clip((rssi + 100.0) / 100.0, 0.0, 1.0)
-    return FingerprintImage(side=s, pixels=flat.reshape(s, s), n_real=n)
+    s = image_side(rssi.size)
+    flat = pixel_rows(rssi[None, :])[0]
+    return FingerprintImage(side=s, pixels=flat.reshape(s, s), n_real=rssi.size)
 
 
 def to_image(fp: Fingerprint) -> FingerprintImage:

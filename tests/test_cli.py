@@ -2,7 +2,11 @@ import csv
 
 import pytest
 
-from driftloc.cli import main
+from driftloc import cli
+from driftloc.cli import load_scans, main
+from driftloc.data import Fingerprint
+from driftloc.localizer import predict
+from driftloc.model_io import load_model_full
 
 
 def run(argv, capsys):
@@ -75,6 +79,39 @@ def test_predict_prints_locations(scenario_dir, model_path, tmp_path, capsys):
     first = lines[1].split(",")
     assert len(first) == 3
     float(first[0]), float(first[1]), int(first[2])
+
+
+@pytest.mark.parametrize("rule", ["vote", "centroid"])
+def test_predict_csv_matches_per_scan_predict(scenario_dir, model_path, tmp_path,
+                                              capsys, rule):
+    # the batched command prints exactly what one predict() call per scan gives
+    header, *rows = (scenario_dir / "fingerprints.csv").read_text().splitlines()
+    scans = tmp_path / "scans.csv"
+    scans.write_text("\n".join([header] + rows * 5) + "\n")  # more than one query block
+    code, out, err = run(["predict", "--model", str(model_path), "--scan", str(scans),
+                          "--k", "3", "--rule", rule], capsys)
+    assert code == 0, err
+    model, index, extra = load_model_full(model_path)
+    lines = ["x_m,y_m,rp_id"]
+    for rssi in load_scans(scans, tuple(extra["ap_registry"].split(","))):
+        p = predict(model, index, Fingerprint(0, 0, rssi), 3, rule)
+        lines.append(f"{p.x:.4f},{p.y:.4f},{p.rp_id}")
+    assert len(lines) > 2 * 96
+    assert out == "\r\n".join(lines) + "\r\n"
+
+
+@pytest.mark.parametrize("exc", [FloatingPointError("pre-normalization embedding collapsed to zero"),
+                                 MemoryError()])
+def test_predict_query_failures_exit_cleanly(scenario_dir, model_path, capsys,
+                                             monkeypatch, exc):
+    def fail(*args, **kwargs):
+        raise exc
+    monkeypatch.setattr(cli, "predict_batch", fail)
+    code, out, err = run(["predict", "--model", str(model_path),
+                          "--scan", str(scenario_dir / "fingerprints.csv")], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {str(exc) or type(exc).__name__}\n"
 
 
 def test_predict_partial_scan(scenario_dir, model_path, tmp_path, capsys):

@@ -3,13 +3,14 @@ import csv
 import pytest
 
 from driftloc.augment import AugmentConfig
-from driftloc.data import ReferencePoint, split_by_ci
+from driftloc.data import FingerprintDataset, ReferencePoint, split_by_ci
 from driftloc.encoder import EncoderConfig
-from driftloc.evaluate import (EvalReport, evaluate_baseline_over_time,
+from driftloc.evaluate import (EvalReport, _run_eval, evaluate_baseline_over_time,
                                evaluate_over_time, fpr_sweep,
                                localization_error, write_report_csv,
                                write_sweep_csv)
-from driftloc.localizer import Prediction, TrainConfig, train
+from driftloc.localizer import (Prediction, TrainConfig, baseline_knn_predict,
+                                predict, train)
 from driftloc.simulate import SimConfig, generate
 
 
@@ -77,6 +78,26 @@ def test_side_by_side_same_queries(trained):
     b = evaluate_baseline_over_time(tr, te, k=3)
     assert a.n_queries_per_ci == b.n_queries_per_ci
     assert a.method_label != b.method_label
+
+
+@pytest.mark.parametrize("rule", ["vote", "centroid"])
+def test_batched_harness_matches_per_scan_loop(trained, rule):
+    tr, te, model, index = trained
+    test = FingerprintDataset(te.floorplan, te.fingerprints * 5)  # spans several query blocks
+    assert len(test) > 2 * 96
+    pairs = [
+        (evaluate_over_time(model, index, test, 3, rule),
+         _run_eval(lambda fp: predict(model, index, fp, 3, rule), test, "embedding-knn")),
+        (evaluate_baseline_over_time(tr, test, 3, rule),
+         _run_eval(lambda fp: baseline_knn_predict(tr, fp, 3, rule), test, "raw-knn")),
+    ]
+    for batched, single in pairs:
+        assert batched.method_label == single.method_label
+        assert batched.n_queries_per_ci == single.n_queries_per_ci
+        assert batched.cis() == single.cis()
+        for ci in batched.cis():
+            assert batched.per_ci_mean_error[ci] == pytest.approx(
+                single.per_ci_mean_error[ci], rel=0.0, abs=1e-12)
 
 
 def test_report_csv_schema(tmp_path, trained):

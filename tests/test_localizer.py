@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from knn_oracle import oracle_baseline_predict, oracle_embedding_predict
 
@@ -8,7 +10,8 @@ from driftloc.data import Fingerprint, split_by_ci
 from driftloc.encoder import EncoderConfig, encode
 from driftloc.errors import ModelFormatError
 from driftloc.localizer import (EmbeddingIndex, TrainConfig,
-                                baseline_knn_predict, predict, train)
+                                baseline_knn_predict, predict, predict_batch,
+                                train)
 from driftloc.model_io import load_model, load_model_full, save_model
 from driftloc.preprocess import to_image
 from driftloc.simulate import SimConfig, generate
@@ -88,6 +91,52 @@ def test_predict_matches_oracle(trained, sim_split):
                 assert got.rp_id == rp
                 assert got.x == x and got.y == y
                 assert list(got.neighbor_rps) == [(r, d) for r, d, _, _ in nb]
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 200), k=st.integers(1, 7),
+       rule=st.sampled_from(["vote", "centroid"]), p_missing=st.floats(0.0, 1.0),
+       n_known=st.integers(0, 200))
+def test_batch_matches_single(trained, sim_split, seed, m, k, rule, p_missing, n_known):
+    # Batched and one-row embeddings are not bitwise equal (fc1 runs as a
+    # GEMM for a block and as a GEMV for one row), so distances, and the
+    # centroid coordinates weighted by them, agree to rounding level only.
+    tr, te = sim_split
+    model, index = trained
+    rng = np.random.default_rng(seed)
+    rows = rng.uniform(-100.0, 0.0, size=(m, tr.floorplan.n_aps))
+    rows[rng.random(rows.shape) < p_missing] = -100.0
+    known = np.stack([f.rssi for f in tr.fingerprints + te.fingerprints])
+    n_known = min(n_known, m)
+    rows[:n_known] = known[rng.integers(0, len(known), size=n_known)]
+
+    batch = predict_batch(model, index, rows, k, rule)
+    assert len(batch) == m
+    for row, got in zip(rows, batch):
+        want = predict(model, index, Fingerprint(0, 0, row), k, rule)
+        assert got.rp_id == want.rp_id
+        assert [r for r, _ in got.neighbor_rps] == [r for r, _ in want.neighbor_rps]
+        assert np.allclose([d for _, d in got.neighbor_rps],
+                           [d for _, d in want.neighbor_rps], rtol=0.0, atol=1e-12)
+        if rule == "vote":
+            assert (got.x, got.y) == (want.x, want.y)
+        else:
+            assert got.x == pytest.approx(want.x, abs=1e-9)
+            assert got.y == pytest.approx(want.y, abs=1e-9)
+
+
+def test_predict_batch_validations(trained, sim_split):
+    tr, _ = sim_split
+    model, index = trained
+    rows = np.full((2, tr.floorplan.n_aps), -50.0)
+    with pytest.raises(ValueError, match="2-D"):
+        predict_batch(model, index, rows[0])
+    with pytest.raises(ValueError, match="finite"):
+        predict_batch(model, index, np.where(rows == -50.0, np.nan, rows))
+    assert predict_batch(model, index, rows[:0]) == []
+    with pytest.raises(ValueError, match="exceeds"):
+        predict_batch(model, index, rows, k=len(index) + 1)
 
 
 def test_baseline_matches_oracle(sim_split):
