@@ -1,9 +1,10 @@
-"""Training-time robustness transforms.
+"""Training-time robustness transforms on pixel rows.
 
 AP dropout emulates the future removal of access points: a fraction of
-the currently visible (non-zero, real) pixels is zeroed.  Gaussian input
-noise emulates short-term RSSI fluctuation.  Both are train-only; the
-inference path never touches them.
+the currently visible (non-zero, real) pixels of a row is zeroed.
+Gaussian input noise emulates short-term RSSI fluctuation.  Both act on
+the first ``n_real`` entries of a row, the real APs, and never on the
+padding.  Both are train-only; the inference path never touches them.
 """
 
 from __future__ import annotations
@@ -12,22 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .preprocess import FingerprintImage
-
 
 @dataclass(frozen=True)
 class AugmentConfig:
-    """p_upper bounds the uniformly drawn turn-off fraction; noise_sigma
-    is the std-dev of additive Gaussian noise on unit-scale pixels."""
+    """p_upper bounds the uniformly drawn turn-off fraction."""
 
     p_upper: float = 0.90
-    noise_sigma: float = 0.10
 
     def __post_init__(self):
         if not 0.0 <= self.p_upper <= 1.0:
             raise ValueError("p_upper must lie in [0, 1]")
-        if self.noise_sigma < 0.0:
-            raise ValueError("noise_sigma must be >= 0")
 
 
 def draw_turnoff_fraction(cfg: AugmentConfig, rng: np.random.Generator) -> float:
@@ -35,29 +30,24 @@ def draw_turnoff_fraction(cfg: AugmentConfig, rng: np.random.Generator) -> float
     return float(rng.uniform(0.0, cfg.p_upper))
 
 
-def dropout_flat(flat: np.ndarray, n_real: int, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Zero floor(p * v) of the v visible real-AP entries of a flat pixel
-    vector.  Padding and already-zero entries are never candidates."""
+def apply_ap_dropout(row: np.ndarray, n_real: int, p: float,
+                     rng: np.random.Generator) -> np.ndarray:
+    """Copy of a pixel row with floor(p * v) of its v visible real-AP
+    entries zeroed (seeded).  Padding and already-zero entries are never
+    candidates."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("dropout fraction must lie in [0, 1]")
-    visible = np.flatnonzero(flat[:n_real] > 0.0)
+    out = np.array(row, dtype=np.float64, copy=True)
+    visible = np.flatnonzero(out[:n_real] > 0.0)
     n_off = int(p * visible.size)
-    if n_off == 0:
-        return flat.copy()
-    out = flat.copy()
-    off = rng.choice(visible, size=n_off, replace=False)
-    out[off] = 0.0
+    if n_off > 0:
+        out[rng.choice(visible, size=n_off, replace=False)] = 0.0
     return out
-
-
-def apply_ap_dropout(img: FingerprintImage, p: float, rng: np.random.Generator) -> FingerprintImage:
-    """Turn off a fraction p of the visible APs in an image (seeded)."""
-    return img.with_flat(dropout_flat(img.flat, img.n_real, p, rng))
 
 
 def noise_flat(flat: np.ndarray, n_real: int, sigma: float, rng: np.random.Generator) -> np.ndarray:
     """Add N(0, sigma^2) to every real-AP entry, clamp to [0, 1].
-    Works on one vector or a batch (last axis = pixels); padding stays 0."""
+    Works on one row or a batch (last axis = pixels); padding stays 0."""
     if sigma < 0.0:
         raise ValueError("sigma must be >= 0")
     out = np.array(flat, dtype=np.float64, copy=True)
@@ -67,8 +57,3 @@ def noise_flat(flat: np.ndarray, n_real: int, sigma: float, rng: np.random.Gener
     real += rng.normal(0.0, sigma, size=real.shape)
     np.clip(real, 0.0, 1.0, out=real)
     return out
-
-
-def add_gaussian_noise(img: FingerprintImage, sigma: float, rng: np.random.Generator) -> FingerprintImage:
-    """Perturb the real-AP pixels of an image with Gaussian noise (seeded)."""
-    return img.with_flat(noise_flat(img.flat, img.n_real, sigma, rng))

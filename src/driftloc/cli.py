@@ -26,8 +26,6 @@ from .evaluate import (evaluate_baseline_over_time, evaluate_over_time,
                        fpr_sweep, write_report_csv, write_sweep_csv)
 from .localizer import TrainConfig, predict_batch, train
 from .model_io import load_model_full, save_model
-from .preprocess import FingerprintImage
-from .sampler import Triplet
 
 logger = logging.getLogger(__name__)
 
@@ -88,6 +86,13 @@ def _add_train(sub):
     p.add_argument("--fingerprints", required=True)
     p.add_argument("--train-ci", type=int, default=0)
     p.add_argument("--fpr", type=int, default=6)
+    _add_train_flags(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", required=True, help="model file path (.stne)")
+
+
+def _add_train_flags(p):
+    """The training configuration flags that train and sweep-fpr share."""
     p.add_argument("--embed-dim", type=int, default=5)
     p.add_argument("--alpha", type=float, default=0.2)
     p.add_argument("--p-upper", type=float, default=0.9)
@@ -98,8 +103,6 @@ def _add_train(sub):
     p.add_argument("--epochs", type=int, default=50)
     p.add_argument("--batch", type=int, default=32)
     p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True, help="model file path (.stne)")
 
 
 def _registry_string(fp: FloorPlan) -> str:
@@ -115,7 +118,7 @@ def _train_config(args) -> TrainConfig:
         encoder=EncoderConfig(embed_dim=args.embed_dim, margin_alpha=args.alpha,
                               noise_sigma=args.noise_sigma,
                               dropout_rate=args.dropout_rate),
-        augment=AugmentConfig(p_upper=args.p_upper, noise_sigma=args.noise_sigma),
+        augment=AugmentConfig(p_upper=args.p_upper),
         sigma_sel=sigma_sel,
         epochs=args.epochs,
         batch_size=args.batch,
@@ -225,15 +228,7 @@ def _add_sweep(sub):
     p.add_argument("--report", required=True)
     p.add_argument("--train-ci", type=int, default=0)
     p.add_argument("--k", type=int, default=3)
-    p.add_argument("--embed-dim", type=int, default=5)
-    p.add_argument("--alpha", type=float, default=0.2)
-    p.add_argument("--p-upper", type=float, default=0.9)
-    p.add_argument("--noise-sigma", type=float, default=0.1)
-    p.add_argument("--sigma-sel", default="auto")
-    p.add_argument("--dropout-rate", type=float, default=0.25)
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--batch", type=int, default=32)
-    p.add_argument("--lr", type=float, default=1e-3)
+    _add_train_flags(p)
 
 
 def _cmd_sweep(args) -> int:
@@ -255,11 +250,9 @@ def _add_gradcheck(sub):
     p.add_argument("--embed-dim", type=int, default=3)
 
 
-def random_check_triplet(side: int, rng: np.random.Generator) -> Triplet:
-    imgs = [FingerprintImage(side, rng.random((side, side)), side * side)
-            for _ in range(3)]
-    return Triplet(anchor=imgs[0], positive=imgs[1], negative=imgs[2],
-                   anchor_rp=0, negative_rp=1)
+def random_check_triplet(side: int, rng: np.random.Generator) -> np.ndarray:
+    """Anchor, positive and negative rows of uniform random pixels."""
+    return rng.random((3, side * side))
 
 
 def run_gradcheck(seed: int, side: int = 4, embed_dim: int = 3) -> float:
@@ -270,8 +263,7 @@ def run_gradcheck(seed: int, side: int = 4, embed_dim: int = 3) -> float:
     for attempt in range(1000):
         rng = np.random.default_rng([seed, attempt])
         t = random_check_triplet(side, rng)
-        raw = (triplet_loss(encode(model, t.anchor), encode(model, t.positive),
-                            encode(model, t.negative), cfg.margin_alpha))
+        raw = triplet_loss(*(encode(model, row) for row in t), cfg.margin_alpha)
         if raw > 1e-3:  # comfortably inside the active region
             return gradient_check(model, t, cfg.margin_alpha)
     raise DriftlocError("could not find a hinge-active triplet")

@@ -1,9 +1,12 @@
 """Convolutional Siamese encoder with triplet loss.
 
-A single parameter set embeds fingerprint images onto the d-dimensional
-unit sphere: noise (train only) -> conv 2x2 -> ReLU -> dropout -> conv
-2x2 -> ReLU -> dropout -> flatten -> FC -> ReLU -> FC(d) -> L2
-normalization.  The three triplet branches are forwards through the same
+A single parameter set embeds pixel rows onto the d-dimensional unit
+sphere: noise (train only) -> conv 2x2 -> ReLU -> dropout -> conv 2x2 ->
+ReLU -> dropout -> flatten -> FC -> ReLU -> FC(d) -> L2 normalization.
+Inputs are (m, s*s) arrays of row-major pixels in [0, 1], as
+:func:`~driftloc.preprocess.pixel_rows` returns; a triplet is a (3, s*s)
+array and a training batch a (3, b, s*s) array of anchor, positive and
+negative rows.  The three triplet branches are forwards through the same
 weights, so weight sharing holds by construction.
 
 Training math is float64; gradients are verifiable against central
@@ -13,15 +16,12 @@ finite differences via :func:`gradient_check`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import nn
 from .augment import noise_flat
 from .errors import HingeInactiveError, NonFiniteLossError, StochasticModelError
-from .preprocess import FingerprintImage
-from .sampler import Triplet
 
 PARAM_ORDER = ("conv1_w", "conv1_b", "conv2_w", "conv2_b",
                "fc1_w", "fc1_b", "fc2_w", "fc2_b")
@@ -128,9 +128,11 @@ def init_model(cfg: EncoderConfig, input_side: int, seed: int) -> EncoderModel:
     return EncoderModel(config=cfg, input_side=input_side, params=params)
 
 
-def _forward(model: EncoderModel, x: np.ndarray, train: bool,
+def _forward(model: EncoderModel, flats: np.ndarray, train: bool,
              rng: np.random.Generator | None):
-    """x: (N, 1, s, s) -> unit embeddings (N, d) plus backward caches."""
+    """(N, s*s) pixel rows -> unit embeddings (N, d) plus backward caches."""
+    s = model.input_side
+    x = flats.reshape(len(flats), 1, s, s)
     p = model.params
     rate = model.config.dropout_rate if train else 0.0
     h1, c_conv1 = nn.conv2d_forward(x, p["conv1_w"], p["conv1_b"])
@@ -171,63 +173,55 @@ def _backward(caches, ge: np.ndarray) -> dict[str, np.ndarray]:
     }
 
 
-def _check_images(model: EncoderModel, images: Sequence[FingerprintImage]) -> int:
-    n_real = images[0].n_real
-    for img in images:
-        if img.side != model.input_side:
-            raise ValueError(
-                f"image side {img.side} does not match model input side {model.input_side}"
-            )
-        if img.n_real != n_real:
-            raise ValueError("images disagree on n_real; mixed registries?")
-    return n_real
+def _input(model: EncoderModel, rows) -> np.ndarray:
+    """Pixel rows as an (m, s*s) float64 array, validated against the model."""
+    s = model.input_side
+    flats = np.asarray(rows, dtype=np.float64)
+    if flats.ndim != 2 or flats.shape[1] != s * s:
+        raise ValueError(f"pixel rows of shape {flats.shape} do not fit model input side {s}")
+    if not np.all((flats >= 0.0) & (flats <= 1.0)):
+        raise ValueError("pixel values must lie in [0, 1]")
+    return flats
 
 
-def encode_batch(model: EncoderModel,
-                 images: Sequence[FingerprintImage] | np.ndarray,
-                 mode: str = "infer",
-                 rng: np.random.Generator | None = None) -> np.ndarray:
-    """Embed a batch of images; rows have unit Euclidean norm.
+def _noisy(model: EncoderModel, flats: np.ndarray, n_real: int,
+           rng: np.random.Generator) -> np.ndarray:
+    """Train-mode input noise on the first n_real pixels of each row."""
+    sigma = model.config.noise_sigma
+    return noise_flat(flats, n_real, sigma, rng) if sigma > 0.0 else flats
 
-    ``images`` is a sequence of :class:`FingerprintImage` or, in inference
-    mode, an (m, side*side) array of row-major pixels in [0, 1] such as
-    :func:`~driftloc.preprocess.pixel_rows` returns.  Train mode adds
-    Gaussian input noise to the real-AP pixels and applies dropout, both
-    driven by ``rng``.  Inference is deterministic and rejects a generator
-    argument.
+
+def encode_batch(model: EncoderModel, images, mode: str = "infer",
+                 rng: np.random.Generator | None = None,
+                 n_real: int | None = None) -> np.ndarray:
+    """Embed an (m, side*side) array of pixel rows, or a list of rows;
+    output rows have unit Euclidean norm.
+
+    Train mode adds Gaussian input noise to the first ``n_real`` pixels of
+    each row, the real APs, and applies dropout, both driven by ``rng``.
+    Inference is deterministic and rejects a generator argument.
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
     train = mode == "train"
-    if train and rng is None:
-        raise ValueError("train-mode encoding requires a generator")
+    if train and (rng is None or n_real is None):
+        raise ValueError("train-mode encoding requires a generator and n_real")
     if not train and rng is not None:
         raise ValueError("inference is deterministic; no generator allowed")
     if len(images) == 0:
         raise ValueError("empty image batch")
-    s = model.input_side
-    if isinstance(images, np.ndarray):
-        if train:
-            raise ValueError("train mode needs FingerprintImages: noise covers real-AP pixels only")
-        flats = np.asarray(images, dtype=np.float64)
-        if flats.ndim != 2 or flats.shape[1] != s * s:
-            raise ValueError(f"pixel rows of shape {flats.shape} do not fit model input side {s}")
-        if not np.all((flats >= 0.0) & (flats <= 1.0)):
-            raise ValueError("pixel values must lie in [0, 1]")
-    else:
-        n_real = _check_images(model, images)
-        flats = np.stack([img.flat for img in images])
-        if train and model.config.noise_sigma > 0.0:
-            flats = noise_flat(flats, n_real, model.config.noise_sigma, rng)
-    x = flats.reshape(len(flats), 1, s, s)
-    e, _ = _forward(model, x, train, rng)
+    flats = _input(model, images)
+    if train:
+        flats = _noisy(model, flats, n_real, rng)
+    e, _ = _forward(model, flats, train, rng)
     return e
 
 
-def encode(model: EncoderModel, img: FingerprintImage, mode: str = "infer",
-           rng: np.random.Generator | None = None) -> np.ndarray:
-    """Embed one image as a d-dimensional unit vector."""
-    return encode_batch(model, [img], mode, rng)[0]
+def encode(model: EncoderModel, img: np.ndarray, mode: str = "infer",
+           rng: np.random.Generator | None = None,
+           n_real: int | None = None) -> np.ndarray:
+    """Embed one pixel row as a d-dimensional unit vector."""
+    return encode_batch(model, [img], mode, rng, n_real)[0]
 
 
 def triplet_loss(ea: np.ndarray, ep: np.ndarray, en: np.ndarray, alpha: float) -> float:
@@ -248,29 +242,27 @@ def _batch_losses(ea: np.ndarray, ep: np.ndarray, en: np.ndarray, alpha: float):
     return raw, np.maximum(raw, 0.0)
 
 
-def train_step(model: EncoderModel, batch: Sequence[Triplet],
+def train_step(model: EncoderModel, batch: np.ndarray, n_real: int,
                opt_state: nn.AdamState,
                rng: np.random.Generator) -> tuple[EncoderModel, nn.AdamState, float]:
-    """One optimization step over a batch of triplets.
+    """One optimization step over a (3, b, s*s) batch of anchor, positive
+    and negative rows whose first ``n_real`` pixels are real APs.
 
     All three branches run through the shared parameters in a single
     stacked forward pass.  Gradient flows only through triplets whose
     hinge is active; a batch with no active hinge leaves the parameters
     untouched.  The reported mean loss is pre-update.
     """
-    if len(batch) == 0:
+    batch = np.asarray(batch, dtype=np.float64)
+    if batch.ndim != 3 or batch.shape[0] != 3:
+        raise ValueError(f"batch of shape {batch.shape} is not (3, b, pixels)")
+    b = batch.shape[1]
+    if b == 0:
         raise ValueError("empty batch")
-    b = len(batch)
-    images = [t.anchor for t in batch] + [t.positive for t in batch] + [t.negative for t in batch]
-    n_real = _check_images(model, images)
-    s = model.input_side
     cfg = model.config
 
-    flats = np.stack([img.flat for img in images])
-    if cfg.noise_sigma > 0.0:
-        flats = noise_flat(flats, n_real, cfg.noise_sigma, rng)
-    x = flats.reshape(3 * b, 1, s, s)
-    e, caches = _forward(model, x, train=True, rng=rng)
+    flats = _noisy(model, _input(model, batch.reshape(3 * b, -1)), n_real, rng)
+    e, caches = _forward(model, flats, train=True, rng=rng)
     ea, ep, en = e[:b], e[b:2 * b], e[2 * b:]
 
     raw, losses = _batch_losses(ea, ep, en, cfg.margin_alpha)
@@ -300,16 +292,17 @@ def train_step(model: EncoderModel, batch: Sequence[Triplet],
 
 def _triplet_loss_forward(model: EncoderModel, x: np.ndarray, alpha: float):
     """Deterministic single-triplet loss used by the gradient check.
-    x stacks the three images as (3, 1, s, s)."""
+    x is the (3, s*s) anchor, positive and negative rows."""
     e, caches = _forward(model, x, train=False, rng=None)
     raw, _ = _batch_losses(e[0:1], e[1:2], e[2:3], alpha)
     return float(raw[0]), e, caches
 
 
-def gradient_check(model: EncoderModel, triplet: Triplet, alpha: float,
+def gradient_check(model: EncoderModel, triplet: np.ndarray, alpha: float,
                    step: float = 1e-5) -> float:
     """Max relative error between backprop and central finite differences
-    over every parameter entry of the full triplet loss.
+    over every parameter entry of the full triplet loss of a (3, s*s)
+    array of anchor, positive and negative rows.
 
     Requires a deterministic model (dropout and input noise disabled) and
     an active hinge; both are reported distinctly otherwise.
@@ -320,10 +313,9 @@ def gradient_check(model: EncoderModel, triplet: Triplet, alpha: float,
             "gradient check needs dropout_rate=0 and noise_sigma=0; "
             "stochastic layers invalidate finite differences"
         )
-    images = [triplet.anchor, triplet.positive, triplet.negative]
-    _check_images(model, images)
-    s = model.input_side
-    x = np.stack([img.flat for img in images]).reshape(3, 1, s, s)
+    x = _input(model, triplet)
+    if len(x) != 3:
+        raise ValueError(f"a triplet has 3 rows, got {len(x)}")
 
     raw, e, caches = _triplet_loss_forward(model, x, alpha)
     if raw <= 0.0:

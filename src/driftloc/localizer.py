@@ -25,8 +25,8 @@ from .augment import AugmentConfig
 from .data import Fingerprint, FingerprintDataset
 from .encoder import EncoderConfig, EncoderModel, encode_batch, init_model, train_step
 from .nn import AdamState
-from .preprocess import image_side, normalize_rows, pixel_rows, to_image
-from .sampler import build_pmf_table, default_sigma_sel, make_batch
+from .preprocess import image_side, normalize_rows, pixel_rows
+from .sampler import build_pmf_table, default_sigma_sel, make_batch, rp_members
 
 logger = logging.getLogger(__name__)
 
@@ -112,25 +112,28 @@ def train(train_set: FingerprintDataset, cfg: TrainConfig, seed: int,
     if len(train_set) == 0:
         raise ValueError("empty training set")
     fp = train_set.floorplan
-    side = image_side(fp.n_aps)
+    n_real = fp.n_aps
+    fps = train_set.fingerprints
 
     ss = np.random.SeedSequence(seed)
     init_seed, sampler_seed, step_seed = (int(s) for s in ss.generate_state(3))
-    model = init_model(cfg.encoder, side, init_seed)
+    model = init_model(cfg.encoder, image_side(n_real), init_seed)
     sampler_rng = np.random.default_rng(sampler_seed)
     step_rng = np.random.default_rng(step_seed)
 
+    pixels = pixel_rows(np.stack([f.rssi for f in fps]))
+    members = rp_members(train_set)
     sigma_sel = cfg.sigma_sel if cfg.sigma_sel is not None else default_sigma_sel(fp)
-    pmfs = build_pmf_table(fp, sigma_sel)
+    pmf = build_pmf_table(fp, sigma_sel)
     opt = AdamState(lr=cfg.learning_rate)
 
     batches_per_epoch = max(1, math.ceil(len(train_set) / cfg.batch_size))
     for epoch in range(cfg.epochs):
         total = 0.0
         for _ in range(batches_per_epoch):
-            batch = make_batch(train_set, fp, cfg.batch_size, cfg.augment,
-                               sampler_rng, pmfs=pmfs)
-            model, opt, loss = train_step(model, batch, opt, step_rng)
+            _, batch = make_batch(pixels, members, pmf, n_real, cfg.batch_size,
+                                  cfg.augment, sampler_rng)
+            model, opt, loss = train_step(model, batch, n_real, opt, step_rng)
             total += loss
         mean = total / batches_per_epoch
         logger.debug("epoch %d/%d mean triplet loss %.5f", epoch + 1, cfg.epochs, mean)
@@ -141,12 +144,11 @@ def train(train_set: FingerprintDataset, cfg: TrainConfig, seed: int,
     for name in model.params:
         model.params[name] = model.params[name].astype(np.float32).astype(np.float64)
 
-    images = [to_image(f) for f in train_set.fingerprints]
-    emb = encode_batch(model, images, mode="infer").astype(np.float32)
+    emb = encode_batch(model, pixels, mode="infer").astype(np.float32)
     rp_coord = {rp.rp_id: (rp.x, rp.y) for rp in fp.rps}
-    rp_ids = np.array([f.rp_id for f in train_set.fingerprints], dtype=np.int32)
-    xs = np.array([rp_coord[f.rp_id][0] for f in train_set.fingerprints], dtype=np.float32)
-    ys = np.array([rp_coord[f.rp_id][1] for f in train_set.fingerprints], dtype=np.float32)
+    rp_ids = np.array([f.rp_id for f in fps], dtype=np.int32)
+    xs = np.array([rp_coord[f.rp_id][0] for f in fps], dtype=np.float32)
+    ys = np.array([rp_coord[f.rp_id][1] for f in fps], dtype=np.float32)
     index = EmbeddingIndex(embeddings=emb, rp_ids=rp_ids, xs=xs, ys=ys)
     return model, index
 

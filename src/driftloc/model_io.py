@@ -34,6 +34,11 @@ FORMAT_VERSION = 1
 _CONFIG_FIELDS = [f.name for f in dataclass_fields(EncoderConfig)]
 
 
+def _index_dtype(d: int) -> np.dtype:
+    """One packed index entry: embedding, rp_id, x, y."""
+    return np.dtype([("e", "<f4", (d,)), ("rp", "<i4"), ("x", "<f4"), ("y", "<f4")])
+
+
 def _fmt(v) -> str:
     # repr round-trips floats exactly; ints stay ints.
     return repr(v) if isinstance(v, float) else str(v)
@@ -77,13 +82,11 @@ def save_model(model: EncoderModel, index: EmbeddingIndex, path: str | Path,
         out += struct.pack(f"<{arr.ndim}I", *arr.shape)
         out += np.ascontiguousarray(arr, dtype="<f4").tobytes()
 
-    n = len(index)
-    out += struct.pack("<I", n)
-    for i in range(n):
-        out += np.ascontiguousarray(index.embeddings[i], dtype="<f4").tobytes()
-        out += struct.pack("<i", int(index.rp_ids[i]))
-        out += struct.pack("<f", float(index.xs[i]))
-        out += struct.pack("<f", float(index.ys[i]))
+    entries = np.empty(len(index), dtype=_index_dtype(index.embed_dim))
+    entries["e"], entries["rp"] = index.embeddings, index.rp_ids
+    entries["x"], entries["y"] = index.xs, index.ys
+    out += struct.pack("<I", len(entries))
+    out += entries.tobytes()
 
     out += struct.pack("<I", zlib.crc32(bytes(out)))
     Path(path).write_bytes(bytes(out))
@@ -103,12 +106,6 @@ class _Reader:
 
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
-
-    def i32(self) -> int:
-        return struct.unpack("<i", self.take(4))[0]
-
-    def f32(self) -> float:
-        return struct.unpack("<f", self.take(4))[0]
 
 
 def _parse_config(block: bytes) -> dict[str, str]:
@@ -180,20 +177,13 @@ def load_model_full(path: str | Path) -> tuple[EncoderModel, EmbeddingIndex, dic
         raise ModelFormatError(f"inconsistent parameters: {exc}") from None
 
     n = r.u32()
-    d = cfg.embed_dim
-    emb = np.empty((n, d), dtype=np.float32)
-    rp_ids = np.empty(n, dtype=np.int32)
-    xs = np.empty(n, dtype=np.float32)
-    ys = np.empty(n, dtype=np.float32)
-    for i in range(n):
-        emb[i] = np.frombuffer(r.take(4 * d), dtype="<f4")
-        rp_ids[i] = r.i32()
-        xs[i] = r.f32()
-        ys[i] = r.f32()
+    dtype = _index_dtype(cfg.embed_dim)
+    entries = np.frombuffer(r.take(n * dtype.itemsize), dtype=dtype)
     if r.pos != len(r.data):
         raise ModelFormatError(f"{len(r.data) - r.pos} trailing bytes after index")
     try:
-        index = EmbeddingIndex(embeddings=emb, rp_ids=rp_ids, xs=xs, ys=ys)
+        index = EmbeddingIndex(embeddings=entries["e"], rp_ids=entries["rp"],
+                               xs=entries["x"], ys=entries["y"])
     except ValueError as exc:
         raise ModelFormatError(f"invalid index: {exc}") from None
     return model, index, extra

@@ -1,58 +1,22 @@
-"""Raw dBm fingerprints -> normalized square images for the encoder.
+"""Raw dBm fingerprints -> normalized pixel rows for the encoder.
 
 Each RSSI vector is mapped linearly from [-100, 0] dBm onto [0, 1]
-(-100 -> 0, 0 -> 1), padded with trailing zeros up to the next perfect
-square, and reshaped row-major into an s x s image.  A missing AP and a
-padded position are both exactly 0: the encoder cannot tell a removed
-transmitter from padding, which is what makes AP-dropout augmentation
-meaningful.
+(-100 -> 0, 0 -> 1) and padded with trailing zeros up to the next
+perfect square s*s.  The result is a flat pixel row; reshaped row-major
+it is the encoder's s x s image, with registry position i at pixel
+(i // s, i % s).  Many scans form an (m, s*s) float64 array, the one form
+the encoder consumes everywhere.  A missing AP and a padded position are
+both exactly 0: the encoder cannot tell a removed transmitter from
+padding, which is what makes AP-dropout augmentation meaningful.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Fingerprint
-
-
-@dataclass(frozen=True, eq=False)
-class FingerprintImage:
-    """Square image form of a fingerprint.
-
-    ``pixels`` is an s x s float64 array in [0, 1]; row-major position i
-    corresponds to registry position i for i < n_real, and is zero padding
-    for i >= n_real.
-    """
-
-    side: int
-    pixels: np.ndarray
-    n_real: int
-
-    def __post_init__(self):
-        arr = np.asarray(self.pixels, dtype=np.float64)
-        if arr.shape != (self.side, self.side):
-            raise ValueError(f"pixels shape {arr.shape} != ({self.side}, {self.side})")
-        if self.n_real < 1 or self.n_real > self.side * self.side:
-            raise ValueError("n_real out of range for image size")
-        flat = arr.reshape(-1)
-        if flat.min() < 0.0 or flat.max() > 1.0:
-            raise ValueError("pixel values must lie in [0, 1]")
-        if self.n_real < flat.size and np.any(flat[self.n_real:] != 0.0):
-            raise ValueError("padding pixels must be exactly 0")
-        arr.setflags(write=False)
-        object.__setattr__(self, "pixels", arr)
-
-    @property
-    def flat(self) -> np.ndarray:
-        """Row-major view of the pixels (length side**2)."""
-        return self.pixels.reshape(-1)
-
-    def with_flat(self, flat: np.ndarray) -> "FingerprintImage":
-        """Same geometry, new pixel values."""
-        return FingerprintImage(self.side, np.asarray(flat, dtype=np.float64).reshape(self.side, self.side), self.n_real)
 
 
 def normalize_rssi(dbm: float) -> float:
@@ -86,25 +50,22 @@ def normalize_rows(rssi: np.ndarray) -> np.ndarray:
 
 def pixel_rows(rssi: np.ndarray) -> np.ndarray:
     """Normalize an (m, n) dBm array and zero-pad each row to s*s pixels,
-    s = image_side(n): the row-major flat images of the m scans."""
+    s = image_side(n): the row-major flat images of the m scans.  The
+    result is read-only; augmentation works on copies."""
     norm = normalize_rows(rssi)
     m, n = norm.shape
     s = image_side(n)
     flat = np.zeros((m, s * s), dtype=np.float64)
     flat[:, :n] = norm
+    flat.setflags(write=False)
     return flat
 
 
-def image_from_rssi(rssi: np.ndarray) -> FingerprintImage:
-    """Normalize a dBm vector and reshape it into a square image."""
-    rssi = np.asarray(rssi, dtype=np.float64)
-    if rssi.ndim != 1 or rssi.size == 0:
-        raise ValueError("rssi must be a non-empty 1-D vector")
-    s = image_side(rssi.size)
-    flat = pixel_rows(rssi[None, :])[0]
-    return FingerprintImage(side=s, pixels=flat.reshape(s, s), n_real=rssi.size)
+def image_from_rssi(rssi: np.ndarray) -> np.ndarray:
+    """Pixel row of one dBm vector."""
+    return pixel_rows([rssi])[0]
 
 
-def to_image(fp: Fingerprint) -> FingerprintImage:
-    """Encoder input for one fingerprint (normalize, pad, reshape)."""
+def to_image(fp: Fingerprint) -> np.ndarray:
+    """Encoder input for one fingerprint: its pixel row."""
     return image_from_rssi(fp.rssi)

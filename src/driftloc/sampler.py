@@ -1,4 +1,4 @@
-"""Floorplan-aware triplet selection.
+"""Floorplan-aware triplet selection on pixel-row arrays.
 
 Hard negatives come from reference points that are physically close to the
 anchor: the probability of picking RP_i as the negative for anchor RP_a is
@@ -7,61 +7,19 @@ proportional to a bivariate Gaussian kernel exp(-||pos_i - pos_a||^2 /
 rest renormalized.  Positives are drawn uniformly from the anchor's RP;
 with a single fingerprint at that RP the anchor is reused (augmentation
 still differentiates the pair).
+
+The training set enters as three arrays built once: the (n, s*s) pixel
+rows, one index array of rows per RP, and the (n_rp, n_rp) pmf matrix,
+all in floorplan RP order.  A triplet is three row indices; a batch is a
+(3, b, s*s) array of anchor, positive and negative rows.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .augment import AugmentConfig, apply_ap_dropout, draw_turnoff_fraction
 from .data import FingerprintDataset, FloorPlan
-from .preprocess import FingerprintImage, to_image
-
-
-@dataclass(frozen=True)
-class NegativePmf:
-    """Sampling distribution over negative RPs for one anchor."""
-
-    anchor_rp: int
-    rp_ids: tuple[int, ...]   # floorplan order
-    probs: np.ndarray         # aligned to rp_ids; anchor entry is 0
-
-    def __post_init__(self):
-        arr = np.asarray(self.probs, dtype=np.float64)
-        if arr.shape != (len(self.rp_ids),):
-            raise ValueError("probs length must match rp_ids")
-        if np.any(arr < 0.0):
-            raise ValueError("probabilities must be non-negative")
-        if abs(arr.sum() - 1.0) > 1e-12:
-            raise ValueError("probabilities must sum to 1")
-        i = self.rp_ids.index(self.anchor_rp)
-        if arr[i] != 0.0:
-            raise ValueError("anchor probability must be exactly 0")
-        arr.setflags(write=False)
-        object.__setattr__(self, "probs", arr)
-
-    def prob_of(self, rp_id: int) -> float:
-        return float(self.probs[self.rp_ids.index(rp_id)])
-
-    def as_dict(self) -> dict[int, float]:
-        return {rp: float(p) for rp, p in zip(self.rp_ids, self.probs)}
-
-
-@dataclass(frozen=True, eq=False)
-class Triplet:
-    """Anchor/positive share an RP; the negative comes from another RP."""
-
-    anchor: FingerprintImage
-    positive: FingerprintImage
-    negative: FingerprintImage
-    anchor_rp: int
-    negative_rp: int
-
-    def __post_init__(self):
-        if self.anchor_rp == self.negative_rp:
-            raise ValueError("negative must come from a different RP than the anchor")
 
 
 def default_sigma_sel(fp: FloorPlan) -> float:
@@ -73,8 +31,9 @@ def default_sigma_sel(fp: FloorPlan) -> float:
     return 0.1 * diag
 
 
-def negative_pmf(fp: FloorPlan, anchor: int, sigma_sel: float) -> NegativePmf:
-    """Gaussian-kernel distribution over negative RPs for one anchor."""
+def negative_pmf(fp: FloorPlan, anchor: int, sigma_sel: float) -> np.ndarray:
+    """Gaussian-kernel distribution over negative RPs for the anchor with
+    rp_id ``anchor``, in floorplan order; the anchor's entry is 0."""
     if sigma_sel <= 0.0:
         raise ValueError("sigma_sel must be > 0")
     rp_ids = tuple(rp.rp_id for rp in fp.rps)
@@ -90,84 +49,72 @@ def negative_pmf(fp: FloorPlan, anchor: int, sigma_sel: float) -> NegativePmf:
     total = w.sum()
     if total <= 0.0:
         raise ValueError("negative kernel underflowed to zero; increase sigma_sel")
-    return NegativePmf(anchor_rp=anchor, rp_ids=rp_ids, probs=w / total)
+    return w / total
 
 
-def build_pmf_table(fp: FloorPlan, sigma_sel: float | None = None) -> dict[int, NegativePmf]:
-    """One NegativePmf per anchor RP.  The table is immutable and may be
-    shared across sampling workers."""
+def build_pmf_table(fp: FloorPlan, sigma_sel: float | None = None) -> np.ndarray:
+    """Read-only (n_rp, n_rp) matrix whose row a is :func:`negative_pmf`
+    of the a-th RP in floorplan order."""
     if sigma_sel is None:
         sigma_sel = default_sigma_sel(fp)
-    return {rp.rp_id: negative_pmf(fp, rp.rp_id, sigma_sel) for rp in fp.rps}
+    table = np.stack([negative_pmf(fp, rp.rp_id, sigma_sel) for rp in fp.rps])
+    table.setflags(write=False)
+    return table
 
 
-def sample_triplet(train: FingerprintDataset, pmfs: dict[int, NegativePmf],
-                   rng: np.random.Generator) -> Triplet:
-    """Draw one (anchor, positive, negative) triplet.
-
-    Anchor RP uniform over RPs; fingerprints uniform within their RP; the
-    negative RP follows the anchor's pmf.  The positive is distinct from
-    the anchor fingerprint whenever the RP has more than one.
-    """
+def rp_members(train: FingerprintDataset) -> list[np.ndarray]:
+    """Row indices of the training fingerprints at each RP, in floorplan
+    order.  Every RP must have at least one."""
     if len(train) == 0:
         raise ValueError("empty training set")
     per_rp = train.by_rp()
     empty = sorted(rp for rp, idxs in per_rp.items() if not idxs)
     if empty:
         raise ValueError(f"RPs {empty} have no training fingerprints")
+    return [np.array(idxs) for idxs in per_rp.values()]
 
-    rp_ids = [rp.rp_id for rp in train.floorplan.rps]
-    anchor_rp = rp_ids[rng.integers(len(rp_ids))]
-    pmf = pmfs[anchor_rp]
 
-    own = per_rp[anchor_rp]
-    a_idx = own[rng.integers(len(own))]
+def sample_triplet(members: list[np.ndarray], pmf: np.ndarray,
+                   rng: np.random.Generator) -> tuple[int, int, int]:
+    """Draw one (anchor, positive, negative) triplet of row indices.
+
+    Anchor RP uniform over RPs; fingerprints uniform within their RP; the
+    negative RP follows the anchor RP's row of ``pmf``.  The positive is
+    distinct from the anchor fingerprint whenever the RP has more than one.
+    Draws come in the order anchor RP, anchor, positive, negative RP,
+    negative.
+    """
+    a_rp = rng.integers(len(members))
+    own = members[a_rp]
+    a = rng.integers(len(own))
     if len(own) >= 2:
-        others = [i for i in own if i != a_idx]
-        p_idx = others[rng.integers(len(others))]
+        p = rng.integers(len(own) - 1)
+        p += p >= a  # skip the anchor itself
     else:
-        p_idx = a_idx  # single-fingerprint RP: reuse the anchor
-
-    neg_rp = int(rng.choice(len(pmf.rp_ids), p=pmf.probs))
-    neg_rp = pmf.rp_ids[neg_rp]
-    neg_own = per_rp[neg_rp]
-    n_idx = neg_own[rng.integers(len(neg_own))]
-
-    fps = train.fingerprints
-    return Triplet(
-        anchor=to_image(fps[a_idx]),
-        positive=to_image(fps[p_idx]),
-        negative=to_image(fps[n_idx]),
-        anchor_rp=anchor_rp,
-        negative_rp=neg_rp,
-    )
+        p = a  # single-fingerprint RP: reuse the anchor
+    neg = members[rng.choice(len(pmf), p=pmf[a_rp])]
+    return int(own[a]), int(own[p]), int(neg[rng.integers(len(neg))])
 
 
-def make_batch(train: FingerprintDataset, fp: FloorPlan, batch_size: int,
-               aug: AugmentConfig, rng: np.random.Generator,
-               pmfs: dict[int, NegativePmf] | None = None,
-               sigma_sel: float | None = None) -> list[Triplet]:
-    """Sample a batch of triplets and apply AP dropout to each image.
+def make_batch(pixels: np.ndarray, members: list[np.ndarray], pmf: np.ndarray,
+               n_real: int, batch_size: int, aug: AugmentConfig,
+               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Sample a batch of triplets and apply AP dropout to each row.
 
-    Every image draws its own turn-off fraction.  Gaussian input noise is
-    not applied here; it belongs to the encoder's train-mode input stage.
+    Returns the (batch_size, 3) row indices and the (3, batch_size, s*s)
+    anchor, positive and negative rows.  Each of a triplet's three rows
+    draws its own turn-off fraction right after the triplet is drawn.  Gaussian input noise is not applied
+    here; it belongs to the encoder's train-mode input stage.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    if fp.ap_registry != train.floorplan.ap_registry:
-        raise ValueError("floorplan registry does not match the training set")
-    if pmfs is None:
-        pmfs = build_pmf_table(fp, sigma_sel)
-
-    batch = []
-    for _ in range(batch_size):
-        t = sample_triplet(train, pmfs, rng)
-        if aug.p_upper > 0.0:
-            imgs = []
-            for img in (t.anchor, t.positive, t.negative):
-                frac = draw_turnoff_fraction(aug, rng)
-                imgs.append(apply_ap_dropout(img, frac, rng))
-            t = Triplet(anchor=imgs[0], positive=imgs[1], negative=imgs[2],
-                        anchor_rp=t.anchor_rp, negative_rp=t.negative_rp)
-        batch.append(t)
-    return batch
+    idx = np.empty((batch_size, 3), dtype=np.intp)
+    rows = np.empty((3, batch_size, pixels.shape[1]))
+    for i in range(batch_size):
+        idx[i] = sample_triplet(members, pmf, rng)
+        for j, r in enumerate(idx[i]):
+            row = pixels[r]
+            if aug.p_upper > 0.0:
+                row = apply_ap_dropout(row, n_real, draw_turnoff_fraction(aug, rng), rng)
+            rows[j, i] = row
+    return idx, rows

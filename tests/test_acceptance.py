@@ -26,9 +26,8 @@ from driftloc.localizer import (EmbeddingIndex, TrainConfig, _knn_decide,
                                 baseline_knn_predict, predict, train)
 from driftloc.model_io import load_model, save_model
 from driftloc.nn import AdamState
-from driftloc.preprocess import (FingerprintImage, image_from_rssi, image_side,
-                                 normalize_rssi, to_image)
-from driftloc.sampler import build_pmf_table, make_batch, sample_triplet
+from driftloc.preprocess import image_from_rssi, image_side, normalize_rssi, pixel_rows, to_image
+from driftloc.sampler import build_pmf_table, make_batch, rp_members, sample_triplet
 from driftloc.simulate import SimConfig, generate, preset
 
 
@@ -65,9 +64,9 @@ def test_criterion_2_unit_norm():
     model = init_model(cfg, 5, seed=0)
     rng = np.random.default_rng(1)
     for i in range(1000):
-        img = FingerprintImage(5, rng.random((5, 5)), 25)
+        img = rng.random(25)
         if i % 5 == 0:
-            e = encode(model, img, mode="train", rng=rng)
+            e = encode(model, img, mode="train", rng=rng, n_real=25)
         else:
             e = encode(model, img)
         assert abs(np.linalg.norm(e) - 1.0) <= 1e-9
@@ -105,11 +104,13 @@ def test_criterion_4_sampler_distribution():
         for rp in rps))
     pmfs = build_pmf_table(fp, sigma_sel=2.0)
     ids = [rp.rp_id for rp in fp.rps]
+    members = rp_members(ds)
+    rp_of = [f.rp_id for f in ds.fingerprints]
 
     # anchors are uniform, so the negative-RP marginal is the pmf mixture
     mixture = np.zeros(len(ids))
-    for a in ids:
-        mixture += pmfs[a].probs
+    for row in pmfs:
+        mixture += row
     mixture /= len(ids)
 
     rng = np.random.default_rng(4)
@@ -117,9 +118,9 @@ def test_criterion_4_sampler_distribution():
     counts = dict.fromkeys(ids, 0)
     anchor_hits = 0
     for _ in range(n_draws):
-        t = sample_triplet(ds, pmfs, rng)
-        counts[t.negative_rp] += 1
-        anchor_hits += t.negative_rp == t.anchor_rp
+        a, _, n = sample_triplet(members, pmfs, rng)
+        counts[rp_of[n]] += 1
+        anchor_hits += rp_of[n] == rp_of[a]
     assert anchor_hits == 0
     observed = np.array([counts[i] for i in ids], dtype=float)
     expected = mixture * n_draws
@@ -129,15 +130,14 @@ def test_criterion_4_sampler_distribution():
 
     # strict monotonicity: strictly nearer RPs get strictly higher mass
     pos = fp.positions()
-    for a_idx, anchor in enumerate(ids):
-        pmf = pmfs[anchor]
+    for a_idx, pmf in enumerate(pmfs):
         sq = ((pos - pos[a_idx]) ** 2).sum(axis=1)
         for i in range(len(ids)):
             for j in range(len(ids)):
                 if a_idx in (i, j):
                     continue
                 if sq[i] < sq[j]:
-                    assert pmf.probs[i] > pmf.probs[j]
+                    assert pmf[i] > pmf[j]
 
 
 # --- 5: augmentation counts --------------------------------------------------
@@ -152,10 +152,10 @@ def test_criterion_5_augmentation_counts():
         vis = rng.choice(n_real, size=n_vis, replace=False)
         rssi[vis] = rng.integers(-99, 0, size=n_vis)
         img = image_from_rssi(rssi)
-        v = int((img.flat > 0).sum())
+        v = int((img > 0).sum())
         p = float(rng.random())
-        out = apply_ap_dropout(img, p, rng)
-        assert v - int((out.flat > 0).sum()) == math.floor(p * v)
+        out = apply_ap_dropout(img, n_real, p, rng)
+        assert v - int((out > 0).sum()) == math.floor(p * v)
 
     cfg = AugmentConfig(p_upper=0.90)
     rng = np.random.default_rng(6)
@@ -174,7 +174,7 @@ def test_criterion_6_knn_oracle_equivalence():
     tcfg = TrainConfig(
         encoder=EncoderConfig(conv1_filters=8, conv2_filters=12, fc_units=24,
                               embed_dim=4, dropout_rate=0.1),
-        augment=AugmentConfig(p_upper=0.5, noise_sigma=0.1),
+        augment=AugmentConfig(p_upper=0.5),
         epochs=3, batch_size=16)
     model, index = train(tr, tcfg, seed=61)
 
@@ -227,21 +227,21 @@ def test_criterion_7_training_convergence():
     assert len(tr.floorplan.rps) == 3
 
     ecfg = EncoderConfig(embed_dim=3, dropout_rate=0.0, noise_sigma=0.0)
-    aug = AugmentConfig(p_upper=0.5, noise_sigma=0.0)  # dropout keeps hinges live
-    side = image_side(tr.floorplan.n_aps)
-    model = init_model(ecfg, side, seed=3)
-    pmfs = build_pmf_table(tr.floorplan)
+    aug = AugmentConfig(p_upper=0.5)  # dropout keeps hinges live
+    n_real = tr.floorplan.n_aps
+    model = init_model(ecfg, image_side(n_real), seed=3)
+    pixels = pixel_rows(np.stack([f.rssi for f in tr.fingerprints]))
+    arrays = (pixels, rp_members(tr), build_pmf_table(tr.floorplan))
     opt = AdamState(lr=1e-3)
     srng, trng = np.random.default_rng(11), np.random.default_rng(12)
     loss = None
     for _ in range(200):
-        batch = make_batch(tr, tr.floorplan, 32, aug, srng, pmfs=pmfs)
-        model, opt, loss = train_step(model, batch, opt, trng)
+        _, batch = make_batch(*arrays, n_real, 32, aug, srng)
+        model, opt, loss = train_step(model, batch, n_real, opt, trng)
     alpha = ecfg.margin_alpha
     assert loss < alpha / 10, f"final mean batch loss {loss:.4f}"
 
-    images = [to_image(f) for f in tr.fingerprints]
-    emb = encode_batch(model, images).astype(np.float32)
+    emb = encode_batch(model, pixels).astype(np.float32)
     coords = {rp.rp_id: (rp.x, rp.y) for rp in tr.floorplan.rps}
     index = EmbeddingIndex(
         embeddings=emb,
@@ -315,7 +315,7 @@ def test_criterion_10_determinism_and_persistence(tmp_path):
     tcfg = TrainConfig(
         encoder=EncoderConfig(conv1_filters=8, conv2_filters=12, fc_units=24,
                               embed_dim=4, dropout_rate=0.1),
-        augment=AugmentConfig(p_upper=0.5, noise_sigma=0.1),
+        augment=AugmentConfig(p_upper=0.5),
         epochs=3, batch_size=16)
 
     p1, p2 = tmp_path / "a.stne", tmp_path / "b.stne"
@@ -349,18 +349,20 @@ def test_criterion_11_preprocessing():
     assert normalize_rssi(-50.0) == 0.5
 
     for n, side, pads in ((5, 3, 4), (9, 3, 0), (10, 4, 6)):
-        img = image_from_rssi(np.full(n, -50.0))
-        assert img.side == side
-        assert img.flat.size - n == pads
-        assert np.all(img.flat[n:] == 0.0)
+        flat = image_from_rssi(np.full(n, -50.0))
+        assert flat.size == side * side
+        assert flat.size - n == pads
+        assert np.all(flat[n:] == 0.0)
 
     rng = np.random.default_rng(11)
     for _ in range(200):
         n = int(rng.integers(1, 60))
         rssi = rng.integers(-100, 1, size=n).astype(float)
-        img = image_from_rssi(rssi)
-        s = img.side
+        flat = image_from_rssi(rssi)
+        s = image_side(n)
+        assert flat.size == s * s
         assert (s - 1) ** 2 < n <= s * s
+        img = flat.reshape(s, s)
         for i in range(n):
-            assert img.pixels[i // s, i % s] == normalize_rssi(rssi[i])
-        assert np.all(img.flat[n:] == 0.0)
+            assert img[i // s, i % s] == normalize_rssi(rssi[i])
+        assert np.all(flat[n:] == 0.0)

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from driftloc.augment import (AugmentConfig, add_gaussian_noise,
-                              apply_ap_dropout, draw_turnoff_fraction)
+from driftloc.augment import (AugmentConfig, apply_ap_dropout,
+                              draw_turnoff_fraction, noise_flat)
 from driftloc.preprocess import image_from_rssi
 
 
-def image_with_visible(n_visible, n_real=16, side=4):
+def image_with_visible(n_visible, n_real=16):
     rssi = np.full(n_real, -100.0)
     rssi[:n_visible] = -50.0
     return image_from_rssi(rssi)
@@ -38,21 +38,21 @@ def test_turnoff_monte_carlo_mean():
 
 def test_dropout_zero_fraction_identity():
     img = image_with_visible(10)
-    out = apply_ap_dropout(img, 0.0, np.random.default_rng(0))
-    np.testing.assert_array_equal(out.pixels, img.pixels)
+    out = apply_ap_dropout(img, 16, 0.0, np.random.default_rng(0))
+    np.testing.assert_array_equal(out, img)
 
 
 def test_dropout_exact_count():
     img = image_with_visible(10)
-    out = apply_ap_dropout(img, 0.9, np.random.default_rng(3))
-    assert int((img.flat > 0).sum()) == 10
-    assert int((out.flat > 0).sum()) == 1  # exactly 9 zeroed
+    out = apply_ap_dropout(img, 16, 0.9, np.random.default_rng(3))
+    assert int((img > 0).sum()) == 10
+    assert int((out > 0).sum()) == 1  # exactly 9 zeroed
 
 
 def test_dropout_all_zero_noop():
     img = image_from_rssi(np.full(9, -100.0))
-    out = apply_ap_dropout(img, 0.7, np.random.default_rng(4))
-    np.testing.assert_array_equal(out.pixels, img.pixels)
+    out = apply_ap_dropout(img, 9, 0.7, np.random.default_rng(4))
+    np.testing.assert_array_equal(out, img)
 
 
 def test_dropout_count_floor_randomized():
@@ -65,9 +65,9 @@ def test_dropout_count_floor_randomized():
         vis = rng.choice(n_real, size=n_vis, replace=False)
         rssi[vis] = rng.integers(-99, 0, size=n_vis)
         img = image_from_rssi(rssi)
-        v = int((img.flat > 0).sum())
-        out = apply_ap_dropout(img, p, rng)
-        newly_zeroed = v - int((out.flat > 0).sum())
+        v = int((img > 0).sum())
+        out = apply_ap_dropout(img, n_real, p, rng)
+        newly_zeroed = v - int((out > 0).sum())
         assert newly_zeroed == math.floor(p * v)
 
 
@@ -77,32 +77,36 @@ def test_dropout_zero_set_superset(seed, p):
     rng = np.random.default_rng(seed)
     rssi = rng.integers(-100, 1, size=12).astype(float)
     img = image_from_rssi(rssi)
-    out = apply_ap_dropout(img, p, rng)
-    before = set(np.flatnonzero(img.flat == 0.0))
-    after = set(np.flatnonzero(out.flat == 0.0))
+    out = apply_ap_dropout(img, 12, p, rng)
+    before = set(np.flatnonzero(img == 0.0))
+    after = set(np.flatnonzero(out == 0.0))
     assert before <= after
-    assert out.n_real == img.n_real and out.side == img.side
+    assert out.shape == img.shape
 
 
 def test_dropout_deterministic():
     img = image_with_visible(12)
-    a = apply_ap_dropout(img, 0.5, np.random.default_rng(42))
-    b = apply_ap_dropout(img, 0.5, np.random.default_rng(42))
-    np.testing.assert_array_equal(a.pixels, b.pixels)
+    a = apply_ap_dropout(img, 16, 0.5, np.random.default_rng(42))
+    b = apply_ap_dropout(img, 16, 0.5, np.random.default_rng(42))
+    np.testing.assert_array_equal(a, b)
 
 
 def test_dropout_never_touches_padding():
     # 5 real APs in a 3x3 image: padding positions 5..8 must stay zero
     img = image_from_rssi(np.full(5, -20.0))
-    out = apply_ap_dropout(img, 1.0, np.random.default_rng(0))
-    assert np.all(out.flat[5:] == 0.0)
-    assert np.all(out.flat[:5] == 0.0)  # p=1 removes every visible AP
+    out = apply_ap_dropout(img, 5, 1.0, np.random.default_rng(0))
+    assert np.all(out[5:] == 0.0)
+    assert np.all(out[:5] == 0.0)  # p=1 removes every visible AP
+    # padding is never a candidate, even when it is not zero
+    row = np.ones(9)
+    out = apply_ap_dropout(row, 5, 1.0, np.random.default_rng(0))
+    np.testing.assert_array_equal(out, [0, 0, 0, 0, 0, 1, 1, 1, 1])
 
 
 def test_noise_zero_sigma_identity():
     img = image_with_visible(9)
-    out = add_gaussian_noise(img, 0.0, np.random.default_rng(0))
-    np.testing.assert_array_equal(out.pixels, img.pixels)
+    out = noise_flat(img, 16, 0.0, np.random.default_rng(0))
+    np.testing.assert_array_equal(out, img)
 
 
 def test_noise_sample_std():
@@ -110,32 +114,33 @@ def test_noise_sample_std():
     # deviations estimates sigma directly
     rng = np.random.default_rng(6)
     img = image_from_rssi(np.full(99856, -50.0))  # 316 x 316, ~1e5 pixels
-    out = add_gaussian_noise(img, 0.10, rng)
-    dev = out.flat[:img.n_real] - img.flat[:img.n_real]
+    out = noise_flat(img, 99856, 0.10, rng)
+    dev = out - img
     assert abs(dev.std() - 0.10) <= 0.002
 
 
 def test_noise_clamps_to_unit_interval():
     img = image_from_rssi(np.full(16, 0.0))  # all pixels at 1.0
-    out = add_gaussian_noise(img, 5.0, np.random.default_rng(7))
-    assert out.flat.max() <= 1.0 and out.flat.min() >= 0.0
+    out = noise_flat(img, 16, 5.0, np.random.default_rng(7))
+    assert out.max() <= 1.0 and out.min() >= 0.0
 
 
 def test_noise_leaves_padding():
     img = image_from_rssi(np.full(5, -20.0))
-    out = add_gaussian_noise(img, 0.3, np.random.default_rng(8))
-    assert np.all(out.flat[5:] == 0.0)
+    out = noise_flat(img, 5, 0.3, np.random.default_rng(8))
+    assert np.all(out[5:] == 0.0)
+    assert np.any(out[:5] != img[:5])
 
 
 def test_noise_deterministic():
     img = image_with_visible(9)
-    a = add_gaussian_noise(img, 0.1, np.random.default_rng(9))
-    b = add_gaussian_noise(img, 0.1, np.random.default_rng(9))
-    np.testing.assert_array_equal(a.pixels, b.pixels)
+    a = noise_flat(img, 16, 0.1, np.random.default_rng(9))
+    b = noise_flat(img, 16, 0.1, np.random.default_rng(9))
+    np.testing.assert_array_equal(a, b)
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         AugmentConfig(p_upper=1.5)
     with pytest.raises(ValueError):
-        AugmentConfig(noise_sigma=-0.1)
+        AugmentConfig(p_upper=-0.1)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 
 import pytest
@@ -124,6 +125,23 @@ def test_predict_partial_scan(scenario_dir, model_path, tmp_path, capsys):
                           "--scan", str(scan), "--k", "1"], capsys)
     assert code == 0, err
     assert len(out.strip().splitlines()) == 2
+
+
+def test_train_and_sweep_share_training_flags():
+    # the nine training flags and their defaults, as both commands had them
+    expected = {"--embed-dim": 5, "--alpha": 0.2, "--p-upper": 0.9,
+                "--noise-sigma": 0.1, "--sigma-sel": "auto",
+                "--dropout-rate": 0.25, "--epochs": 50, "--batch": 32,
+                "--lr": 1e-3}
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for command in ("train", "sweep-fpr"):
+        flags = {opt: a.default for a in sub.choices[command]._actions
+                 for opt in a.option_strings}
+        assert {opt: flags.get(opt) for opt in expected} == expected
+    cfg = cli._train_config(sub.choices["train"].parse_args(
+        ["--floorplan", "f", "--fingerprints", "g", "--out", "o", "--noise-sigma", "0.3"]))
+    assert cfg.encoder.noise_sigma == 0.3
 
 
 def test_gradcheck_passes(capsys):

@@ -8,13 +8,10 @@ from driftloc.encoder import (EncoderConfig, encode, gradient_check,
                               triplet_loss)
 from driftloc.errors import HingeInactiveError, StochasticModelError
 from driftloc.nn import AdamState
-from driftloc.preprocess import FingerprintImage
-from driftloc.sampler import Triplet
 
 
-def rand_image(side, rng, n_real=None):
-    return FingerprintImage(side, rng.random((side, side)),
-                            n_real or side * side)
+def rand_image(side, rng):
+    return rng.random(side * side)
 
 
 def small_model(seed=0, side=4, **overrides):
@@ -59,7 +56,7 @@ def test_train_mode_unit_norm():
     rng = np.random.default_rng(2)
     model = small_model(dropout_rate=0.25, noise_sigma=0.1)
     for _ in range(20):
-        e = encode(model, rand_image(4, rng), mode="train", rng=rng)
+        e = encode(model, rand_image(4, rng), mode="train", rng=rng, n_real=16)
         assert abs(np.linalg.norm(e) - 1.0) <= 1e-9
 
 
@@ -83,6 +80,8 @@ def test_rng_required_iff_training():
     img = rand_image(4, rng)
     with pytest.raises(ValueError, match="requires a generator"):
         encode(model, img, mode="train")
+    with pytest.raises(ValueError, match="n_real"):
+        encode(model, img, mode="train", rng=rng)
     with pytest.raises(ValueError, match="deterministic"):
         encode(model, img, mode="infer", rng=rng)
     with pytest.raises(ValueError, match="mode"):
@@ -148,13 +147,8 @@ def test_loss_zero_when_margin_satisfied(seed):
 # --- training step ----------------------------------------------------------
 
 def fixed_batch(side, rng, n=4):
-    batch = []
-    for _ in range(n):
-        batch.append(Triplet(anchor=rand_image(side, rng),
-                             positive=rand_image(side, rng),
-                             negative=rand_image(side, rng),
-                             anchor_rp=0, negative_rp=1))
-    return batch
+    # triplet by triplet, anchor/positive/negative: (3, n, side*side)
+    return rng.random((n, 3, side * side)).swapaxes(0, 1)
 
 
 def test_train_step_inactive_hinge_leaves_params():
@@ -163,10 +157,9 @@ def test_train_step_inactive_hinge_leaves_params():
     # alpha=0: a triplet with identical anchor/positive has raw = -dn <= 0
     img = rand_image(4, rng)
     other = rand_image(4, rng)
-    batch = [Triplet(anchor=img, positive=img, negative=other,
-                     anchor_rp=0, negative_rp=1)]
+    batch = np.stack([img, img, other])[:, None, :]
     before = {k: v.copy() for k, v in model.params.items()}
-    _, _, loss = train_step(model, batch, AdamState(), np.random.default_rng(8))
+    _, _, loss = train_step(model, batch, 16, AdamState(), np.random.default_rng(8))
     assert loss == 0.0
     for name in before:
         np.testing.assert_array_equal(model.params[name], before[name])
@@ -181,7 +174,7 @@ def test_train_step_deterministic():
         step_rng = np.random.default_rng(10)
         for _ in range(5):
             batch = fixed_batch(4, rng)
-            model, opt, _ = train_step(model, batch, opt, step_rng)
+            model, opt, _ = train_step(model, batch, 16, opt, step_rng)
         results.append(model)
     for name in results[0].params:
         np.testing.assert_array_equal(results[0].params[name],
@@ -196,7 +189,7 @@ def test_train_step_reduces_loss_on_repeated_batch():
     step_rng = np.random.default_rng(12)
     first = None
     for _ in range(60):
-        model, opt, loss = train_step(model, batch, opt, step_rng)
+        model, opt, loss = train_step(model, batch, 16, opt, step_rng)
         if first is None:
             first = loss
     assert loss < first
@@ -205,7 +198,7 @@ def test_train_step_reduces_loss_on_repeated_batch():
 def test_train_step_rejects_empty_batch():
     model = small_model()
     with pytest.raises(ValueError, match="empty"):
-        train_step(model, [], AdamState(), np.random.default_rng(0))
+        train_step(model, np.empty((3, 0, 16)), 16, AdamState(), np.random.default_rng(0))
 
 
 # --- gradient check ---------------------------------------------------------
@@ -239,7 +232,6 @@ def test_gradient_check_reports_inactive_hinge():
     img = rand_image(4, rng)
     other = rand_image(4, rng)
     # identical anchor/positive with alpha=0 keeps the hinge inactive
-    t = Triplet(anchor=img, positive=img, negative=other,
-                anchor_rp=0, negative_rp=1)
+    t = np.stack([img, img, other])
     with pytest.raises(HingeInactiveError):
         gradient_check(model, t, 0.0)

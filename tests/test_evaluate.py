@@ -36,7 +36,7 @@ def small_cfg():
     return TrainConfig(
         encoder=EncoderConfig(conv1_filters=8, conv2_filters=12, fc_units=24,
                               embed_dim=3, dropout_rate=0.1),
-        augment=AugmentConfig(p_upper=0.5, noise_sigma=0.1),
+        augment=AugmentConfig(p_upper=0.5),
         epochs=4, batch_size=16,
     )
 

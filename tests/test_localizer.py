@@ -21,7 +21,7 @@ def small_train_config(**kw):
     defaults = dict(
         encoder=EncoderConfig(conv1_filters=8, conv2_filters=12, fc_units=24,
                               embed_dim=3, dropout_rate=0.1),
-        augment=AugmentConfig(p_upper=0.5, noise_sigma=0.1),
+        augment=AugmentConfig(p_upper=0.5),
         epochs=4,
         batch_size=16,
     )
@@ -312,3 +312,40 @@ def test_bad_magic_rejected(tmp_path, trained):
     path.write_bytes(bytes(raw))
     with pytest.raises(ModelFormatError, match="magic"):
         load_model(path)
+
+
+def test_index_block_layout(tmp_path, trained):
+    # each entry is embed_dim float32, int32 rp_id, float32 x, float32 y
+    import struct
+    model, index = trained
+    path = tmp_path / "model.stne"
+    save_model(model, index, path)
+    block = b"".join(
+        index.embeddings[i].astype("<f4").tobytes()
+        + struct.pack("<iff", int(index.rp_ids[i]), float(index.xs[i]), float(index.ys[i]))
+        for i in range(len(index)))
+    raw = path.read_bytes()[:-4]
+    assert raw.endswith(struct.pack("<I", len(index)) + block)
+
+
+def test_oversized_index_count_rejected(tmp_path, trained):
+    # a CRC-valid file claiming 2**31 - 1 index entries fails as a format
+    # error before anything of that size is allocated
+    import struct, tracemalloc, zlib
+    model, index = trained
+    path = tmp_path / "model.stne"
+    save_model(model, index, path)
+    raw = bytearray(path.read_bytes())[:-4]
+    at = len(raw) - len(index) * (4 * index.embed_dim + 12) - 4
+    assert struct.unpack("<I", raw[at:at + 4])[0] == len(index)
+    raw[at:at + 4] = struct.pack("<I", 0x7FFFFFFF)
+    raw += struct.pack("<I", zlib.crc32(bytes(raw)))
+    path.write_bytes(bytes(raw))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ModelFormatError, match="truncated"):
+            load_model(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

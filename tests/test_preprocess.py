@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from driftloc.data import Fingerprint
-from driftloc.preprocess import (FingerprintImage, image_from_rssi, image_side,
-                                 normalize_rssi, to_image)
+from driftloc.encoder import encode_batch, init_model, small_check_config
+from driftloc.preprocess import (image_from_rssi, image_side, normalize_rssi,
+                                 pixel_rows, to_image)
 
 
 @pytest.mark.parametrize("dbm,expected", [(-100.0, 0.0), (0.0, 1.0), (-50.0, 0.5)])
@@ -30,10 +31,8 @@ def test_normalize_monotone(a, b):
 
 @pytest.mark.parametrize("n,side,pads", [(5, 3, 4), (9, 3, 0), (10, 4, 6)])
 def test_padding_to_next_square(n, side, pads):
-    img = image_from_rssi(np.full(n, -50.0))
-    assert img.side == side
-    assert img.n_real == n
-    flat = img.flat
+    flat = image_from_rssi(np.full(n, -50.0))
+    assert flat.shape == (side * side,)
     assert np.all(flat[n:] == 0.0)
     assert flat.size - n == pads
     assert np.all(flat[:n] == 0.5)
@@ -41,42 +40,48 @@ def test_padding_to_next_square(n, side, pads):
 
 def test_already_square_keeps_values():
     rssi = np.array([-100.0, -80, -60, -40, -20, 0, -10, -30, -100])
-    img = image_from_rssi(rssi)
-    assert img.side == 3
+    flat = image_from_rssi(rssi)
+    assert flat.shape == (9,)
     # -100 entries are zero pixels, indistinguishable from padding
-    assert img.flat[0] == 0.0 and img.flat[8] == 0.0
-    assert img.flat[5] == 1.0
+    assert flat[0] == 0.0 and flat[8] == 0.0
+    assert flat[5] == 1.0
 
 
 def test_to_image_matches_vector_path():
     fp = Fingerprint(0, 0, np.array([-55.0, -100.0, -20.0, -75.0, -60.0]))
-    img = to_image(fp)
-    np.testing.assert_array_equal(img.flat[:5],
-                                  np.clip((fp.rssi + 100) / 100, 0, 1))
+    flat = to_image(fp)
+    np.testing.assert_array_equal(flat[:5], np.clip((fp.rssi + 100) / 100, 0, 1))
+    np.testing.assert_array_equal(flat, pixel_rows(fp.rssi[None, :])[0])
 
 
 @given(st.lists(st.integers(-100, 0), min_size=1, max_size=40))
 def test_position_mapping(values):
     # registry position i lands at pixel (i // s, i % s)
     rssi = np.array(values, dtype=float)
-    img = image_from_rssi(rssi)
-    s = img.side
-    assert s == image_side(len(values))
+    s = image_side(len(values))
     assert (s - 1) ** 2 < len(values) <= s * s
+    img = image_from_rssi(rssi).reshape(s, s)
     for i, v in enumerate(values):
-        assert img.pixels[i // s, i % s] == normalize_rssi(v)
+        assert img[i // s, i % s] == normalize_rssi(v)
 
 
 def test_image_invariants_enforced():
+    # rows built from dBm always hold [0, 1] pixels and zero padding
+    flat = pixel_rows(np.array([[-150.0, 20.0, -50.0, 0.0, -100.0]]))[0]
+    np.testing.assert_array_equal(flat, [0.0, 1.0, 0.5, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    # the encoder refuses rows that break the range
+    model = init_model(small_check_config(), 3, 0)
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        FingerprintImage(2, np.array([[0.5, 2.0], [0.0, 0.0]]), 2)
-    with pytest.raises(ValueError, match="padding"):
-        FingerprintImage(2, np.array([[0.5, 0.5], [0.5, 0.0]]), 2)
-    with pytest.raises(ValueError):
-        image_from_rssi(np.array([]))
+        encode_batch(model, [np.r_[0.5, 2.0, np.zeros(7)]])
+    for bad in (np.array([]), np.zeros((2, 2)), np.float64(-50.0)):
+        with pytest.raises(ValueError):
+            image_from_rssi(bad)
 
 
 def test_pixels_read_only():
     img = image_from_rssi(np.full(4, -50.0))
     with pytest.raises(ValueError):
-        img.pixels[0, 0] = 0.9
+        img[0] = 0.9
+    rows = pixel_rows(np.full((3, 4), -50.0))
+    with pytest.raises(ValueError):
+        rows[1, 1] = 0.9

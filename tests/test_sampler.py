@@ -7,10 +7,9 @@ from scipy import stats
 from driftloc.augment import AugmentConfig
 from driftloc.data import (Fingerprint, FingerprintDataset, FloorPlan,
                            ReferencePoint)
-from driftloc.preprocess import to_image
-from driftloc.sampler import (NegativePmf, Triplet, build_pmf_table,
-                              default_sigma_sel, make_batch, negative_pmf,
-                              sample_triplet)
+from driftloc.preprocess import pixel_rows
+from driftloc.sampler import (build_pmf_table, default_sigma_sel, make_batch,
+                              negative_pmf, rp_members, sample_triplet)
 
 
 def grid_floorplan(n=5, spacing=1.0, n_aps=4):
@@ -34,25 +33,38 @@ def dataset_on(fp, fpr=2, seed=0):
     return FingerprintDataset(fp, tuple(fps))
 
 
+def arrays_of(ds, sigma_sel):
+    """The training arrays train() builds: pixel rows, members, pmf."""
+    pixels = pixel_rows(np.stack([f.rssi for f in ds.fingerprints]))
+    return pixels, rp_members(ds), build_pmf_table(ds.floorplan, sigma_sel)
+
+
+def rp_of(ds):
+    return np.array([f.rp_id for f in ds.fingerprints])
+
+
+# grid and line floorplans number their RPs 0..n-1 in floorplan order, so an
+# rp_id is also its column in a pmf
+
 def test_anchor_probability_is_zero():
     fp = grid_floorplan()
     for anchor in (0, 12, 24):
         pmf = negative_pmf(fp, anchor, sigma_sel=2.0)
-        assert pmf.prob_of(anchor) == 0.0
+        assert pmf[anchor] == 0.0
 
 
 def test_pmf_normalized_and_nonnegative():
     fp = grid_floorplan()
     pmf = negative_pmf(fp, 7, sigma_sel=1.5)
-    assert np.all(pmf.probs >= 0.0)
-    assert abs(pmf.probs.sum() - 1.0) <= 1e-12
+    assert np.all(pmf >= 0.0)
+    assert abs(pmf.sum() - 1.0) <= 1e-12
 
 
 def test_equidistant_rps_equal_probability():
     # anchor at the grid center: the four axial neighbors are all 1 m away
     fp = grid_floorplan()
     pmf = negative_pmf(fp, 12, sigma_sel=2.0)
-    axial = [pmf.prob_of(rp) for rp in (7, 11, 13, 17)]
+    axial = [pmf[rp] for rp in (7, 11, 13, 17)]
     assert all(p == axial[0] for p in axial)
 
 
@@ -61,7 +73,7 @@ def test_collinear_kernel_ratio():
     # exp(-0.5)/exp(-2) = exp(1.5)
     fp = line_floorplan([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
     pmf = negative_pmf(fp, 0, sigma_sel=1.0)
-    ratio = pmf.prob_of(1) / pmf.prob_of(2)
+    ratio = pmf[1] / pmf[2]
     assert ratio == pytest.approx(math.exp(1.5), rel=1e-12)
     assert math.exp(1.5) == pytest.approx(4.4817, abs=5e-5)
 
@@ -77,7 +89,7 @@ def test_pmf_strict_distance_monotonicity():
                 if i == a_idx or j == a_idx:
                     continue
                 if sq[i] < sq[j]:
-                    assert pmf.probs[i] > pmf.probs[j]
+                    assert pmf[i] > pmf[j]
 
 
 def test_pmf_translation_invariance():
@@ -85,7 +97,7 @@ def test_pmf_translation_invariance():
     moved = [(x + 17.5, y - 3.25) for x, y in base]
     p1 = negative_pmf(line_floorplan(base), 2, sigma_sel=1.7)
     p2 = negative_pmf(line_floorplan(moved), 2, sigma_sel=1.7)
-    np.testing.assert_allclose(p1.probs, p2.probs, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(p1, p2, rtol=0, atol=1e-15)
 
 
 def test_pmf_validation():
@@ -94,8 +106,9 @@ def test_pmf_validation():
         negative_pmf(fp, 0, sigma_sel=0.0)
     with pytest.raises(ValueError):
         negative_pmf(fp, 99, sigma_sel=1.0)
-    with pytest.raises(ValueError, match="anchor probability"):
-        NegativePmf(anchor_rp=0, rp_ids=(0, 1), probs=np.array([0.5, 0.5]))
+    table = build_pmf_table(fp, sigma_sel=1.0)
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 0.5
 
 
 def test_single_rp_floorplan_impossible():
@@ -112,10 +125,13 @@ def test_default_sigma_sel_scales_with_floorplan():
 
 
 def test_triplet_requires_distinct_rps():
+    # the negative RP is drawn from the anchor's pmf row, whose own entry is 0
     fp = grid_floorplan()
-    img = to_image(Fingerprint(0, 0, np.full(4, -50.0)))
-    with pytest.raises(ValueError):
-        Triplet(anchor=img, positive=img, negative=img, anchor_rp=3, negative_rp=3)
+    table = build_pmf_table(fp, sigma_sel=2.0)
+    assert table.shape == (25, 25)
+    assert np.all(np.diag(table) == 0.0)
+    for a, rp in enumerate(fp.rps):
+        np.testing.assert_array_equal(table[a], negative_pmf(fp, rp.rp_id, 2.0))
 
 
 def test_sample_triplet_forced_choices():
@@ -123,22 +139,25 @@ def test_sample_triplet_forced_choices():
     # and the negative is always the other RP
     fp = line_floorplan([(0.0, 0.0), (4.0, 0.0)])
     ds = dataset_on(fp, fpr=1)
-    pmfs = build_pmf_table(fp, sigma_sel=1.0)
+    _, members, pmf = arrays_of(ds, 1.0)
+    rps = rp_of(ds)
     rng = np.random.default_rng(0)
     for _ in range(50):
-        t = sample_triplet(ds, pmfs, rng)
-        np.testing.assert_array_equal(t.anchor.pixels, t.positive.pixels)
-        assert t.negative_rp != t.anchor_rp
+        a, p, n = sample_triplet(members, pmf, rng)
+        assert a == p
+        assert rps[n] != rps[a]
 
 
 def test_sample_triplet_negative_never_anchor():
     fp = grid_floorplan()
     ds = dataset_on(fp, fpr=2)
-    pmfs = build_pmf_table(fp, sigma_sel=2.0)
+    _, members, pmf = arrays_of(ds, 2.0)
+    rps = rp_of(ds)
     rng = np.random.default_rng(1)
     for _ in range(500):
-        t = sample_triplet(ds, pmfs, rng)
-        assert t.negative_rp != t.anchor_rp
+        a, p, n = sample_triplet(members, pmf, rng)
+        assert a != p and rps[a] == rps[p]
+        assert rps[n] != rps[a]
 
 
 def test_negative_draws_match_pmf_chisquare():
@@ -149,15 +168,16 @@ def test_negative_draws_match_pmf_chisquare():
     pmfs = build_pmf_table(fp, sigma_sel=sigma)
     anchor = 12
     pmf = pmfs[anchor]
+    rp_ids = [rp.rp_id for rp in fp.rps]
     rng = np.random.default_rng(2)
     n_draws = 10_000
-    counts = {rp: 0 for rp in pmf.rp_ids}
+    counts = {rp: 0 for rp in rp_ids}
     for _ in range(n_draws):
-        neg = pmf.rp_ids[int(rng.choice(len(pmf.rp_ids), p=pmf.probs))]
+        neg = rp_ids[int(rng.choice(len(rp_ids), p=pmf))]
         counts[neg] += 1
     assert counts[anchor] == 0
-    observed = np.array([counts[rp] for rp in pmf.rp_ids if rp != anchor])
-    expected = np.array([pmf.prob_of(rp) * n_draws for rp in pmf.rp_ids if rp != anchor])
+    observed = np.array([counts[rp] for rp in rp_ids if rp != anchor])
+    expected = np.array([pmf[rp] * n_draws for rp in rp_ids if rp != anchor])
     result = stats.chisquare(observed, expected)
     assert result.pvalue > 0.01
 
@@ -172,15 +192,11 @@ def test_triplet_space_fully_reachable():
         for _ in range(2):
             fps.append(Fingerprint(rp, 0, rng0.integers(-95, -30, 4).astype(float)))
     ds = FingerprintDataset(fp, tuple(fps))
-    key_of = {to_image(f).pixels.tobytes(): i for i, f in enumerate(ds.fingerprints)}
-    pmfs = build_pmf_table(fp, sigma_sel=1.0)
+    _, members, pmf = arrays_of(ds, 1.0)
     rng = np.random.default_rng(3)
     seen = set()
     for _ in range(500):
-        t = sample_triplet(ds, pmfs, rng)
-        seen.add((key_of[t.anchor.pixels.tobytes()],
-                  key_of[t.positive.pixels.tobytes()],
-                  key_of[t.negative.pixels.tobytes()]))
+        seen.add(sample_triplet(members, pmf, rng))
     # anchors: 4 choices; positive: forced distinct partner; negative: 2
     assert len(seen) == 8
 
@@ -188,30 +204,55 @@ def test_triplet_space_fully_reachable():
 def test_make_batch_count_and_determinism():
     fp = grid_floorplan()
     ds = dataset_on(fp, fpr=2)
-    aug = AugmentConfig(p_upper=0.9, noise_sigma=0.1)
-    b1 = make_batch(ds, fp, 32, aug, np.random.default_rng(4))
-    b2 = make_batch(ds, fp, 32, aug, np.random.default_rng(4))
-    assert len(b1) == 32
-    for t1, t2 in zip(b1, b2):
-        assert (t1.anchor_rp, t1.negative_rp) == (t2.anchor_rp, t2.negative_rp)
-        np.testing.assert_array_equal(t1.anchor.pixels, t2.anchor.pixels)
-        np.testing.assert_array_equal(t1.positive.pixels, t2.positive.pixels)
-        np.testing.assert_array_equal(t1.negative.pixels, t2.negative.pixels)
+    arrays = arrays_of(ds, None)
+    aug = AugmentConfig(p_upper=0.9)
+    i1, b1 = make_batch(*arrays, 4, 32, aug, np.random.default_rng(4))
+    i2, b2 = make_batch(*arrays, 4, 32, aug, np.random.default_rng(4))
+    assert i1.shape == (32, 3) and b1.shape == (3, 32, 4)
+    np.testing.assert_array_equal(i1, i2)
+    np.testing.assert_array_equal(b1, b2)
 
 
 def test_make_batch_no_augmentation_is_clean():
     fp = grid_floorplan()
     ds = dataset_on(fp, fpr=2)
-    aug = AugmentConfig(p_upper=0.0, noise_sigma=0.0)
-    originals = {to_image(f).pixels.tobytes() for f in ds.fingerprints}
-    for t in make_batch(ds, fp, 16, aug, np.random.default_rng(5)):
-        for img in (t.anchor, t.positive, t.negative):
-            assert img.pixels.tobytes() in originals
+    pixels, members, pmf = arrays_of(ds, None)
+    aug = AugmentConfig(p_upper=0.0)
+    idx, rows = make_batch(pixels, members, pmf, 4, 16, aug, np.random.default_rng(5))
+    np.testing.assert_array_equal(rows, pixels[idx.T])
 
 
 def test_sample_triplet_empty_training_set():
     fp = grid_floorplan()
-    pmfs = build_pmf_table(fp, sigma_sel=1.0)
     empty = FingerprintDataset(fp, ())
     with pytest.raises(ValueError, match="empty"):
-        sample_triplet(empty, pmfs, np.random.default_rng(0))
+        rp_members(empty)
+    # an RP without fingerprints has no anchors or negatives to offer
+    partial = FingerprintDataset(fp, dataset_on(fp, fpr=1).fingerprints[1:])
+    with pytest.raises(ValueError, match=r"RPs \[0\] have no training"):
+        rp_members(partial)
+
+
+def test_first_batch_draws_are_pinned():
+    # Triplets and dropout counts of the first make_batch on a fixed set with
+    # a single-fingerprint RP, sigma_sel given and p_upper 0.9; the values
+    # were recorded from the per-image sampler this array sampler replaced.
+    coords = [(0.0, 0.0), (1.0, 0.0), (2.5, 0.0), (2.5, 1.5)]
+    fp = FloorPlan(rps=tuple(ReferencePoint(10 + i, x, y) for i, (x, y) in enumerate(coords)),
+                   ap_registry=tuple(f"a{i}" for i in range(7)))
+    rng0 = np.random.default_rng(30)
+    fps = []
+    for rp, count in zip(fp.rps, (3, 1, 2, 2)):
+        for _ in range(count):
+            rssi = rng0.integers(-100, -30, 7).astype(float)
+            rssi[rng0.random(7) < 0.3] = -100.0
+            fps.append(Fingerprint(rp.rp_id, 0, rssi))
+    pixels, members, pmf = arrays_of(FingerprintDataset(fp, tuple(fps)), 1.5)
+    rng = np.random.default_rng(20)
+    idx, rows = make_batch(pixels, members, pmf, 7, 8, AugmentConfig(p_upper=0.9), rng)
+    assert idx.tolist() == [[6, 7, 3], [1, 2, 5], [5, 4, 7], [5, 4, 6],
+                            [5, 4, 7], [4, 5, 2], [6, 7, 4], [3, 3, 1]]
+    zeroed = (pixels[idx] > 0).sum(-1) - (rows.swapaxes(0, 1) > 0).sum(-1)
+    assert zeroed.reshape(-1).tolist() == [0, 2, 0, 3, 0, 0, 1, 0, 2, 2, 4, 1,
+                                           3, 2, 3, 5, 1, 2, 2, 4, 2, 0, 0, 5]
+    assert int(rng.integers(2**32)) == 2198256917  # no draw added or lost
