@@ -11,6 +11,7 @@ import argparse
 import csv
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -32,21 +33,21 @@ logger = logging.getLogger(__name__)
 GRADCHECK_THRESHOLD = 1e-4
 
 
+# SimConfig fields that `simulate` can override, each as --<name-with-dashes>.
+_SIM_OVERRIDES = {
+    "width": float, "height": float, "rp_spacing": float, "n_aps": int,
+    "n_cis": int, "fpr": int, "tx_power_dbm": float, "path_loss_exponent": float,
+    "shadow_sigma_db": float, "drift_sigma_db": float, "hourly_sigma_db": float,
+}
+
+
 def _add_sim(sub):
     p = sub.add_parser("simulate", help="generate a synthetic drift scenario")
     p.add_argument("--preset", required=True, choices=["office-like", "uji-like"])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="scenario", help="output directory")
-    p.add_argument("--width", type=float)
-    p.add_argument("--height", type=float)
-    p.add_argument("--rp-spacing", type=float)
-    p.add_argument("--n-aps", type=int)
-    p.add_argument("--n-cis", type=int)
-    p.add_argument("--fpr", type=int)
-    p.add_argument("--tx-power-dbm", type=float)
-    p.add_argument("--path-loss-exponent", type=float)
-    p.add_argument("--shadow-sigma-db", type=float)
-    p.add_argument("--drift-sigma-db", type=float)
+    for name, kind in _SIM_OVERRIDES.items():
+        p.add_argument("--" + name.replace("_", "-"), type=kind)
     p.add_argument("--removal", help="schedule as ci:frac[,ci:frac...]")
 
 
@@ -61,19 +62,11 @@ def _parse_removal(text: str) -> dict[int, float]:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = sim.preset(args.preset, seed=args.seed)
-    overrides = {}
-    for name in ("width", "height", "rp_spacing", "n_aps", "n_cis", "fpr",
-                 "tx_power_dbm", "path_loss_exponent", "shadow_sigma_db",
-                 "drift_sigma_db"):
-        v = getattr(args, name)
-        if v is not None:
-            overrides[name] = v
+    overrides = {name: getattr(args, name) for name in _SIM_OVERRIDES
+                 if getattr(args, name) is not None}
     if args.removal is not None:
         overrides["removal_schedule"] = _parse_removal(args.removal)
-    if overrides:
-        from dataclasses import replace
-        cfg = replace(cfg, **overrides)
+    cfg = replace(sim.preset(args.preset, seed=args.seed), **overrides)
     dataset, truth = sim.generate(cfg)
     paths = sim.write_scenario(dataset, truth, args.out)
     print(f"wrote {paths['floorplan']}, {paths['fingerprints']}, {paths['ground_truth']}")
@@ -306,18 +299,20 @@ def load_scans(path: str | Path, registry: tuple[str, ...]) -> np.ndarray:
                 raise DatasetFormatError(
                     f"{path}: unexpected column {header[skip]!r}", row=1)
             skip += 1
-        col_ap = {}
+        ap_col = {}
         for j, col in enumerate(header[skip:], start=skip):
             if not col.startswith("ap_") or len(col) <= 3:
                 raise DatasetFormatError(f"{path}: bad AP column {col!r}", row=1)
-            col_ap[j] = col[3:]
+            if col[3:] in ap_col:
+                raise DatasetFormatError(f"{path}: duplicate AP column {col!r}", row=1)
+            ap_col[col[3:]] = j
         pos = {ap: i for i, ap in enumerate(registry)}
         scans = []
         for lineno, cells in enumerate(reader, start=2):
             if not cells:
                 continue
             rssi = np.full(len(registry), -100.0)
-            for j, ap in col_ap.items():
+            for ap, j in ap_col.items():
                 if ap not in pos:
                     continue
                 try:

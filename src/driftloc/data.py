@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -74,12 +75,6 @@ class FloorPlan:
     def n_aps(self) -> int:
         return len(self.ap_registry)
 
-    def rp_by_id(self, rp_id: int) -> ReferencePoint:
-        for rp in self.rps:
-            if rp.rp_id == rp_id:
-                return rp
-        raise KeyError(f"rp_id {rp_id} not in floorplan")
-
     def positions(self) -> np.ndarray:
         """(n_rps, 2) array of coordinates in floorplan order."""
         return np.array([[rp.x, rp.y] for rp in self.rps], dtype=np.float64)
@@ -135,6 +130,38 @@ class FingerprintDataset:
     def __len__(self) -> int:
         return len(self.fingerprints)
 
+    # Per-row arrays, in dataset order.  Each is built on first use, kept
+    # for the life of the dataset and read-only, so every consumer shares
+    # one conversion from fingerprint objects.
+
+    @cached_property
+    def rssi(self) -> np.ndarray:
+        """(n, n_aps) float64 dBm matrix, one row per fingerprint."""
+        out = np.empty((len(self), self.floorplan.n_aps))
+        for i, fp in enumerate(self.fingerprints):
+            out[i] = fp.rssi
+        return _read_only(out)
+
+    @cached_property
+    def rp_ids(self) -> np.ndarray:
+        """(n,) int64 rp_id of each row."""
+        return _read_only(np.fromiter((fp.rp_id for fp in self.fingerprints),
+                                      dtype=np.int64, count=len(self)))
+
+    @cached_property
+    def ci_ids(self) -> np.ndarray:
+        """(n,) int64 collection instance of each row."""
+        return _read_only(np.fromiter((fp.ci for fp in self.fingerprints),
+                                      dtype=np.int64, count=len(self)))
+
+    @cached_property
+    def xy(self) -> np.ndarray:
+        """(n, 2) float64 coordinates of each row's reference point."""
+        ids = np.array([rp.rp_id for rp in self.floorplan.rps], dtype=np.int64)
+        order = np.argsort(ids)
+        at = order[np.searchsorted(ids, self.rp_ids, sorter=order)]
+        return _read_only(self.floorplan.positions()[at])
+
     def cis(self) -> tuple[int, ...]:
         """Distinct collection instances present, ascending."""
         return tuple(sorted({fp.ci for fp in self.fingerprints}))
@@ -142,11 +169,14 @@ class FingerprintDataset:
     def by_rp(self, ci: int | None = None) -> dict[int, list[int]]:
         """Map rp_id -> fingerprint indices (dataset order), every
         floorplan RP present as a key.  Optionally restricted to one CI."""
-        out: dict[int, list[int]] = {rp.rp_id: [] for rp in self.floorplan.rps}
-        for i, fp in enumerate(self.fingerprints):
-            if ci is None or fp.ci == ci:
-                out[fp.rp_id].append(i)
-        return out
+        keep = np.ones(len(self), dtype=bool) if ci is None else self.ci_ids == ci
+        return {rp.rp_id: np.flatnonzero(keep & (self.rp_ids == rp.rp_id)).tolist()
+                for rp in self.floorplan.rps}
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 def _parse_number(cell: str, row: int, what: str) -> float:
@@ -223,13 +253,17 @@ def load_fingerprints_csv(fingerprints_path: str | Path,
                 "expected rp_id,ci,ap_<id>,...",
                 row=1,
             )
-        registry = []
+        registry: dict[str, None] = {}  # ordered, and a set for the duplicate check
         for col in header[2:]:
             if not col.startswith("ap_") or len(col) <= 3:
                 raise DatasetFormatError(
                     f"{fingerprints_path}: bad AP column name {col!r}", row=1
                 )
-            registry.append(col[3:])
+            if col[3:] in registry:
+                raise DatasetFormatError(
+                    f"{fingerprints_path}: duplicate AP column {col!r}", row=1
+                )
+            registry[col[3:]] = None
 
         floorplan = FloorPlan(rps=tuple(rps), ap_registry=tuple(registry))
         known = {rp.rp_id for rp in floorplan.rps}
@@ -312,16 +346,13 @@ def split_by_ci(dataset: FingerprintDataset, train_ci: int, fpr: int,
         )
 
     rng = np.random.default_rng(seed)
-    chosen: set[int] = set()
+    chosen = np.zeros(len(dataset), dtype=bool)
     for rp in dataset.floorplan.rps:  # floorplan order keeps the draw deterministic
         idxs = per_rp[rp.rp_id]
         take = min(fpr, len(idxs))
         picked = rng.choice(len(idxs), size=take, replace=False)
-        chosen.update(idxs[i] for i in picked)
+        chosen[np.asarray(idxs)[picked]] = True
 
-    train = [fp for i, fp in enumerate(dataset.fingerprints) if i in chosen]
-    test = [fp for i, fp in enumerate(dataset.fingerprints) if i not in chosen]
-    return (
-        FingerprintDataset(dataset.floorplan, tuple(train)),
-        FingerprintDataset(dataset.floorplan, tuple(test)),
-    )
+    fps = dataset.fingerprints
+    return tuple(FingerprintDataset(dataset.floorplan, tuple(fps[i] for i in np.flatnonzero(m)))
+                 for m in (chosen, ~chosen))

@@ -97,10 +97,6 @@ class EncoderModel:
             if not np.all(np.isfinite(self.params[name])):
                 raise ValueError(f"parameter {name} contains non-finite values")
 
-    def copy(self) -> "EncoderModel":
-        return EncoderModel(self.config, self.input_side,
-                            {k: v.copy() for k, v in self.params.items()})
-
 
 def init_model(cfg: EncoderConfig, input_side: int, seed: int) -> EncoderModel:
     """Fresh parameters: He-style fan-in-scaled uniform weights, zero

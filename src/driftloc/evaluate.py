@@ -20,11 +20,10 @@ import numpy as np
 from .data import Fingerprint, FingerprintDataset, ReferencePoint, split_by_ci
 from .encoder import EncoderModel
 from .localizer import (EmbeddingIndex, Prediction, TrainConfig,
-                        baseline_predict_batch, build_baseline_index,
-                        predict_batch, train)
-# Unused here; perfbench/spans.py traces the per-scan entry points under
-# this module's names.
-from .localizer import baseline_predict_with_index, predict  # noqa: F401
+                        baseline_predict_batch, predict_batch, train)
+# Unused here; perfbench/spans.py traces the per-scan entry point under
+# this module's name.
+from .localizer import predict  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -63,19 +62,18 @@ def _report(preds: Sequence[Prediction], test: FingerprintDataset,
     order, per CI and overall."""
     if len(test) == 0:
         raise ValueError("empty test set")
-    truth = {rp.rp_id: rp for rp in test.floorplan.rps}
-    err_sum: dict[int, float] = {}
-    n: dict[int, int] = {}
-    total = 0.0
-    for pred, fp in zip(preds, test.fingerprints, strict=True):
-        e = localization_error(pred, truth[fp.rp_id])
-        err_sum[fp.ci] = err_sum.get(fp.ci, 0.0) + e
-        n[fp.ci] = n.get(fp.ci, 0) + 1
-        total += e
+    if len(preds) != len(test):
+        raise ValueError(f"{len(preds)} predictions for {len(test)} test fingerprints")
+    got = np.array([(p.x, p.y) for p in preds], dtype=np.float64)
+    err = np.hypot(*(got - test.xy).T)
+    cis = test.cis()
+    at = np.searchsorted(cis, test.ci_ids)  # np.unique would import numpy.ma
+    n = np.bincount(at, minlength=len(cis))
+    sums = np.bincount(at, weights=err, minlength=len(cis))
     return EvalReport(
-        per_ci_mean_error={ci: err_sum[ci] / n[ci] for ci in err_sum},
-        overall_mean_error=total / len(test),
-        n_queries_per_ci=dict(n),
+        per_ci_mean_error=dict(zip(cis, (sums / n).tolist())),
+        overall_mean_error=float(err.sum()) / len(test),
+        n_queries_per_ci=dict(zip(cis, n.tolist())),
         method_label=method_label,
     )
 
@@ -87,18 +85,12 @@ def _run_eval(predict_fn: Callable[[Fingerprint], Prediction],
     return _report([predict_fn(fp) for fp in test.fingerprints], test, method_label)
 
 
-def _rssi_rows(test: FingerprintDataset) -> np.ndarray:
-    if len(test) == 0:
-        raise ValueError("empty test set")
-    return np.stack([fp.rssi for fp in test.fingerprints])
-
-
 def evaluate_over_time(model: EncoderModel, index: EmbeddingIndex,
                        test: FingerprintDataset, k: int = 3,
                        rule: str = "vote") -> EvalReport:
     """Predict every test fingerprint through the encoder+KNN pipeline in
     one batched call and aggregate errors per CI."""
-    preds = predict_batch(model, index, _rssi_rows(test), k, rule)
+    preds = predict_batch(model, index, test.rssi, k, rule)
     return _report(preds, test, EMBEDDING_METHOD)
 
 
@@ -106,8 +98,7 @@ def evaluate_baseline_over_time(train_set: FingerprintDataset,
                                 test: FingerprintDataset, k: int = 3,
                                 rule: str = "vote") -> EvalReport:
     """Same harness, raw-RSSI KNN instead of the encoder."""
-    preds = baseline_predict_batch(build_baseline_index(train_set),
-                                   _rssi_rows(test), k, rule)
+    preds = baseline_predict_batch(train_set, test.rssi, k, rule)
     return _report(preds, test, BASELINE_METHOD)
 
 

@@ -78,6 +78,8 @@ class EmbeddingIndex:
         n = emb.shape[0]
         if rp.shape != (n,) or xs.shape != (n,) or ys.shape != (n,):
             raise ValueError("index column lengths disagree")
+        if not np.array_equal(rp, self.rp_ids):
+            raise ValueError("index rp_ids must be integers that fit in int32")
         if not (np.all(np.isfinite(emb)) and np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
             raise ValueError("index contains non-finite values")
         norms = np.linalg.norm(emb.astype(np.float64), axis=1)
@@ -113,7 +115,6 @@ def train(train_set: FingerprintDataset, cfg: TrainConfig, seed: int,
         raise ValueError("empty training set")
     fp = train_set.floorplan
     n_real = fp.n_aps
-    fps = train_set.fingerprints
 
     ss = np.random.SeedSequence(seed)
     init_seed, sampler_seed, step_seed = (int(s) for s in ss.generate_state(3))
@@ -121,7 +122,7 @@ def train(train_set: FingerprintDataset, cfg: TrainConfig, seed: int,
     sampler_rng = np.random.default_rng(sampler_seed)
     step_rng = np.random.default_rng(step_seed)
 
-    pixels = pixel_rows(np.stack([f.rssi for f in fps]))
+    pixels = pixel_rows(train_set.rssi)
     members = rp_members(train_set)
     sigma_sel = cfg.sigma_sel if cfg.sigma_sel is not None else default_sigma_sel(fp)
     pmf = build_pmf_table(fp, sigma_sel)
@@ -145,11 +146,8 @@ def train(train_set: FingerprintDataset, cfg: TrainConfig, seed: int,
         model.params[name] = model.params[name].astype(np.float32).astype(np.float64)
 
     emb = encode_batch(model, pixels, mode="infer").astype(np.float32)
-    rp_coord = {rp.rp_id: (rp.x, rp.y) for rp in fp.rps}
-    rp_ids = np.array([f.rp_id for f in fps], dtype=np.int32)
-    xs = np.array([rp_coord[f.rp_id][0] for f in fps], dtype=np.float32)
-    ys = np.array([rp_coord[f.rp_id][1] for f in fps], dtype=np.float32)
-    index = EmbeddingIndex(embeddings=emb, rp_ids=rp_ids, xs=xs, ys=ys)
+    index = EmbeddingIndex(embeddings=emb, rp_ids=train_set.rp_ids,
+                           xs=train_set.xy[:, 0], ys=train_set.xy[:, 1])
     return model, index
 
 
@@ -249,49 +247,23 @@ def predict(model: EncoderModel, index: EmbeddingIndex, scan: Fingerprint,
     return predict_batch(model, index, scan.rssi[None, :], k, rule)[0]
 
 
-@dataclass(frozen=True, eq=False)
-class BaselineIndex:
-    """Normalized raw-RSSI vectors of a training set, for the
-    encoder-free KNN baseline."""
-
-    vectors: np.ndarray  # (n, n_aps) float64 in [0, 1]
-    rp_ids: np.ndarray
-    xs: np.ndarray
-    ys: np.ndarray
-
-    def __len__(self) -> int:
-        return self.vectors.shape[0]
-
-
-def build_baseline_index(train_set: FingerprintDataset) -> BaselineIndex:
+def baseline_predict_batch(train_set: FingerprintDataset, rssi_rows: np.ndarray,
+                           k: int = 3, rule: str = "vote") -> list[Prediction]:
+    """Encoder-free KNN of every row of an (m, n_aps) dBm array against the
+    training set's normalized RSSI rows, same decision rule as
+    :func:`predict_batch`."""
     if len(train_set) == 0:
         raise ValueError("empty training set")
-    vecs = normalize_rows(np.stack([f.rssi for f in train_set.fingerprints]))
-    rp_coord = {rp.rp_id: (rp.x, rp.y) for rp in train_set.floorplan.rps}
-    rp_ids = np.array([f.rp_id for f in train_set.fingerprints], dtype=np.int64)
-    xs = np.array([rp_coord[f.rp_id][0] for f in train_set.fingerprints])
-    ys = np.array([rp_coord[f.rp_id][1] for f in train_set.fingerprints])
-    return BaselineIndex(vectors=vecs, rp_ids=rp_ids, xs=xs, ys=ys)
-
-
-def baseline_predict_batch(bidx: BaselineIndex, rssi_rows: np.ndarray,
-                           k: int = 3, rule: str = "vote") -> list[Prediction]:
-    """Encoder-free KNN of every row of an (m, n_aps) dBm array on
-    normalized RSSI vectors, same decision rule as :func:`predict_batch`."""
     rows = normalize_rows(rssi_rows)
-    if rows.shape[1] != bidx.vectors.shape[1]:
+    if rows.shape[1] != train_set.floorplan.n_aps:
         raise ValueError("scan is not aligned to the training registry")
-    return _knn_blocks(rows, lambda b: b, bidx.vectors, bidx.rp_ids,
-                       bidx.xs, bidx.ys, k, rule)
-
-
-def baseline_predict_with_index(bidx: BaselineIndex, scan: Fingerprint,
-                                k: int = 3, rule: str = "vote") -> Prediction:
-    return baseline_predict_batch(bidx, scan.rssi[None, :], k, rule)[0]
+    return _knn_blocks(rows, lambda b: b, normalize_rows(train_set.rssi),
+                       train_set.rp_ids, train_set.xy[:, 0], train_set.xy[:, 1],
+                       k, rule)
 
 
 def baseline_knn_predict(train_set: FingerprintDataset, scan: Fingerprint,
                          k: int = 3, rule: str = "vote") -> Prediction:
-    """Encoder-free KNN on normalized RSSI vectors, same decision rule as
-    :func:`predict`."""
-    return baseline_predict_with_index(build_baseline_index(train_set), scan, k, rule)
+    """Locate one scan with the raw-RSSI baseline: a one-row
+    :func:`baseline_predict_batch`."""
+    return baseline_predict_batch(train_set, scan.rssi[None, :], k, rule)[0]

@@ -17,6 +17,7 @@ never yields a partial model.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import fields as dataclass_fields
@@ -163,14 +164,19 @@ def load_model_full(path: str | Path) -> tuple[EncoderModel, EmbeddingIndex, dic
     n_params = r.u32()
     params: dict[str, np.ndarray] = {}
     for _ in range(n_params):
-        name = r.take(r.u32()).decode("utf-8")
+        try:
+            name = r.take(r.u32()).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ModelFormatError(f"parameter name is not UTF-8: {exc}") from None
         rank = r.u32()
         if rank > 8:
             raise ModelFormatError(f"parameter {name!r}: implausible rank {rank}")
         dims = struct.unpack(f"<{rank}I", r.take(4 * rank))
-        count = int(np.prod(dims, dtype=np.int64)) if rank else 1
-        raw = r.take(4 * count)
-        params[name] = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(dims)
+        raw = r.take(4 * math.prod(dims))  # Python ints: no overflow
+        try:
+            params[name] = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(dims)
+        except ValueError as exc:  # e.g. a zero dim beside dims too large to address
+            raise ModelFormatError(f"parameter {name!r}: bad dims {dims}: {exc}") from None
     try:
         model = EncoderModel(config=cfg, input_side=input_side, params=params)
     except ValueError as exc:

@@ -98,14 +98,16 @@ def l2norm_backward(cache, gout: np.ndarray):
     return (gout - e * (gout * e).sum(axis=1, keepdims=True)) / norms
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """Per-parameter first/second moment accumulators."""
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -120,10 +122,10 @@ def adam_update(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         p = params[name]
         m = state.m.setdefault(name, np.zeros_like(p))
         v = state.v.setdefault(name, np.zeros_like(p))
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        mhat = m / (1.0 - state.beta1 ** t)
-        vhat = v / (1.0 - state.beta2 ** t)
-        p -= state.lr * mhat / (np.sqrt(vhat) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        mhat = m / (1.0 - ADAM_BETA1 ** t)
+        vhat = v / (1.0 - ADAM_BETA2 ** t)
+        p -= state.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)

@@ -230,7 +230,7 @@ def test_criterion_7_training_convergence():
     aug = AugmentConfig(p_upper=0.5)  # dropout keeps hinges live
     n_real = tr.floorplan.n_aps
     model = init_model(ecfg, image_side(n_real), seed=3)
-    pixels = pixel_rows(np.stack([f.rssi for f in tr.fingerprints]))
+    pixels = pixel_rows(tr.rssi)
     arrays = (pixels, rp_members(tr), build_pmf_table(tr.floorplan))
     opt = AdamState(lr=1e-3)
     srng, trng = np.random.default_rng(11), np.random.default_rng(12)

@@ -1,11 +1,16 @@
 import argparse
+import contextlib
 import csv
+import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftloc import cli
 from driftloc.cli import load_scans, main
 from driftloc.data import Fingerprint
+from driftloc.errors import DatasetFormatError
 from driftloc.localizer import predict
 from driftloc.model_io import load_model_full
 
@@ -43,6 +48,17 @@ def model_path(scenario_dir, tmp_path_factory):
 def test_simulate_writes_three_csvs(scenario_dir):
     for name in ("floorplan.csv", "fingerprints.csv", "ground_truth.csv"):
         assert (scenario_dir / name).exists()
+
+
+def test_simulate_overrides_reach_simconfig(tmp_path, monkeypatch):
+    seen = []
+    real = cli.sim.generate
+    monkeypatch.setattr(cli.sim, "generate", lambda cfg: seen.append(cfg) or real(cfg))
+    for extra in ([], ["--hourly-sigma-db", "0.5"]):
+        assert main(["simulate", "--preset", "office-like", "--out", str(tmp_path),
+                     "--width", "6", "--n-cis", "2", "--removal", "1:0.2", *extra]) == 0
+    assert [c.hourly_sigma_db for c in seen] == [5.0, 0.5]
+    assert all(c.width == 6.0 and c.n_cis == 2 for c in seen)
 
 
 def test_train_then_eval(scenario_dir, model_path, tmp_path, capsys):
@@ -125,6 +141,31 @@ def test_predict_partial_scan(scenario_dir, model_path, tmp_path, capsys):
                           "--scan", str(scan), "--k", "1"], capsys)
     assert code == 0, err
     assert len(out.strip().splitlines()) == 2
+
+
+def test_scan_duplicate_ap_column_reports_row_1(tmp_path):
+    scan = tmp_path / "dup.csv"
+    scan.write_text("ap_a,ap_b,ap_a\n-40,-50,-60\n")
+    with pytest.raises(DatasetFormatError, match="row 1:.*duplicate AP column 'ap_a'"):
+        load_scans(scan, ("a", "b"))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_predict_ignores_scan_column_order(scenario_dir, model_path, tmp_path_factory, data):
+    # the same scans with their ap_ columns in any order print the same bytes
+    header, *rows = [line.split(",") for line in
+                     (scenario_dir / "fingerprints.csv").read_text().splitlines()[:41]]
+    order = [0, 1] + [2 + j for j in data.draw(st.permutations(range(len(header) - 2)))]
+    scan = tmp_path_factory.mktemp("scan") / "scan.csv"
+    outputs = []
+    for cols in (range(len(header)), order):
+        scan.write_text("".join(",".join(r[j] for j in cols) + "\n" for r in [header] + rows))
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["predict", "--model", str(model_path), "--scan", str(scan)]) == 0
+        outputs.append(out.getvalue())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("\n") == 41
 
 
 def test_train_and_sweep_share_training_flags():

@@ -69,6 +69,14 @@ def test_malformed_headers(tmp_path):
         load_dataset(good_fp, bad2)
 
 
+def test_duplicate_ap_column_reports_row_1(tmp_path, tiny_files):
+    fp, _ = tiny_files
+    bad = write(tmp_path / "dup.csv", "rp_id,ci,ap_a,ap_b,ap_a\n0,0,-40,-50,-60\n")
+    with pytest.raises(DatasetFormatError, match="row 1:.*duplicate AP column 'ap_a'") as err:
+        load_dataset(fp, bad)
+    assert err.value.row == 1
+
+
 def test_save_load_round_trip_bit_exact(tmp_path, tiny_files):
     ds = load_dataset(*tiny_files)
     f2, d2 = tmp_path / "f2.csv", tmp_path / "d2.csv"
@@ -188,6 +196,35 @@ def test_type_invariants():
         FingerprintDataset(fp, (Fingerprint(0, 0, np.array([-50.0])),))
     with pytest.raises(ValueError, match="unknown rp_id"):
         FingerprintDataset(fp, (Fingerprint(5, 0, np.array([-50.0, -60.0])),))
+
+
+def test_dataset_arrays_match_fingerprints():
+    # unordered rp_ids in the floorplan, and the dataset not grouped by RP
+    fp = FloorPlan(rps=(ReferencePoint(7, 1.5, 2.0), ReferencePoint(2, -3.0, 0.25),
+                        ReferencePoint(5, 0.0, 9.0)), ap_registry=("a", "b"))
+    coords = {rp.rp_id: (rp.x, rp.y) for rp in fp.rps}
+    rng = np.random.default_rng(4)
+    fps = tuple(Fingerprint(int(rp), int(ci), rng.integers(-100, 0, 2).astype(float))
+                for rp, ci in zip(rng.choice([7, 2, 5], 20), rng.integers(0, 4, 20)))
+    ds = FingerprintDataset(fp, fps)
+    np.testing.assert_array_equal(ds.rssi, [f.rssi for f in fps])
+    np.testing.assert_array_equal(ds.rp_ids, [f.rp_id for f in fps])
+    np.testing.assert_array_equal(ds.ci_ids, [f.ci for f in fps])
+    np.testing.assert_array_equal(ds.xy, [coords[f.rp_id] for f in fps])
+    assert ds.rssi.dtype == ds.xy.dtype == np.float64
+    for arr in (ds.rssi, ds.rp_ids, ds.ci_ids, ds.xy):
+        assert not arr.flags.writeable
+    assert ds.rssi is ds.rssi  # built once
+    assert ds.cis() == tuple(sorted({f.ci for f in fps}))
+    for ci in (None, 0, 3, 9):
+        want = {rp.rp_id: [i for i, f in enumerate(fps)
+                           if ci in (None, f.ci) and f.rp_id == rp.rp_id]
+                for rp in fp.rps}
+        assert ds.by_rp(ci) == want
+        assert list(ds.by_rp(ci)) == [7, 2, 5]
+    empty = FingerprintDataset(fp, ())
+    assert empty.rssi.shape == (0, 2) and empty.xy.shape == (0, 2)
+    assert empty.cis() == () and empty.by_rp() == {7: [], 2: [], 5: []}
 
 
 def test_rssi_is_immutable():

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from knn_oracle import oracle_baseline_predict, oracle_embedding_predict
 
 from driftloc.augment import AugmentConfig
-from driftloc.data import Fingerprint, split_by_ci
+from driftloc.data import (Fingerprint, FingerprintDataset, FloorPlan,
+                           ReferencePoint, split_by_ci)
 from driftloc.encoder import EncoderConfig, encode
 from driftloc.errors import ModelFormatError
 from driftloc.localizer import (EmbeddingIndex, TrainConfig,
@@ -201,6 +202,17 @@ def test_predict_validations(trained, sim_split):
                        rp_ids=np.zeros(0, dtype=np.int32),
                        xs=np.zeros(0, dtype=np.float32),
                        ys=np.zeros(0, dtype=np.float32))
+
+
+def test_rp_ids_beyond_int32_rejected():
+    # the model file stores rp_ids as int32; a wider id must not wrap
+    fp = FloorPlan(rps=(ReferencePoint(0, 0.0, 0.0), ReferencePoint(2**31, 3.0, 0.0)),
+                   ap_registry=tuple("abcdefghi"))
+    rng = np.random.default_rng(0)
+    ds = FingerprintDataset(fp, tuple(Fingerprint(rp, 0, rng.uniform(-90, -30, 9))
+                                      for rp in (0, 0, 2**31, 2**31)))
+    with pytest.raises(ValueError, match="int32"):
+        train(ds, small_train_config(epochs=1), seed=0)
 
 
 def test_dropout_trained_predictions_survive_ap_loss():

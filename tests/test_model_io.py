@@ -1,0 +1,130 @@
+"""Hostile .stne files: every malformed file raises ModelFormatError."""
+
+import math
+import struct
+import zlib
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from driftloc.encoder import EncoderConfig, init_model
+from driftloc.errors import ModelFormatError
+from driftloc.localizer import EmbeddingIndex
+from driftloc.model_io import load_model_full, save_model
+
+
+def _tiny_model_bytes(tmp_path_factory) -> bytes:
+    cfg = EncoderConfig(conv1_filters=2, conv2_filters=2, fc_units=3, embed_dim=2)
+    model = init_model(cfg, 3, seed=0)
+    emb = np.array([[1, 0], [0, 1], [0.6, 0.8]], dtype=np.float32)
+    index = EmbeddingIndex(embeddings=emb, rp_ids=np.array([0, 1, 1]),
+                           xs=np.array([0.0, 1.5, 1.5]), ys=np.zeros(3))
+    path = tmp_path_factory.mktemp("model") / "tiny.stne"
+    save_model(model, index, path, extra={"ap_registry": "a,b,c"})
+    return path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def tiny(tmp_path_factory):
+    return _tiny_model_bytes(tmp_path_factory), tmp_path_factory.mktemp("fuzz") / "m.stne"
+
+
+def _layout(data: bytes):
+    """Offsets of the u32 structural fields (magic, version, lengths,
+    counts, ranks, dims) and the (offset, length) of each parameter name."""
+    def u32(at):
+        return struct.unpack_from("<I", data, at)[0]
+    fields = [0, 4, 8]
+    at = 12 + u32(8)
+    fields.append(at)
+    n_params, at = u32(at), at + 4
+    names = []
+    for _ in range(n_params):
+        fields.append(at)
+        names.append((at + 4, u32(at)))
+        at += 4 + u32(at)
+        fields.append(at)
+        rank, at = u32(at), at + 4
+        dims = struct.unpack_from(f"<{rank}I", data, at)
+        fields += [at + 4 * i for i in range(rank)]
+        at += 4 * rank + 4 * math.prod(dims)
+    fields.append(at)  # index entry count
+    return fields, names
+
+
+def _with_crc(body: bytes) -> bytes:
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def _rejected(path, data: bytes) -> None:
+    path.write_bytes(data)
+    with pytest.raises(ModelFormatError):
+        load_model_full(path)
+
+
+def test_tiny_model_loads(tiny):
+    data, path = tiny
+    path.write_bytes(data)
+    _, index, extra = load_model_full(path)
+    assert len(index) == 3 and extra == {"ap_registry": "a,b,c"}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_truncation_rejected(tiny, data):
+    raw, path = tiny
+    _rejected(path, raw[:data.draw(st.integers(0, len(raw) - 1))])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_bit_flip_rejected(tiny, data):
+    raw, path = tiny
+    bit = data.draw(st.integers(0, 8 * len(raw) - 1))
+    flipped = bytearray(raw)
+    flipped[bit // 8] ^= 1 << (bit % 8)
+    _rejected(path, bytes(flipped))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_field_edit_with_valid_crc_rejected(tiny, data):
+    raw, path = tiny
+    body = bytearray(raw[:-4])
+    fields, _ = _layout(raw)
+    at = data.draw(st.sampled_from(fields))
+    old = struct.unpack_from("<I", body, at)[0]
+    new = data.draw(st.integers(0, 2**32 - 1).filter(lambda v: v != old))
+    struct.pack_into("<I", body, at, new)
+    _rejected(path, _with_crc(bytes(body)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_parameter_name_edit_with_valid_crc_rejected(tiny, data):
+    raw, path = tiny
+    body = bytearray(raw[:-4])
+    _, names = _layout(raw)
+    at, n = data.draw(st.sampled_from(names))
+    new = data.draw(st.binary(min_size=n, max_size=n).filter(lambda b: b != body[at:at + n]))
+    body[at:at + n] = new
+    _rejected(path, _with_crc(bytes(body)))
+
+
+@pytest.mark.parametrize("edit", ["non-utf8 name", "dims overflow int64",
+                                  "zero dim beside huge dims"])
+def test_hostile_parameter_fields(tiny, edit):
+    # the first parameter is conv1_w, dims (2, 1, 2, 2)
+    raw, path = tiny
+    body = bytearray(raw[:-4])
+    name_at, n = _layout(raw)[1][0]
+    dims_at = name_at + n + 4
+    if edit == "non-utf8 name":
+        body[name_at:name_at + n] = b"\xff" * n
+    elif edit == "dims overflow int64":
+        struct.pack_into("<4I", body, dims_at, 0xFFFFFFFF, 0xFFFFFFFF, 1, 1)
+    else:
+        struct.pack_into("<4I", body, dims_at, 0, 0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF)
+    _rejected(path, _with_crc(bytes(body)))

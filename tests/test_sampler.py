@@ -35,7 +35,7 @@ def dataset_on(fp, fpr=2, seed=0):
 
 def arrays_of(ds, sigma_sel):
     """The training arrays train() builds: pixel rows, members, pmf."""
-    pixels = pixel_rows(np.stack([f.rssi for f in ds.fingerprints]))
+    pixels = pixel_rows(ds.rssi)
     return pixels, rp_members(ds), build_pmf_table(ds.floorplan, sigma_sel)
 
 
