@@ -8,36 +8,35 @@ simulator and an evaluation harness make the longitudinal protocol
 runnable end to end.
 """
 
-from .augment import AugmentConfig, apply_ap_dropout, draw_turnoff_fraction
+from .augment import apply_ap_dropout, draw_turnoff_fraction
 from .data import (AccessPointId, Fingerprint, FingerprintDataset, FloorPlan,
                    ReferencePoint, load_dataset, save_dataset, split_by_ci)
-from .encoder import (EncoderConfig, EncoderModel, encode, encode_batch,
-                      gradient_check, init_model, train_step, triplet_loss)
+from .encoder import (EncoderConfig, EncoderModel, encode_batch, gradient_check,
+                      init_model, train_step, triplet_loss)
 from .errors import (DatasetFormatError, DriftlocError, HingeInactiveError,
                      ModelFormatError, NonFiniteLossError, StochasticModelError)
 from .evaluate import (EvalReport, SweepResult, evaluate_baseline_over_time,
-                       evaluate_over_time, fpr_sweep, localization_error)
-from .localizer import (EmbeddingIndex, Prediction, TrainConfig,
-                        baseline_knn_predict, predict, predict_batch, train)
+                       evaluate_over_time, fpr_sweep)
+from .localizer import (EmbeddingIndex, Prediction, TrainConfig, predict,
+                        predict_batch, train)
 from .model_io import load_model, save_model
 from .preprocess import normalize_rssi, pixel_rows, to_image
 from .sampler import (build_pmf_table, default_sigma_sel, make_batch,
-                      negative_pmf, rp_members, sample_triplet)
+                      rp_members, sample_triplet)
 from .simulate import GroundTruth, SimConfig, generate, preset, write_scenario
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccessPointId", "AugmentConfig", "DatasetFormatError", "DriftlocError",
-    "EmbeddingIndex", "EncoderConfig", "EncoderModel", "EvalReport",
-    "Fingerprint", "FingerprintDataset", "FloorPlan", "GroundTruth",
-    "HingeInactiveError", "ModelFormatError", "NonFiniteLossError",
-    "Prediction", "ReferencePoint", "SimConfig", "StochasticModelError",
-    "SweepResult", "TrainConfig", "apply_ap_dropout", "baseline_knn_predict",
-    "build_pmf_table", "default_sigma_sel", "draw_turnoff_fraction", "encode",
-    "encode_batch", "evaluate_baseline_over_time", "evaluate_over_time",
-    "fpr_sweep", "generate", "gradient_check", "init_model", "load_dataset",
-    "load_model", "localization_error", "make_batch", "negative_pmf",
+    "AccessPointId", "DatasetFormatError", "DriftlocError", "EmbeddingIndex",
+    "EncoderConfig", "EncoderModel", "EvalReport", "Fingerprint",
+    "FingerprintDataset", "FloorPlan", "GroundTruth", "HingeInactiveError",
+    "ModelFormatError", "NonFiniteLossError", "Prediction", "ReferencePoint",
+    "SimConfig", "StochasticModelError", "SweepResult", "TrainConfig",
+    "apply_ap_dropout", "build_pmf_table", "default_sigma_sel",
+    "draw_turnoff_fraction", "encode_batch", "evaluate_baseline_over_time",
+    "evaluate_over_time", "fpr_sweep", "generate", "gradient_check",
+    "init_model", "load_dataset", "load_model", "make_batch",
     "normalize_rssi", "pixel_rows", "predict", "predict_batch", "preset",
     "rp_members", "sample_triplet", "save_dataset", "save_model",
     "split_by_ci", "to_image", "train", "train_step", "triplet_loss",

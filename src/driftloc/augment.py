@@ -9,25 +9,12 @@ padding.  Both are train-only; the inference path never touches them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
-@dataclass(frozen=True)
-class AugmentConfig:
-    """p_upper bounds the uniformly drawn turn-off fraction."""
-
-    p_upper: float = 0.90
-
-    def __post_init__(self):
-        if not 0.0 <= self.p_upper <= 1.0:
-            raise ValueError("p_upper must lie in [0, 1]")
-
-
-def draw_turnoff_fraction(cfg: AugmentConfig, rng: np.random.Generator) -> float:
+def draw_turnoff_fraction(p_upper: float, rng: np.random.Generator) -> float:
     """One uniform draw from [0, p_upper]."""
-    return float(rng.uniform(0.0, cfg.p_upper))
+    return float(rng.uniform(0.0, p_upper))
 
 
 def apply_ap_dropout(row: np.ndarray, n_real: int, p: float,

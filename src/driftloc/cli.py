@@ -17,10 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from . import simulate as sim
-from .augment import AugmentConfig
-from .data import (FingerprintDataset, FloorPlan, ReferencePoint, load_dataset,
-                   load_fingerprints_csv, load_floorplan, split_by_ci)
-from .encoder import (EncoderConfig, encode, gradient_check, init_model,
+from .data import (RSSI_MISSING, FingerprintDataset, FloorPlan, ReferencePoint,
+                   ap_columns, load_dataset, load_fingerprints_csv, load_floorplan,
+                   parse_rssi_cell, split_by_ci)
+from .encoder import (EncoderConfig, encode_batch, gradient_check, init_model,
                       small_check_config, triplet_loss)
 from .errors import DatasetFormatError, DriftlocError
 from .evaluate import (evaluate_baseline_over_time, evaluate_over_time,
@@ -85,17 +85,19 @@ def _add_train(sub):
 
 
 def _add_train_flags(p):
-    """The training configuration flags that train and sweep-fpr share."""
-    p.add_argument("--embed-dim", type=int, default=5)
-    p.add_argument("--alpha", type=float, default=0.2)
-    p.add_argument("--p-upper", type=float, default=0.9)
-    p.add_argument("--noise-sigma", type=float, default=0.1)
+    """The training configuration flags that train and sweep-fpr share,
+    with the configs' defaults."""
+    enc, tr = EncoderConfig(), TrainConfig()
+    p.add_argument("--embed-dim", type=int, default=enc.embed_dim)
+    p.add_argument("--alpha", type=float, default=enc.margin_alpha)
+    p.add_argument("--p-upper", type=float, default=tr.p_upper)
+    p.add_argument("--noise-sigma", type=float, default=enc.noise_sigma)
     p.add_argument("--sigma-sel", default="auto",
                    help="meters, or 'auto' for 0.1 x floorplan diagonal")
-    p.add_argument("--dropout-rate", type=float, default=0.25)
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--batch", type=int, default=32)
-    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--dropout-rate", type=float, default=enc.dropout_rate)
+    p.add_argument("--epochs", type=int, default=tr.epochs)
+    p.add_argument("--batch", type=int, default=tr.batch_size)
+    p.add_argument("--lr", type=float, default=tr.learning_rate)
 
 
 def _registry_string(fp: FloorPlan) -> str:
@@ -111,7 +113,7 @@ def _train_config(args) -> TrainConfig:
         encoder=EncoderConfig(embed_dim=args.embed_dim, margin_alpha=args.alpha,
                               noise_sigma=args.noise_sigma,
                               dropout_rate=args.dropout_rate),
-        augment=AugmentConfig(p_upper=args.p_upper),
+        p_upper=args.p_upper,
         sigma_sel=sigma_sel,
         epochs=args.epochs,
         batch_size=args.batch,
@@ -256,7 +258,7 @@ def run_gradcheck(seed: int, side: int = 4, embed_dim: int = 3) -> float:
     for attempt in range(1000):
         rng = np.random.default_rng([seed, attempt])
         t = random_check_triplet(side, rng)
-        raw = triplet_loss(*(encode(model, row) for row in t), cfg.margin_alpha)
+        raw = triplet_loss(*encode_batch(model, t), cfg.margin_alpha)
         if raw > 1e-3:  # comfortably inside the active region
             return gradient_check(model, t, cfg.margin_alpha)
     raise DriftlocError("could not find a hinge-active triplet")
@@ -285,7 +287,9 @@ def load_scans(path: str | Path, registry: tuple[str, ...]) -> np.ndarray:
 
     Registry APs absent from the file are filled with -100; columns for
     unknown APs are ignored (post-deployment networks grow).  Leading
-    rp_id/ci columns are accepted and skipped.
+    rp_id/ci columns are accepted and skipped.  Column names and dBm cells
+    follow the fingerprint CSV's rules, and every row has one cell per
+    column.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -299,31 +303,20 @@ def load_scans(path: str | Path, registry: tuple[str, ...]) -> np.ndarray:
                 raise DatasetFormatError(
                     f"{path}: unexpected column {header[skip]!r}", row=1)
             skip += 1
-        ap_col = {}
-        for j, col in enumerate(header[skip:], start=skip):
-            if not col.startswith("ap_") or len(col) <= 3:
-                raise DatasetFormatError(f"{path}: bad AP column {col!r}", row=1)
-            if col[3:] in ap_col:
-                raise DatasetFormatError(f"{path}: duplicate AP column {col!r}", row=1)
-            ap_col[col[3:]] = j
         pos = {ap: i for i, ap in enumerate(registry)}
+        # (registry position, column) of each AP the registry knows
+        known = [(pos[ap], j) for j, ap in enumerate(ap_columns(header[skip:], path), skip)
+                 if ap in pos]
         scans = []
         for lineno, cells in enumerate(reader, start=2):
             if not cells:
                 continue
-            rssi = np.full(len(registry), -100.0)
-            for ap, j in ap_col.items():
-                if ap not in pos:
-                    continue
-                try:
-                    v = float(cells[j])
-                except (ValueError, IndexError):
-                    raise DatasetFormatError(
-                        f"bad rssi cell for ap_{ap}", row=lineno) from None
-                if not -100.0 <= v <= 0.0:
-                    raise DatasetFormatError(
-                        f"rssi {v:g} out of [-100, 0] for ap_{ap}", row=lineno)
-                rssi[pos[ap]] = v
+            if len(cells) != len(header):
+                raise DatasetFormatError(
+                    f"expected {len(header)} cells, got {len(cells)}", row=lineno)
+            rssi = np.full(len(registry), RSSI_MISSING)
+            for i, j in known:
+                rssi[i] = parse_rssi_cell(cells[j], lineno, header[j])
             scans.append(rssi)
     if not scans:
         raise DatasetFormatError(f"{path}: no scan rows")

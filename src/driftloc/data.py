@@ -41,6 +41,8 @@ class ReferencePoint:
     y: float
 
     def __post_init__(self):
+        if not -2**31 <= self.rp_id < 2**31:  # model files store rp_ids as int32
+            raise ValueError(f"rp_id {self.rp_id} does not fit in int32")
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"RP {self.rp_id}: coordinates must be finite")
 
@@ -193,6 +195,29 @@ def _parse_int(cell: str, row: int, what: str) -> int:
         raise DatasetFormatError(f"non-integer {what}: {cell!r}", row=row) from None
 
 
+def parse_rssi_cell(cell: str, row: int, column: str) -> float:
+    """One dBm cell of a CSV row.  A non-numeric cell, or a value outside
+    [-100, 0] (NaN included), raises :class:`DatasetFormatError` at ``row``."""
+    v = _parse_number(cell, row, f"rssi cell {column}")
+    if not RSSI_MISSING <= v <= RSSI_MAX:
+        raise DatasetFormatError(f"rssi {v:g} out of [-100, 0] in column {column}", row=row)
+    return v
+
+
+def ap_columns(header: Sequence[str], path: str | Path) -> list[AccessPointId]:
+    """AP ids of ``ap_<id>`` header cells, in column order.  A cell without
+    the prefix or an id, or a repeated column, raises
+    :class:`DatasetFormatError` at row 1."""
+    aps: dict[str, None] = {}  # ordered, and a set for the duplicate check
+    for col in header:
+        if not col.startswith("ap_") or len(col) <= 3:
+            raise DatasetFormatError(f"{path}: bad AP column name {col!r}", row=1)
+        if col[3:] in aps:
+            raise DatasetFormatError(f"{path}: duplicate AP column {col!r}", row=1)
+        aps[col[3:]] = None
+    return list(aps)
+
+
 def load_floorplan(path: str | Path) -> tuple[ReferencePoint, ...]:
     """Reference points of a floorplan CSV (``rp_id,x_m,y_m``), in file order."""
     with open(path, newline="") as fh:
@@ -253,18 +278,7 @@ def load_fingerprints_csv(fingerprints_path: str | Path,
                 "expected rp_id,ci,ap_<id>,...",
                 row=1,
             )
-        registry: dict[str, None] = {}  # ordered, and a set for the duplicate check
-        for col in header[2:]:
-            if not col.startswith("ap_") or len(col) <= 3:
-                raise DatasetFormatError(
-                    f"{fingerprints_path}: bad AP column name {col!r}", row=1
-                )
-            if col[3:] in registry:
-                raise DatasetFormatError(
-                    f"{fingerprints_path}: duplicate AP column {col!r}", row=1
-                )
-            registry[col[3:]] = None
-
+        registry = ap_columns(header[2:], fingerprints_path)
         floorplan = FloorPlan(rps=tuple(rps), ap_registry=tuple(registry))
         known = {rp.rp_id for rp in floorplan.rps}
         width = len(registry)
@@ -283,15 +297,8 @@ def load_fingerprints_csv(fingerprints_path: str | Path,
             ci = _parse_int(cells[1], lineno, "ci")
             if ci < 0:
                 raise DatasetFormatError(f"negative ci {ci}", row=lineno)
-            rssi = np.empty(width, dtype=np.float64)
-            for j, cell in enumerate(cells[2:]):
-                v = _parse_number(cell, lineno, f"rssi cell {header[2 + j]}")
-                if v < RSSI_MISSING or v > RSSI_MAX:
-                    raise DatasetFormatError(
-                        f"rssi {v:g} out of [-100, 0] in column {header[2 + j]}",
-                        row=lineno,
-                    )
-                rssi[j] = v
+            rssi = np.array([parse_rssi_cell(cell, lineno, col)
+                             for cell, col in zip(cells[2:], header[2:])])
             fingerprints.append(Fingerprint(rp_id=rp_id, ci=ci, rssi=rssi))
 
     return FingerprintDataset(floorplan=floorplan, fingerprints=tuple(fingerprints))

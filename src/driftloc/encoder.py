@@ -15,6 +15,7 @@ finite differences via :func:`gradient_check`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,10 +45,10 @@ class EncoderConfig:
             raise ValueError("embed_dim must be >= 1")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must lie in [0, 1)")
-        if self.margin_alpha < 0.0:
-            raise ValueError("margin_alpha must be >= 0")
-        if self.noise_sigma < 0.0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not 0.0 <= self.margin_alpha < math.inf:
+            raise ValueError("margin_alpha must be finite and >= 0")
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise ValueError("noise_sigma must be finite and >= 0")
         if self.filter_size < 1 or self.conv1_filters < 1 or self.conv2_filters < 1:
             raise ValueError("filter counts and filter_size must be >= 1")
         if self.fc_units < 1:
@@ -180,44 +181,24 @@ def _input(model: EncoderModel, rows) -> np.ndarray:
     return flats
 
 
-def _noisy(model: EncoderModel, flats: np.ndarray, n_real: int,
-           rng: np.random.Generator) -> np.ndarray:
-    """Train-mode input noise on the first n_real pixels of each row."""
+def _train_forward(model: EncoderModel, flats: np.ndarray, n_real: int,
+                   rng: np.random.Generator):
+    """The stochastic forward of training: Gaussian input noise on the
+    first n_real pixels of each row, then the forward with dropout, both
+    drawn from ``rng`` in that order."""
     sigma = model.config.noise_sigma
-    return noise_flat(flats, n_real, sigma, rng) if sigma > 0.0 else flats
+    if sigma > 0.0:
+        flats = noise_flat(flats, n_real, sigma, rng)
+    return _forward(model, flats, train=True, rng=rng)
 
 
-def encode_batch(model: EncoderModel, images, mode: str = "infer",
-                 rng: np.random.Generator | None = None,
-                 n_real: int | None = None) -> np.ndarray:
-    """Embed an (m, side*side) array of pixel rows, or a list of rows;
-    output rows have unit Euclidean norm.
-
-    Train mode adds Gaussian input noise to the first ``n_real`` pixels of
-    each row, the real APs, and applies dropout, both driven by ``rng``.
-    Inference is deterministic and rejects a generator argument.
-    """
-    if mode not in ("train", "infer"):
-        raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
-    train = mode == "train"
-    if train and (rng is None or n_real is None):
-        raise ValueError("train-mode encoding requires a generator and n_real")
-    if not train and rng is not None:
-        raise ValueError("inference is deterministic; no generator allowed")
+def encode_batch(model: EncoderModel, images) -> np.ndarray:
+    """Embed an (m, side*side) array of pixel rows, or a list of rows, at
+    inference (no noise, no dropout); output rows have unit Euclidean norm."""
     if len(images) == 0:
         raise ValueError("empty image batch")
-    flats = _input(model, images)
-    if train:
-        flats = _noisy(model, flats, n_real, rng)
-    e, _ = _forward(model, flats, train, rng)
+    e, _ = _forward(model, _input(model, images), train=False, rng=None)
     return e
-
-
-def encode(model: EncoderModel, img: np.ndarray, mode: str = "infer",
-           rng: np.random.Generator | None = None,
-           n_real: int | None = None) -> np.ndarray:
-    """Embed one pixel row as a d-dimensional unit vector."""
-    return encode_batch(model, [img], mode, rng, n_real)[0]
 
 
 def triplet_loss(ea: np.ndarray, ep: np.ndarray, en: np.ndarray, alpha: float) -> float:
@@ -257,8 +238,7 @@ def train_step(model: EncoderModel, batch: np.ndarray, n_real: int,
         raise ValueError("empty batch")
     cfg = model.config
 
-    flats = _noisy(model, _input(model, batch.reshape(3 * b, -1)), n_real, rng)
-    e, caches = _forward(model, flats, train=True, rng=rng)
+    e, caches = _train_forward(model, _input(model, batch.reshape(3 * b, -1)), n_real, rng)
     ea, ep, en = e[:b], e[b:2 * b], e[2 * b:]
 
     raw, losses = _batch_losses(ea, ep, en, cfg.margin_alpha)

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import csv
 import logging
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import Fingerprint, FingerprintDataset, ReferencePoint, split_by_ci
+from .data import Fingerprint, FingerprintDataset, split_by_ci
 from .encoder import EncoderModel
 from .localizer import (EmbeddingIndex, Prediction, TrainConfig,
                         baseline_predict_batch, predict_batch, train)
@@ -49,11 +48,6 @@ class EvalReport:
         total = sum(self.per_ci_mean_error[ci] * self.n_queries_per_ci[ci] for ci in cis)
         count = sum(self.n_queries_per_ci[ci] for ci in cis)
         return total / count
-
-
-def localization_error(pred: Prediction, truth: ReferencePoint) -> float:
-    """Euclidean distance in meters between prediction and truth."""
-    return math.hypot(pred.x - truth.x, pred.y - truth.y)
 
 
 def _report(preds: Sequence[Prediction], test: FingerprintDataset,

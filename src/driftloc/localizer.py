@@ -21,12 +21,11 @@ from typing import Callable
 
 import numpy as np
 
-from .augment import AugmentConfig
 from .data import Fingerprint, FingerprintDataset
 from .encoder import EncoderConfig, EncoderModel, encode_batch, init_model, train_step
 from .nn import AdamState
 from .preprocess import image_side, normalize_rows, pixel_rows
-from .sampler import build_pmf_table, default_sigma_sel, make_batch, rp_members
+from .sampler import build_pmf_table, make_batch, rp_members
 
 logger = logging.getLogger(__name__)
 
@@ -41,7 +40,7 @@ class TrainConfig:
     """Everything the offline phase needs besides the data and the seed."""
 
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
-    augment: AugmentConfig = field(default_factory=AugmentConfig)
+    p_upper: float = 0.90  # AP-dropout turn-off fraction drawn from [0, p_upper]
     sigma_sel: float | None = None  # None -> 0.1 x floorplan bbox diagonal
     epochs: int = 50
     batch_size: int = 32
@@ -50,10 +49,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be > 0")
-        if self.sigma_sel is not None and self.sigma_sel <= 0.0:
-            raise ValueError("sigma_sel must be > 0")
+        if not 0.0 <= self.p_upper <= 1.0:
+            raise ValueError("p_upper must lie in [0, 1]")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and > 0")
+        if self.sigma_sel is not None and not 0.0 < self.sigma_sel < math.inf:
+            raise ValueError("sigma_sel must be finite and > 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,8 +125,7 @@ def train(train_set: FingerprintDataset, cfg: TrainConfig, seed: int,
 
     pixels = pixel_rows(train_set.rssi)
     members = rp_members(train_set)
-    sigma_sel = cfg.sigma_sel if cfg.sigma_sel is not None else default_sigma_sel(fp)
-    pmf = build_pmf_table(fp, sigma_sel)
+    pmf = build_pmf_table(fp, cfg.sigma_sel)
     opt = AdamState(lr=cfg.learning_rate)
 
     batches_per_epoch = max(1, math.ceil(len(train_set) / cfg.batch_size))
@@ -133,7 +133,7 @@ def train(train_set: FingerprintDataset, cfg: TrainConfig, seed: int,
         total = 0.0
         for _ in range(batches_per_epoch):
             _, batch = make_batch(pixels, members, pmf, n_real, cfg.batch_size,
-                                  cfg.augment, sampler_rng)
+                                  cfg.p_upper, sampler_rng)
             model, opt, loss = train_step(model, batch, n_real, opt, step_rng)
             total += loss
         mean = total / batches_per_epoch
@@ -145,7 +145,7 @@ def train(train_set: FingerprintDataset, cfg: TrainConfig, seed: int,
     for name in model.params:
         model.params[name] = model.params[name].astype(np.float32).astype(np.float64)
 
-    emb = encode_batch(model, pixels, mode="infer").astype(np.float32)
+    emb = encode_batch(model, pixels).astype(np.float32)
     index = EmbeddingIndex(embeddings=emb, rp_ids=train_set.rp_ids,
                            xs=train_set.xy[:, 0], ys=train_set.xy[:, 1])
     return model, index
@@ -236,7 +236,7 @@ def predict_batch(model: EncoderModel, index: EmbeddingIndex, rssi_rows: np.ndar
     if model.config.embed_dim != index.embed_dim:
         raise ValueError("model and index disagree on embedding length")
     pixels = pixel_rows(rssi_rows)
-    return _knn_blocks(pixels, lambda b: encode_batch(model, b, mode="infer"),
+    return _knn_blocks(pixels, lambda b: encode_batch(model, b),
                        index.embeddings.astype(np.float64), index.rp_ids,
                        index.xs, index.ys, k, rule)
 
@@ -261,9 +261,3 @@ def baseline_predict_batch(train_set: FingerprintDataset, rssi_rows: np.ndarray,
                        train_set.rp_ids, train_set.xy[:, 0], train_set.xy[:, 1],
                        k, rule)
 
-
-def baseline_knn_predict(train_set: FingerprintDataset, scan: Fingerprint,
-                         k: int = 3, rule: str = "vote") -> Prediction:
-    """Locate one scan with the raw-RSSI baseline: a one-row
-    :func:`baseline_predict_batch`."""
-    return baseline_predict_batch(train_set, scan.rssi[None, :], k, rule)[0]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .augment import AugmentConfig, apply_ap_dropout, draw_turnoff_fraction
+from .augment import apply_ap_dropout, draw_turnoff_fraction
 from .data import FingerprintDataset, FloorPlan
 
 
@@ -31,33 +31,22 @@ def default_sigma_sel(fp: FloorPlan) -> float:
     return 0.1 * diag
 
 
-def negative_pmf(fp: FloorPlan, anchor: int, sigma_sel: float) -> np.ndarray:
-    """Gaussian-kernel distribution over negative RPs for the anchor with
-    rp_id ``anchor``, in floorplan order; the anchor's entry is 0."""
-    if sigma_sel <= 0.0:
-        raise ValueError("sigma_sel must be > 0")
-    rp_ids = tuple(rp.rp_id for rp in fp.rps)
-    if anchor not in rp_ids:
-        raise ValueError(f"anchor rp_id {anchor} not in floorplan")
-    if len(rp_ids) < 2:
-        raise ValueError("floorplan with a single RP has no valid negatives")
-    pos = fp.positions()
-    a = pos[rp_ids.index(anchor)]
-    sq = ((pos - a) ** 2).sum(axis=1)
-    w = np.exp(-sq / (2.0 * sigma_sel * sigma_sel))
-    w[rp_ids.index(anchor)] = 0.0
-    total = w.sum()
-    if total <= 0.0:
-        raise ValueError("negative kernel underflowed to zero; increase sigma_sel")
-    return w / total
-
-
 def build_pmf_table(fp: FloorPlan, sigma_sel: float | None = None) -> np.ndarray:
-    """Read-only (n_rp, n_rp) matrix whose row a is :func:`negative_pmf`
-    of the a-th RP in floorplan order."""
+    """Read-only (n_rp, n_rp) matrix, floorplan order on both axes: row a
+    is the distribution of the negative RP for anchor RP a, the Gaussian
+    kernel of each RP's distance from a, with a's own entry 0."""
     if sigma_sel is None:
         sigma_sel = default_sigma_sel(fp)
-    table = np.stack([negative_pmf(fp, rp.rp_id, sigma_sel) for rp in fp.rps])
+    if not sigma_sel > 0.0:
+        raise ValueError("sigma_sel must be > 0")
+    pos = fp.positions()
+    sq = ((pos[None, :, :] - pos[:, None, :]) ** 2).sum(axis=2)
+    w = np.exp(-sq / (2.0 * sigma_sel * sigma_sel))
+    np.fill_diagonal(w, 0.0)
+    total = w.sum(axis=1, keepdims=True)
+    if not np.all(total > 0.0):
+        raise ValueError("negative kernel underflowed to zero; increase sigma_sel")
+    table = w / total
     table.setflags(write=False)
     return table
 
@@ -97,14 +86,15 @@ def sample_triplet(members: list[np.ndarray], pmf: np.ndarray,
 
 
 def make_batch(pixels: np.ndarray, members: list[np.ndarray], pmf: np.ndarray,
-               n_real: int, batch_size: int, aug: AugmentConfig,
+               n_real: int, batch_size: int, p_upper: float,
                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Sample a batch of triplets and apply AP dropout to each row.
 
     Returns the (batch_size, 3) row indices and the (3, batch_size, s*s)
     anchor, positive and negative rows.  Each of a triplet's three rows
-    draws its own turn-off fraction right after the triplet is drawn.  Gaussian input noise is not applied
-    here; it belongs to the encoder's train-mode input stage.
+    draws its own turn-off fraction from [0, p_upper] right after the
+    triplet is drawn; p_upper 0 draws none.  Gaussian input noise is not
+    applied here; :func:`~driftloc.encoder.train_step` adds it.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
@@ -114,7 +104,7 @@ def make_batch(pixels: np.ndarray, members: list[np.ndarray], pmf: np.ndarray,
         idx[i] = sample_triplet(members, pmf, rng)
         for j, r in enumerate(idx[i]):
             row = pixels[r]
-            if aug.p_upper > 0.0:
-                row = apply_ap_dropout(row, n_real, draw_turnoff_fraction(aug, rng), rng)
+            if p_upper > 0.0:
+                row = apply_ap_dropout(row, n_real, draw_turnoff_fraction(p_upper, rng), rng)
             rows[j, i] = row
     return idx, rows

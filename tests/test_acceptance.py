@@ -14,16 +14,16 @@ from scipy import stats
 
 from knn_oracle import oracle_baseline_predict, oracle_embedding_predict
 
-from driftloc.augment import AugmentConfig, apply_ap_dropout, draw_turnoff_fraction
+from driftloc.augment import apply_ap_dropout, draw_turnoff_fraction
 from driftloc.cli import run_gradcheck
 from driftloc.data import split_by_ci
-from driftloc.encoder import (EncoderConfig, encode, encode_batch, init_model,
-                              train_step, triplet_loss)
+from driftloc.encoder import (EncoderConfig, _train_forward, encode_batch,
+                              init_model, train_step, triplet_loss)
 from driftloc.errors import ModelFormatError
 from driftloc.evaluate import (evaluate_baseline_over_time, evaluate_over_time,
                                fpr_sweep)
 from driftloc.localizer import (EmbeddingIndex, TrainConfig, _knn_decide,
-                                baseline_knn_predict, predict, train)
+                                baseline_predict_batch, predict, train)
 from driftloc.model_io import load_model, save_model
 from driftloc.nn import AdamState
 from driftloc.preprocess import image_from_rssi, image_side, normalize_rssi, pixel_rows, to_image
@@ -65,10 +65,10 @@ def test_criterion_2_unit_norm():
     rng = np.random.default_rng(1)
     for i in range(1000):
         img = rng.random(25)
-        if i % 5 == 0:
-            e = encode(model, img, mode="train", rng=rng, n_real=25)
+        if i % 5 == 0:  # the stochastic forward of training
+            e = _train_forward(model, img[None], 25, rng)[0][0]
         else:
-            e = encode(model, img)
+            e = encode_batch(model, [img])[0]
         assert abs(np.linalg.norm(e) - 1.0) <= 1e-9
 
 
@@ -157,9 +157,8 @@ def test_criterion_5_augmentation_counts():
         out = apply_ap_dropout(img, n_real, p, rng)
         assert v - int((out > 0).sum()) == math.floor(p * v)
 
-    cfg = AugmentConfig(p_upper=0.90)
     rng = np.random.default_rng(6)
-    draws = np.array([draw_turnoff_fraction(cfg, rng) for _ in range(100_000)])
+    draws = np.array([draw_turnoff_fraction(0.90, rng) for _ in range(100_000)])
     assert abs(draws.mean() - 0.45) <= 0.01
 
 
@@ -174,7 +173,7 @@ def test_criterion_6_knn_oracle_equivalence():
     tcfg = TrainConfig(
         encoder=EncoderConfig(conv1_filters=8, conv2_filters=12, fc_units=24,
                               embed_dim=4, dropout_rate=0.1),
-        augment=AugmentConfig(p_upper=0.5),
+        p_upper=0.5,
         epochs=3, batch_size=16)
     model, index = train(tr, tcfg, seed=61)
 
@@ -184,11 +183,11 @@ def test_criterion_6_knn_oracle_equivalence():
         k = (i % 5) + 1
         rule = "vote" if i % 2 == 0 else "centroid"
         got = predict(model, index, fp, k, rule)
-        q = encode(model, to_image(fp))
+        q = encode_batch(model, [to_image(fp)])[0]
         x, y, rp, nb = oracle_embedding_predict(index, q, k, rule)
         assert (got.x, got.y, got.rp_id) == (x, y, rp)
         assert list(got.neighbor_rps) == [(r, d) for r, d, _, _ in nb]
-        bgot = baseline_knn_predict(tr, fp, k, rule)
+        bgot = baseline_predict_batch(tr, fp.rssi[None, :], k, rule)[0]
         bx, by, brp, bnb = oracle_baseline_predict(tr, fp, k, rule)
         assert (bgot.x, bgot.y, bgot.rp_id) == (bx, by, brp)
         assert list(bgot.neighbor_rps) == [(r, d) for r, d, _, _ in bnb]
@@ -227,7 +226,7 @@ def test_criterion_7_training_convergence():
     assert len(tr.floorplan.rps) == 3
 
     ecfg = EncoderConfig(embed_dim=3, dropout_rate=0.0, noise_sigma=0.0)
-    aug = AugmentConfig(p_upper=0.5)  # dropout keeps hinges live
+    p_upper = 0.5  # dropout keeps hinges live
     n_real = tr.floorplan.n_aps
     model = init_model(ecfg, image_side(n_real), seed=3)
     pixels = pixel_rows(tr.rssi)
@@ -236,7 +235,7 @@ def test_criterion_7_training_convergence():
     srng, trng = np.random.default_rng(11), np.random.default_rng(12)
     loss = None
     for _ in range(200):
-        _, batch = make_batch(*arrays, n_real, 32, aug, srng)
+        _, batch = make_batch(*arrays, n_real, 32, p_upper, srng)
         model, opt, loss = train_step(model, batch, n_real, opt, trng)
     alpha = ecfg.margin_alpha
     assert loss < alpha / 10, f"final mean batch loss {loss:.4f}"
@@ -315,7 +314,7 @@ def test_criterion_10_determinism_and_persistence(tmp_path):
     tcfg = TrainConfig(
         encoder=EncoderConfig(conv1_filters=8, conv2_filters=12, fc_units=24,
                               embed_dim=4, dropout_rate=0.1),
-        augment=AugmentConfig(p_upper=0.5),
+        p_upper=0.5,
         epochs=3, batch_size=16)
 
     p1, p2 = tmp_path / "a.stne", tmp_path / "b.stne"

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from driftloc.augment import (AugmentConfig, apply_ap_dropout,
-                              draw_turnoff_fraction, noise_flat)
+from driftloc.augment import apply_ap_dropout, draw_turnoff_fraction, noise_flat
+from driftloc.localizer import TrainConfig
 from driftloc.preprocess import image_from_rssi
 
 
@@ -16,23 +16,20 @@ def image_with_visible(n_visible, n_real=16):
 
 
 def test_turnoff_degenerate_interval():
-    cfg = AugmentConfig(p_upper=0.0)
     rng = np.random.default_rng(0)
-    assert all(draw_turnoff_fraction(cfg, rng) == 0.0 for _ in range(100))
+    assert all(draw_turnoff_fraction(0.0, rng) == 0.0 for _ in range(100))
 
 
 def test_turnoff_bounded():
-    cfg = AugmentConfig(p_upper=0.90)
     rng = np.random.default_rng(1)
-    draws = [draw_turnoff_fraction(cfg, rng) for _ in range(10_000)]
+    draws = [draw_turnoff_fraction(0.90, rng) for _ in range(10_000)]
     assert min(draws) >= 0.0 and max(draws) <= 0.90
 
 
 def test_turnoff_monte_carlo_mean():
     # mean of U(0, 0.9) is 0.45
-    cfg = AugmentConfig(p_upper=0.90)
     rng = np.random.default_rng(2)
-    draws = np.array([draw_turnoff_fraction(cfg, rng) for _ in range(100_000)])
+    draws = np.array([draw_turnoff_fraction(0.90, rng) for _ in range(100_000)])
     assert abs(draws.mean() - 0.45) <= 0.01
 
 
@@ -140,7 +137,8 @@ def test_noise_deterministic():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        AugmentConfig(p_upper=1.5)
-    with pytest.raises(ValueError):
-        AugmentConfig(p_upper=-0.1)
+    # the turn-off bound is a training setting
+    for bad in (1.5, -0.1, math.nan):
+        with pytest.raises(ValueError, match="p_upper"):
+            TrainConfig(p_upper=bad)
+    assert TrainConfig().p_upper == 0.90

@@ -185,6 +185,51 @@ def test_train_and_sweep_share_training_flags():
     assert cfg.encoder.noise_sigma == 0.3
 
 
+def test_train_rp_id_beyond_int32_fails_cleanly(scenario_dir, tmp_path, capsys):
+    # the model file stores rp_ids as int32; a wider id is a floorplan row error
+    rows = (scenario_dir / "floorplan.csv").read_text().splitlines()
+    rows[2] = str(2**70) + rows[2][rows[2].index(","):]
+    floorplan = tmp_path / "floorplan.csv"
+    floorplan.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "m.stne"
+    code, _, err = run(["train", "--floorplan", str(floorplan),
+                        "--fingerprints", str(scenario_dir / "fingerprints.csv"),
+                        "--fpr", "4", "--epochs", "1", "--out", str(out)], capsys)
+    assert code == 1
+    assert err == f"error: row 3: rp_id {2**70} does not fit in int32\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--lr", "nan", "learning_rate"), ("--lr", "inf", "learning_rate"),
+    ("--alpha", "nan", "margin_alpha"), ("--sigma-sel", "nan", "sigma_sel"),
+    ("--noise-sigma", "inf", "noise_sigma"), ("--p-upper", "nan", "p_upper")])
+def test_train_non_finite_flags_fail_before_training(scenario_dir, tmp_path, capsys,
+                                                    monkeypatch, flag, value, field):
+    monkeypatch.setattr(cli, "train", lambda *a, **kw: pytest.fail("training started"))
+    out = tmp_path / "m.stne"
+    code, _, err = run(["train", "--floorplan", str(scenario_dir / "floorplan.csv"),
+                        "--fingerprints", str(scenario_dir / "fingerprints.csv"),
+                        "--fpr", "4", flag, value, "--out", str(out)], capsys)
+    assert code == 1
+    assert err.startswith(f"error: {field} must")
+    assert not out.exists()
+
+
+def test_scan_non_finite_cell_reports_row(tmp_path):
+    scan = tmp_path / "scan.csv"
+    scan.write_text("rp_id,ap_a,ap_b\n0,-40,-50\n0,nan,-50\n")
+    with pytest.raises(DatasetFormatError, match="row 3: rssi nan out of .* ap_a"):
+        load_scans(scan, ("a", "b"))
+
+
+def test_scan_short_row_reports_row(tmp_path):
+    scan = tmp_path / "scan.csv"
+    scan.write_text("ap_a,ap_b\n-40,-50\n-40\n")
+    with pytest.raises(DatasetFormatError, match="row 3: expected 2 cells, got 1"):
+        load_scans(scan, ("a", "b"))
+
+
 def test_gradcheck_passes(capsys):
     code, out, _ = run(["gradcheck", "--seed", "3"], capsys)
     assert code == 0

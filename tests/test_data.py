@@ -49,6 +49,24 @@ def test_out_of_range_rssi_reports_row(tmp_path, tiny_files):
         load_dataset(fp, bad)
 
 
+@pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf"])
+def test_non_finite_rssi_reports_row(tmp_path, tiny_files, cell):
+    fp, _ = tiny_files
+    bad = write(tmp_path / "bad.csv", f"rp_id,ci,ap_a,ap_b\n0,0,-40,-50\n1,0,-60,{cell}\n")
+    with pytest.raises(DatasetFormatError, match="row 3: rssi .* out of .* ap_b"):
+        load_dataset(fp, bad)
+
+
+def test_rp_id_beyond_int32_reports_row(tmp_path, tiny_files):
+    _, fps = tiny_files
+    for rp_id in (2**70, 2**31, -2**31 - 1):
+        fp = write(tmp_path / "fp.csv", f"rp_id,x_m,y_m\n0,0.0,0.0\n{rp_id},5.0,0.0\n")
+        with pytest.raises(DatasetFormatError, match=f"row 3: rp_id {rp_id} does not fit in int32"):
+            load_dataset(fp, fps)
+    ReferencePoint(2**31 - 1, 0.0, 0.0)
+    ReferencePoint(-2**31, 0.0, 0.0)
+
+
 def test_non_numeric_cell_reports_row(tmp_path, tiny_files):
     fp, _ = tiny_files
     bad = write(tmp_path / "bad.csv", "rp_id,ci,ap_a\n0,0,strong\n")

@@ -1,17 +1,23 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from driftloc.cli import random_check_triplet, run_gradcheck
-from driftloc.encoder import (EncoderConfig, encode, gradient_check,
-                              init_model, small_check_config, train_step,
-                              triplet_loss)
+from driftloc.encoder import (EncoderConfig, _train_forward, encode_batch,
+                              gradient_check, init_model, small_check_config,
+                              train_step, triplet_loss)
 from driftloc.errors import HingeInactiveError, StochasticModelError
 from driftloc.nn import AdamState
 
 
 def rand_image(side, rng):
     return rng.random(side * side)
+
+
+def encode(model, row):
+    return encode_batch(model, [row])[0]
 
 
 def small_model(seed=0, side=4, **overrides):
@@ -56,7 +62,7 @@ def test_train_mode_unit_norm():
     rng = np.random.default_rng(2)
     model = small_model(dropout_rate=0.25, noise_sigma=0.1)
     for _ in range(20):
-        e = encode(model, rand_image(4, rng), mode="train", rng=rng, n_real=16)
+        e = _train_forward(model, rand_image(4, rng)[None], 16, rng)[0][0]
         assert abs(np.linalg.norm(e) - 1.0) <= 1e-9
 
 
@@ -74,25 +80,18 @@ def test_different_images_embed_differently():
     assert np.linalg.norm(encode(model, a) - encode(model, b)) > 1e-6
 
 
-def test_rng_required_iff_training():
-    rng = np.random.default_rng(5)
-    model = small_model()
-    img = rand_image(4, rng)
-    with pytest.raises(ValueError, match="requires a generator"):
-        encode(model, img, mode="train")
-    with pytest.raises(ValueError, match="n_real"):
-        encode(model, img, mode="train", rng=rng)
-    with pytest.raises(ValueError, match="deterministic"):
-        encode(model, img, mode="infer", rng=rng)
-    with pytest.raises(ValueError, match="mode"):
-        encode(model, img, mode="test")
-
-
 def test_side_mismatch_rejected():
     rng = np.random.default_rng(6)
     model = small_model(side=4)
     with pytest.raises(ValueError, match="side"):
         encode(model, rand_image(5, rng))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["margin_alpha", "noise_sigma", "dropout_rate"])
+def test_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=field):
+        EncoderConfig(**{field: value})
 
 
 # --- triplet loss -----------------------------------------------------------

@@ -1,15 +1,15 @@
 import csv
 
+import numpy as np
 import pytest
 
-from driftloc.augment import AugmentConfig
-from driftloc.data import FingerprintDataset, ReferencePoint, split_by_ci
+from driftloc.data import (Fingerprint, FingerprintDataset, FloorPlan,
+                           ReferencePoint, split_by_ci)
 from driftloc.encoder import EncoderConfig
-from driftloc.evaluate import (EvalReport, _run_eval, evaluate_baseline_over_time,
-                               evaluate_over_time, fpr_sweep,
-                               localization_error, write_report_csv,
-                               write_sweep_csv)
-from driftloc.localizer import (Prediction, TrainConfig, baseline_knn_predict,
+from driftloc.evaluate import (EvalReport, _report, _run_eval,
+                               evaluate_baseline_over_time, evaluate_over_time,
+                               fpr_sweep, write_report_csv, write_sweep_csv)
+from driftloc.localizer import (Prediction, TrainConfig, baseline_predict_batch,
                                 predict, train)
 from driftloc.simulate import SimConfig, generate
 
@@ -18,25 +18,40 @@ def pred_at(x, y):
     return Prediction(x=x, y=y, rp_id=0, neighbor_rps=((0, 0.0),))
 
 
+def report_of(*pairs):
+    """_report over one CI-0 query per (prediction, true rp_id) pair; RP 0
+    is at (0, 0) and RP 1 at (2, 3)."""
+    floorplan = FloorPlan(rps=(ReferencePoint(0, 0.0, 0.0), ReferencePoint(1, 2.0, 3.0)),
+                          ap_registry=("a",))
+    test = FingerprintDataset(floorplan, tuple(Fingerprint(rp, 0, np.array([-50.0]))
+                                               for _, rp in pairs))
+    return _report([pred for pred, _ in pairs], test, "m")
+
+
 def test_error_zero_at_truth():
-    assert localization_error(pred_at(2.0, 3.0), ReferencePoint(0, 2.0, 3.0)) == 0.0
+    rep = report_of((pred_at(2.0, 3.0), 1))
+    assert rep.per_ci_mean_error == {0: 0.0}
+    assert rep.overall_mean_error == 0.0
 
 
 def test_error_three_four_five():
-    assert localization_error(pred_at(3.0, 4.0), ReferencePoint(0, 0.0, 0.0)) == 5.0
+    rep = report_of((pred_at(3.0, 4.0), 0))
+    assert rep.per_ci_mean_error == {0: 5.0}
+    assert rep.overall_mean_error == 5.0
 
 
 def test_mean_of_errors_is_arithmetic():
-    errors = [localization_error(pred_at(3.0, 0.0), ReferencePoint(0, 0.0, 0.0)),
-              localization_error(pred_at(0.0, 0.0), ReferencePoint(0, 0.0, 0.0))]
-    assert sum(errors) / 2 == 1.5
+    rep = report_of((pred_at(3.0, 0.0), 0), (pred_at(0.0, 0.0), 0))
+    assert rep.per_ci_mean_error == {0: 1.5}
+    assert rep.overall_mean_error == 1.5
+    assert rep.n_queries_per_ci == {0: 2}
 
 
 def small_cfg():
     return TrainConfig(
         encoder=EncoderConfig(conv1_filters=8, conv2_filters=12, fc_units=24,
                               embed_dim=3, dropout_rate=0.1),
-        augment=AugmentConfig(p_upper=0.5),
+        p_upper=0.5,
         epochs=4, batch_size=16,
     )
 
@@ -89,7 +104,8 @@ def test_batched_harness_matches_per_scan_loop(trained, rule):
         (evaluate_over_time(model, index, test, 3, rule),
          _run_eval(lambda fp: predict(model, index, fp, 3, rule), test, "embedding-knn")),
         (evaluate_baseline_over_time(tr, test, 3, rule),
-         _run_eval(lambda fp: baseline_knn_predict(tr, fp, 3, rule), test, "raw-knn")),
+         _run_eval(lambda fp: baseline_predict_batch(tr, fp.rssi[None, :], 3, rule)[0],
+                   test, "raw-knn")),
     ]
     for batched, single in pairs:
         assert batched.method_label == single.method_label

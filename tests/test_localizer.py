@@ -5,13 +5,11 @@ from hypothesis import strategies as st
 
 from knn_oracle import oracle_baseline_predict, oracle_embedding_predict
 
-from driftloc.augment import AugmentConfig
-from driftloc.data import (Fingerprint, FingerprintDataset, FloorPlan,
-                           ReferencePoint, split_by_ci)
-from driftloc.encoder import EncoderConfig, encode
+from driftloc.data import Fingerprint, ReferencePoint, split_by_ci
+from driftloc.encoder import EncoderConfig, encode_batch
 from driftloc.errors import ModelFormatError
 from driftloc.localizer import (EmbeddingIndex, TrainConfig,
-                                baseline_knn_predict, predict, predict_batch,
+                                baseline_predict_batch, predict, predict_batch,
                                 train)
 from driftloc.model_io import load_model, load_model_full, save_model
 from driftloc.preprocess import to_image
@@ -22,12 +20,16 @@ def small_train_config(**kw):
     defaults = dict(
         encoder=EncoderConfig(conv1_filters=8, conv2_filters=12, fc_units=24,
                               embed_dim=3, dropout_rate=0.1),
-        augment=AugmentConfig(p_upper=0.5),
+        p_upper=0.5,
         epochs=4,
         batch_size=16,
     )
     defaults.update(kw)
     return TrainConfig(**defaults)
+
+
+def baseline_one(tr, scan, k):
+    return baseline_predict_batch(tr, scan.rssi[None, :], k)[0]
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +89,7 @@ def test_predict_matches_oracle(trained, sim_split):
         for rule in ("vote", "centroid"):
             for fp in te.fingerprints[:40]:
                 got = predict(model, index, fp, k, rule)
-                q = encode(model, to_image(fp))
+                q = encode_batch(model, [to_image(fp)])[0]
                 x, y, rp, nb = oracle_embedding_predict(index, q, k, rule)
                 assert got.rp_id == rp
                 assert got.x == x and got.y == y
@@ -144,7 +146,7 @@ def test_baseline_matches_oracle(sim_split):
     tr, te = sim_split
     for k in (1, 4):
         for fp in te.fingerprints[:40]:
-            got = baseline_knn_predict(tr, fp, k)
+            got = baseline_one(tr, fp, k)
             x, y, rp, nb = oracle_baseline_predict(tr, fp, k)
             assert got.rp_id == rp
             assert (got.x, got.y) == (x, y)
@@ -154,7 +156,7 @@ def test_baseline_matches_oracle(sim_split):
 def test_baseline_training_scan_exact_hit(sim_split):
     tr, _ = sim_split
     fp = tr.fingerprints[0]
-    assert baseline_knn_predict(tr, fp, k=1).rp_id == fp.rp_id
+    assert baseline_one(tr, fp, k=1).rp_id == fp.rp_id
 
 
 def test_tie_breaks_with_duplicate_entries():
@@ -182,7 +184,7 @@ def test_all_missing_baseline_scan(sim_split):
     tr, _ = sim_split
     scan = Fingerprint(tr.fingerprints[0].rp_id, 0,
                        np.full(tr.floorplan.n_aps, -100.0))
-    got = baseline_knn_predict(tr, scan, k=3)
+    got = baseline_one(tr, scan, k=3)
     x, y, rp, _ = oracle_baseline_predict(tr, scan, 3)
     assert (got.x, got.y, got.rp_id) == (x, y, rp)
 
@@ -205,14 +207,20 @@ def test_predict_validations(trained, sim_split):
 
 
 def test_rp_ids_beyond_int32_rejected():
-    # the model file stores rp_ids as int32; a wider id must not wrap
-    fp = FloorPlan(rps=(ReferencePoint(0, 0.0, 0.0), ReferencePoint(2**31, 3.0, 0.0)),
-                   ap_registry=tuple("abcdefghi"))
-    rng = np.random.default_rng(0)
-    ds = FingerprintDataset(fp, tuple(Fingerprint(rp, 0, rng.uniform(-90, -30, 9))
-                                      for rp in (0, 0, 2**31, 2**31)))
+    # the model file stores rp_ids as int32; a wider id must not wrap.  A
+    # floorplan cannot hold one, and an index built directly rejects one.
     with pytest.raises(ValueError, match="int32"):
-        train(ds, small_train_config(epochs=1), seed=0)
+        ReferencePoint(2**31, 3.0, 0.0)
+    with pytest.raises(ValueError, match="int32"):
+        EmbeddingIndex(embeddings=np.eye(2, dtype=np.float32),
+                       rp_ids=np.array([0, 2**31]), xs=np.zeros(2), ys=np.zeros(2))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["learning_rate", "sigma_sel", "p_upper"])
+def test_train_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**{field: value})
 
 
 def test_dropout_trained_predictions_survive_ap_loss():

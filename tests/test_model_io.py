@@ -128,3 +128,17 @@ def test_hostile_parameter_fields(tiny, edit):
     else:
         struct.pack_into("<4I", body, dims_at, 0, 0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF)
     _rejected(path, _with_crc(bytes(body)))
+
+
+@pytest.mark.parametrize("field, value", [("margin_alpha", "nan"), ("noise_sigma", "inf")])
+def test_non_finite_config_value_rejected(tiny, field, value):
+    # a CRC-valid file whose config block carries a non-finite value
+    raw, path = tiny
+    n = struct.unpack_from("<I", raw, 8)[0]
+    lines = raw[12:12 + n].decode().splitlines(keepends=True)
+    assert any(line.startswith(field + "=") for line in lines)
+    block = "".join(f"{field}={value}\n" if line.startswith(field + "=") else line
+                    for line in lines).encode()
+    path.write_bytes(_with_crc(raw[:8] + struct.pack("<I", len(block)) + block + raw[12 + n:-4]))
+    with pytest.raises(ModelFormatError, match=f"config block invalid: {field}"):
+        load_model_full(path)

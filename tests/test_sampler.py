@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from driftloc.augment import AugmentConfig
 from driftloc.data import (Fingerprint, FingerprintDataset, FloorPlan,
                            ReferencePoint)
 from driftloc.preprocess import pixel_rows
 from driftloc.sampler import (build_pmf_table, default_sigma_sel, make_batch,
-                              negative_pmf, rp_members, sample_triplet)
+                              rp_members, sample_triplet)
 
 
 def grid_floorplan(n=5, spacing=1.0, n_aps=4):
@@ -44,26 +43,26 @@ def rp_of(ds):
 
 
 # grid and line floorplans number their RPs 0..n-1 in floorplan order, so an
-# rp_id is also its column in a pmf
+# rp_id is also its row and its column in a pmf table
 
 def test_anchor_probability_is_zero():
     fp = grid_floorplan()
+    table = build_pmf_table(fp, sigma_sel=2.0)
     for anchor in (0, 12, 24):
-        pmf = negative_pmf(fp, anchor, sigma_sel=2.0)
-        assert pmf[anchor] == 0.0
+        assert table[anchor, anchor] == 0.0
 
 
 def test_pmf_normalized_and_nonnegative():
     fp = grid_floorplan()
-    pmf = negative_pmf(fp, 7, sigma_sel=1.5)
-    assert np.all(pmf >= 0.0)
-    assert abs(pmf.sum() - 1.0) <= 1e-12
+    table = build_pmf_table(fp, sigma_sel=1.5)
+    assert np.all(table >= 0.0)
+    assert np.all(np.abs(table.sum(axis=1) - 1.0) <= 1e-12)
 
 
 def test_equidistant_rps_equal_probability():
     # anchor at the grid center: the four axial neighbors are all 1 m away
     fp = grid_floorplan()
-    pmf = negative_pmf(fp, 12, sigma_sel=2.0)
+    pmf = build_pmf_table(fp, sigma_sel=2.0)[12]
     axial = [pmf[rp] for rp in (7, 11, 13, 17)]
     assert all(p == axial[0] for p in axial)
 
@@ -72,7 +71,7 @@ def test_collinear_kernel_ratio():
     # RPs at 1 m and 2 m from the anchor, sigma 1: the probability ratio is
     # exp(-0.5)/exp(-2) = exp(1.5)
     fp = line_floorplan([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
-    pmf = negative_pmf(fp, 0, sigma_sel=1.0)
+    pmf = build_pmf_table(fp, sigma_sel=1.0)[0]
     ratio = pmf[1] / pmf[2]
     assert ratio == pytest.approx(math.exp(1.5), rel=1e-12)
     assert math.exp(1.5) == pytest.approx(4.4817, abs=5e-5)
@@ -81,8 +80,7 @@ def test_collinear_kernel_ratio():
 def test_pmf_strict_distance_monotonicity():
     fp = grid_floorplan()
     pos = fp.positions()
-    for a_idx, anchor in enumerate(rp.rp_id for rp in fp.rps):
-        pmf = negative_pmf(fp, anchor, sigma_sel=2.0)
+    for a_idx, pmf in enumerate(build_pmf_table(fp, sigma_sel=2.0)):
         sq = ((pos - pos[a_idx]) ** 2).sum(axis=1)
         for i in range(len(pos)):
             for j in range(len(pos)):
@@ -95,17 +93,18 @@ def test_pmf_strict_distance_monotonicity():
 def test_pmf_translation_invariance():
     base = [(0.0, 0.0), (1.0, 2.0), (3.0, 1.0), (2.0, 4.0)]
     moved = [(x + 17.5, y - 3.25) for x, y in base]
-    p1 = negative_pmf(line_floorplan(base), 2, sigma_sel=1.7)
-    p2 = negative_pmf(line_floorplan(moved), 2, sigma_sel=1.7)
+    p1 = build_pmf_table(line_floorplan(base), sigma_sel=1.7)
+    p2 = build_pmf_table(line_floorplan(moved), sigma_sel=1.7)
     np.testing.assert_allclose(p1, p2, rtol=0, atol=1e-15)
 
 
 def test_pmf_validation():
     fp = grid_floorplan()
-    with pytest.raises(ValueError):
-        negative_pmf(fp, 0, sigma_sel=0.0)
-    with pytest.raises(ValueError):
-        negative_pmf(fp, 99, sigma_sel=1.0)
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="sigma_sel"):
+            build_pmf_table(fp, sigma_sel=bad)
+    with pytest.raises(ValueError, match="underflowed"):
+        build_pmf_table(fp, sigma_sel=1e-3)
     table = build_pmf_table(fp, sigma_sel=1.0)
     with pytest.raises(ValueError, match="read-only"):
         table[0, 0] = 0.5
@@ -130,8 +129,13 @@ def test_triplet_requires_distinct_rps():
     table = build_pmf_table(fp, sigma_sel=2.0)
     assert table.shape == (25, 25)
     assert np.all(np.diag(table) == 0.0)
-    for a, rp in enumerate(fp.rps):
-        np.testing.assert_array_equal(table[a], negative_pmf(fp, rp.rp_id, 2.0))
+    # row a, anchor by anchor: the normalized Gaussian kernel of each RP's
+    # distance from RP a (2 * sigma_sel**2 = 8), same arithmetic
+    pos = fp.positions()
+    for a in range(len(fp.rps)):
+        w = np.exp(-((pos - pos[a]) ** 2).sum(axis=1) / 8.0)
+        w[a] = 0.0
+        np.testing.assert_array_equal(table[a], w / w.sum())
 
 
 def test_sample_triplet_forced_choices():
@@ -205,9 +209,8 @@ def test_make_batch_count_and_determinism():
     fp = grid_floorplan()
     ds = dataset_on(fp, fpr=2)
     arrays = arrays_of(ds, None)
-    aug = AugmentConfig(p_upper=0.9)
-    i1, b1 = make_batch(*arrays, 4, 32, aug, np.random.default_rng(4))
-    i2, b2 = make_batch(*arrays, 4, 32, aug, np.random.default_rng(4))
+    i1, b1 = make_batch(*arrays, 4, 32, 0.9, np.random.default_rng(4))
+    i2, b2 = make_batch(*arrays, 4, 32, 0.9, np.random.default_rng(4))
     assert i1.shape == (32, 3) and b1.shape == (3, 32, 4)
     np.testing.assert_array_equal(i1, i2)
     np.testing.assert_array_equal(b1, b2)
@@ -217,8 +220,7 @@ def test_make_batch_no_augmentation_is_clean():
     fp = grid_floorplan()
     ds = dataset_on(fp, fpr=2)
     pixels, members, pmf = arrays_of(ds, None)
-    aug = AugmentConfig(p_upper=0.0)
-    idx, rows = make_batch(pixels, members, pmf, 4, 16, aug, np.random.default_rng(5))
+    idx, rows = make_batch(pixels, members, pmf, 4, 16, 0.0, np.random.default_rng(5))
     np.testing.assert_array_equal(rows, pixels[idx.T])
 
 
@@ -249,7 +251,7 @@ def test_first_batch_draws_are_pinned():
             fps.append(Fingerprint(rp.rp_id, 0, rssi))
     pixels, members, pmf = arrays_of(FingerprintDataset(fp, tuple(fps)), 1.5)
     rng = np.random.default_rng(20)
-    idx, rows = make_batch(pixels, members, pmf, 7, 8, AugmentConfig(p_upper=0.9), rng)
+    idx, rows = make_batch(pixels, members, pmf, 7, 8, 0.9, rng)
     assert idx.tolist() == [[6, 7, 3], [1, 2, 5], [5, 4, 7], [5, 4, 6],
                             [5, 4, 7], [4, 5, 2], [6, 7, 4], [3, 3, 1]]
     zeroed = (pixels[idx] > 0).sum(-1) - (rows.swapaxes(0, 1) > 0).sum(-1)
