@@ -18,8 +18,8 @@ import numpy as np
 
 from . import simulate as sim
 from .data import (RSSI_MISSING, FingerprintDataset, FloorPlan, ReferencePoint,
-                   ap_columns, load_dataset, load_fingerprints_csv, load_floorplan,
-                   parse_rssi_cell, split_by_ci)
+                   ap_columns, csv_rows, load_dataset, load_fingerprints_csv,
+                   load_floorplan, parse_rssi_cell, split_by_ci)
 from .encoder import (EncoderConfig, encode_batch, gradient_check, init_model,
                       small_check_config, triplet_loss)
 from .errors import DatasetFormatError, DriftlocError
@@ -308,12 +308,7 @@ def load_scans(path: str | Path, registry: tuple[str, ...]) -> np.ndarray:
         known = [(pos[ap], j) for j, ap in enumerate(ap_columns(header[skip:], path), skip)
                  if ap in pos]
         scans = []
-        for lineno, cells in enumerate(reader, start=2):
-            if not cells:
-                continue
-            if len(cells) != len(header):
-                raise DatasetFormatError(
-                    f"expected {len(header)} cells, got {len(cells)}", row=lineno)
+        for lineno, cells in csv_rows(reader, len(header)):
             rssi = np.full(len(registry), RSSI_MISSING)
             for i, j in known:
                 rssi[i] = parse_rssi_cell(cells[j], lineno, header[j])

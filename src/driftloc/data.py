@@ -1,7 +1,7 @@
 """Domain types and dataset I/O.
 
 A dataset is a floorplan (reference points + the canonical access-point
-registry) plus a collection of RSSI fingerprints.  Fingerprints are dense
+registry) plus one row per RSSI scan, stored as columns.  Rows are dense
 vectors aligned to the registry; an access point that was not observed in
 a scan carries the sentinel value -100 dBm.
 
@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -87,6 +87,14 @@ class FloorPlan:
         return float(np.hypot(span[0], span[1]))
 
 
+def _check_scans(rssi: np.ndarray, ci) -> None:
+    """Every dBm value in [-100, 0] and every CI >= 0, for one scan or columns."""
+    if not np.all((rssi >= RSSI_MISSING) & (rssi <= RSSI_MAX)):  # NaN fails too
+        raise ValueError("rssi values must be finite and lie in [-100, 0]")
+    if np.any(ci < 0):
+        raise ValueError("ci must be non-negative")
+
+
 @dataclass(frozen=True, eq=False)
 class Fingerprint:
     """One RSSI scan: dBm per registered AP, tagged with its reference
@@ -100,73 +108,49 @@ class Fingerprint:
         arr = np.asarray(self.rssi, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("rssi must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("rssi values must be finite")
-        if arr.min() < RSSI_MISSING or arr.max() > RSSI_MAX:
-            raise ValueError("rssi values must lie in [-100, 0]")
-        if self.ci < 0:
-            raise ValueError("ci must be non-negative")
-        arr.setflags(write=False)
-        object.__setattr__(self, "rssi", arr)
+        _check_scans(arr, self.ci)
+        object.__setattr__(self, "rssi", _read_only(arr))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class FingerprintDataset:
-    """A floorplan together with fingerprints referencing it."""
+    """A floorplan plus read-only columns: ``rssi`` (n, n_aps) float64 dBm,
+    ``rp_ids`` and ``ci_ids`` (n,) int64.  The constructor stacks
+    ``Fingerprint`` rows; :meth:`from_columns` takes the arrays."""
 
     floorplan: FloorPlan
-    fingerprints: tuple[Fingerprint, ...]
+    rssi: np.ndarray
+    rp_ids: np.ndarray
+    ci_ids: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "fingerprints", tuple(self.fingerprints))
-        known = {rp.rp_id for rp in self.floorplan.rps}
-        width = self.floorplan.n_aps
-        for i, fp in enumerate(self.fingerprints):
-            if fp.rp_id not in known:
-                raise ValueError(f"fingerprint {i}: unknown rp_id {fp.rp_id}")
-            if fp.rssi.size != width:
-                raise ValueError(
-                    f"fingerprint {i}: rssi length {fp.rssi.size} != registry length {width}"
-                )
+    def __init__(self, floorplan: FloorPlan, fingerprints: Sequence[Fingerprint]):
+        fps = tuple(fingerprints)
+        rssi = np.stack([fp.rssi for fp in fps]) if fps else np.empty((0, floorplan.n_aps))
+        _set_columns(self, floorplan, rssi, [fp.rp_id for fp in fps], [fp.ci for fp in fps])
+
+    @classmethod
+    def from_columns(cls, floorplan: FloorPlan, rssi, rp_ids, ci_ids) -> FingerprintDataset:
+        """A dataset over these arrays, made read-only; float64/int64 ones are not copied."""
+        return _set_columns(cls.__new__(cls), floorplan, rssi, rp_ids, ci_ids)
 
     def __len__(self) -> int:
-        return len(self.fingerprints)
-
-    # Per-row arrays, in dataset order.  Each is built on first use, kept
-    # for the life of the dataset and read-only, so every consumer shares
-    # one conversion from fingerprint objects.
+        return self.rp_ids.shape[0]
 
     @cached_property
-    def rssi(self) -> np.ndarray:
-        """(n, n_aps) float64 dBm matrix, one row per fingerprint."""
-        out = np.empty((len(self), self.floorplan.n_aps))
-        for i, fp in enumerate(self.fingerprints):
-            out[i] = fp.rssi
-        return _read_only(out)
-
-    @cached_property
-    def rp_ids(self) -> np.ndarray:
-        """(n,) int64 rp_id of each row."""
-        return _read_only(np.fromiter((fp.rp_id for fp in self.fingerprints),
-                                      dtype=np.int64, count=len(self)))
-
-    @cached_property
-    def ci_ids(self) -> np.ndarray:
-        """(n,) int64 collection instance of each row."""
-        return _read_only(np.fromiter((fp.ci for fp in self.fingerprints),
-                                      dtype=np.int64, count=len(self)))
+    def fingerprints(self) -> tuple[Fingerprint, ...]:
+        """The rows as ``Fingerprint`` objects, built on first access."""
+        # each row owns its values, so a row kept alone does not keep the matrix alive
+        return tuple(map(Fingerprint, self.rp_ids.tolist(), self.ci_ids.tolist(),
+                         (row.copy() for row in self.rssi)))
 
     @cached_property
     def xy(self) -> np.ndarray:
         """(n, 2) float64 coordinates of each row's reference point."""
-        ids = np.array([rp.rp_id for rp in self.floorplan.rps], dtype=np.int64)
-        order = np.argsort(ids)
-        at = order[np.searchsorted(ids, self.rp_ids, sorter=order)]
-        return _read_only(self.floorplan.positions()[at])
+        return _read_only(self.floorplan.positions()[_rp_rows(self.floorplan, self.rp_ids)])
 
     def cis(self) -> tuple[int, ...]:
         """Distinct collection instances present, ascending."""
-        return tuple(sorted({fp.ci for fp in self.fingerprints}))
+        return tuple(sorted(set(self.ci_ids.tolist())))  # np.unique would import numpy.ma
 
     def by_rp(self, ci: int | None = None) -> dict[int, list[int]]:
         """Map rp_id -> fingerprint indices (dataset order), every
@@ -174,6 +158,36 @@ class FingerprintDataset:
         keep = np.ones(len(self), dtype=bool) if ci is None else self.ci_ids == ci
         return {rp.rp_id: np.flatnonzero(keep & (self.rp_ids == rp.rp_id)).tolist()
                 for rp in self.floorplan.rps}
+
+
+def _set_columns(ds, floorplan: FloorPlan, rssi, rp_ids, ci_ids) -> FingerprintDataset:
+    """Validate the columns as whole arrays and store them on ``ds``."""
+    rssi = np.asarray(rssi, dtype=np.float64)
+    try:
+        rp_ids, ci_ids = (np.asarray(ids, dtype=np.int64) for ids in (rp_ids, ci_ids))
+    except OverflowError:
+        raise ValueError("rp_ids and ci_ids must fit in int64") from None
+    if rssi.ndim != 2 or rssi.shape[1] != floorplan.n_aps:
+        raise ValueError(f"rssi has shape {rssi.shape}; rows must match the registry "
+                         f"length {floorplan.n_aps}")
+    if rp_ids.shape != rssi.shape[:1] or ci_ids.shape != rssi.shape[:1]:
+        raise ValueError("rssi, rp_ids and ci_ids lengths disagree")
+    _check_scans(rssi, ci_ids)
+    _rp_rows(floorplan, rp_ids)
+    ds.__dict__.update(floorplan=floorplan, rssi=_read_only(rssi),  # frozen: no setattr
+                       rp_ids=_read_only(rp_ids), ci_ids=_read_only(ci_ids))
+    return ds
+
+
+def _rp_rows(floorplan: FloorPlan, rp_ids: np.ndarray) -> np.ndarray:
+    """Floorplan position of each rp_id; an unknown id raises ValueError."""
+    ids = np.array([rp.rp_id for rp in floorplan.rps], dtype=np.int64)
+    order = np.argsort(ids)
+    at = order[np.searchsorted(ids, rp_ids, sorter=order).clip(max=len(ids) - 1)]
+    unknown = np.flatnonzero(ids[at] != rp_ids)
+    if unknown.size:
+        raise ValueError(f"row {unknown[0]}: unknown rp_id {rp_ids[unknown[0]]}")
+    return at
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -204,6 +218,17 @@ def parse_rssi_cell(cell: str, row: int, column: str) -> float:
     return v
 
 
+def csv_rows(reader: Iterable[list[str]], n_cells: int) -> Iterator[tuple[int, list[str]]]:
+    """(line number, cells) of each non-empty row after the header.  A row
+    with another cell count raises :class:`DatasetFormatError` at its line."""
+    for lineno, cells in enumerate(reader, start=2):
+        if not cells:
+            continue
+        if len(cells) != n_cells:
+            raise DatasetFormatError(f"expected {n_cells} cells, got {len(cells)}", row=lineno)
+        yield lineno, cells
+
+
 def ap_columns(header: Sequence[str], path: str | Path) -> list[AccessPointId]:
     """AP ids of ``ap_<id>`` header cells, in column order.  A cell without
     the prefix or an id, or a repeated column, raises
@@ -232,13 +257,7 @@ def load_floorplan(path: str | Path) -> tuple[ReferencePoint, ...]:
                 row=1,
             )
         rps = []
-        for lineno, cells in enumerate(reader, start=2):
-            if not cells:
-                continue
-            if len(cells) != 3:
-                raise DatasetFormatError(
-                    f"expected 3 cells, got {len(cells)}", row=lineno
-                )
+        for lineno, cells in csv_rows(reader, 3):
             rp_id = _parse_int(cells[0], lineno, "rp_id")
             x = _parse_number(cells[1], lineno, "x_m")
             y = _parse_number(cells[2], lineno, "y_m")
@@ -283,25 +302,23 @@ def load_fingerprints_csv(fingerprints_path: str | Path,
         known = {rp.rp_id for rp in floorplan.rps}
         width = len(registry)
 
-        fingerprints = []
-        for lineno, cells in enumerate(reader, start=2):
-            if not cells:
-                continue
-            if len(cells) != width + 2:
-                raise DatasetFormatError(
-                    f"expected {width + 2} cells, got {len(cells)}", row=lineno
-                )
+        rows, rp_ids, ci_ids = [], [], []
+        for lineno, cells in csv_rows(reader, width + 2):
             rp_id = _parse_int(cells[0], lineno, "rp_id")
             if rp_id not in known:
                 raise DatasetFormatError(f"unknown rp_id {rp_id}", row=lineno)
             ci = _parse_int(cells[1], lineno, "ci")
             if ci < 0:
                 raise DatasetFormatError(f"negative ci {ci}", row=lineno)
-            rssi = np.array([parse_rssi_cell(cell, lineno, col)
-                             for cell, col in zip(cells[2:], header[2:])])
-            fingerprints.append(Fingerprint(rp_id=rp_id, ci=ci, rssi=rssi))
+            if ci >= 2**63:
+                raise DatasetFormatError(f"ci {ci} does not fit in int64", row=lineno)
+            rows.append(np.array([parse_rssi_cell(cell, lineno, col)
+                                  for cell, col in zip(cells[2:], header[2:])]))
+            rp_ids.append(rp_id)
+            ci_ids.append(ci)
 
-    return FingerprintDataset(floorplan=floorplan, fingerprints=tuple(fingerprints))
+    return FingerprintDataset.from_columns(floorplan, np.array(rows).reshape(-1, width),
+                                           rp_ids, ci_ids)
 
 
 def _format_value(v: float) -> str:
@@ -326,8 +343,9 @@ def save_dataset(dataset: FingerprintDataset, floorplan_path: str | Path,
     with open(fingerprints_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["rp_id", "ci"] + [f"ap_{ap}" for ap in dataset.floorplan.ap_registry])
-        for fp in dataset.fingerprints:
-            writer.writerow([fp.rp_id, fp.ci] + [_format_value(v) for v in fp.rssi])
+        # row by row: the whole matrix as Python floats would cost 32 bytes a value
+        for rp_id, ci, row in zip(dataset.rp_ids.tolist(), dataset.ci_ids.tolist(), dataset.rssi):
+            writer.writerow([rp_id, ci] + [_format_value(v) for v in row.tolist()])
 
 
 def split_by_ci(dataset: FingerprintDataset, train_ci: int, fpr: int,
@@ -354,12 +372,10 @@ def split_by_ci(dataset: FingerprintDataset, train_ci: int, fpr: int,
 
     rng = np.random.default_rng(seed)
     chosen = np.zeros(len(dataset), dtype=bool)
-    for rp in dataset.floorplan.rps:  # floorplan order keeps the draw deterministic
-        idxs = per_rp[rp.rp_id]
-        take = min(fpr, len(idxs))
-        picked = rng.choice(len(idxs), size=take, replace=False)
+    for idxs in per_rp.values():  # floorplan order keeps the draw deterministic
+        picked = rng.choice(len(idxs), size=min(fpr, len(idxs)), replace=False)
         chosen[np.asarray(idxs)[picked]] = True
 
-    fps = dataset.fingerprints
-    return tuple(FingerprintDataset(dataset.floorplan, tuple(fps[i] for i in np.flatnonzero(m)))
+    return tuple(FingerprintDataset.from_columns(dataset.floorplan, dataset.rssi[m],
+                                                 dataset.rp_ids[m], dataset.ci_ids[m])
                  for m in (chosen, ~chosen))

@@ -206,8 +206,8 @@ def triplet_loss(ea: np.ndarray, ep: np.ndarray, en: np.ndarray, alpha: float) -
     ea, ep, en = (np.asarray(v, dtype=np.float64) for v in (ea, ep, en))
     if not (ea.shape == ep.shape == en.shape) or ea.ndim != 1:
         raise ValueError(f"embedding shapes differ: {ea.shape}, {ep.shape}, {en.shape}")
-    if alpha < 0.0:
-        raise ValueError("alpha must be >= 0")
+    if not 0.0 <= alpha < math.inf:
+        raise ValueError("alpha must be finite and >= 0")
     raw = float(((ea - ep) ** 2).sum() - ((ea - en) ** 2).sum() + alpha)
     return max(0.0, raw)
 

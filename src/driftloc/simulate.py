@@ -19,13 +19,15 @@ collection instance onward, emitting the -100 sentinel.
 from __future__ import annotations
 
 import csv
+import itertools
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .data import (FingerprintDataset, Fingerprint, FloorPlan, ReferencePoint,
-                   save_dataset)
+from .data import (RSSI_MAX, RSSI_MISSING, FingerprintDataset, FloorPlan,
+                   ReferencePoint, save_dataset)
 
 
 @dataclass(frozen=True)
@@ -45,14 +47,24 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0 or self.rp_spacing <= 0:
-            raise ValueError("extents and rp_spacing must be positive")
-        if self.n_aps < 1 or self.n_cis < 1 or self.fpr < 1:
-            raise ValueError("n_aps, n_cis and fpr must be >= 1")
+        for name in ("width", "height", "rp_spacing"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
+        for name in ("shadow_sigma_db", "drift_sigma_db", "hourly_sigma_db"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
+        if not math.isfinite(self.tx_power_dbm):
+            raise ValueError("tx_power_dbm must be finite")
         if not 1.5 <= self.path_loss_exponent <= 6.0:
             raise ValueError("path_loss_exponent must lie in [1.5, 6]")
-        if min(self.shadow_sigma_db, self.drift_sigma_db, self.hourly_sigma_db) < 0:
-            raise ValueError("noise std-devs must be >= 0")
+        per_axis = [extent / self.rp_spacing for extent in (self.width, self.height)]
+        n_rps = (math.prod(int(n) + 1 for n in per_axis) if math.isfinite(max(per_axis))
+                 else math.inf)
+        if not 2 <= n_rps <= 2**31:  # rp_ids are int32
+            raise ValueError(f"width x height at rp_spacing {self.rp_spacing} places {n_rps} "
+                             "RPs; need at least 2, at most 2**31")
+        if self.n_aps < 1 or self.n_cis < 1 or self.fpr < 1:
+            raise ValueError("n_aps, n_cis and fpr must be >= 1")
         prev = 0.0
         for ci in sorted(self.removal_schedule):
             frac = self.removal_schedule[ci]
@@ -70,38 +82,19 @@ class GroundTruth:
     """What the simulator actually did: AP placement, removal times, and
     the per-CI per-AP bias values (absolute, not increments)."""
 
-    ap_positions: np.ndarray          # (n_aps, 2) meters
-    removed_sets: tuple[frozenset[int], ...]  # per CI, AP indices silenced
-    biases: np.ndarray                # (n_cis, n_aps) dB
-
-    def removed_at(self, ap: int) -> int | None:
-        """First CI at which an AP is silenced, or None if it never is."""
-        for ci, removed in enumerate(self.removed_sets):
-            if ap in removed:
-                return ci
-        return None
-
-
-def _grid_coords(extent: float, spacing: float) -> np.ndarray:
-    n = int(extent / spacing) + 1
-    return np.arange(n, dtype=np.float64) * spacing
+    ap_positions: np.ndarray   # (n_aps, 2) meters
+    removed_at_ci: np.ndarray  # (n_aps,) int64 first silenced CI, -1 = never
+    biases: np.ndarray         # (n_cis, n_aps) dB
 
 
 def generate(cfg: SimConfig) -> tuple[FingerprintDataset, GroundTruth]:
-    """Build a full longitudinal dataset plus its ground truth, seeded."""
-    xs = _grid_coords(cfg.width, cfg.rp_spacing)
-    ys = _grid_coords(cfg.height, cfg.rp_spacing)
-    rps = []
-    rp_id = 0
-    for y in ys:
-        for x in xs:
-            rps.append(ReferencePoint(rp_id=rp_id, x=float(x), y=float(y)))
-            rp_id += 1
-    if len(rps) < 2:
-        raise ValueError(
-            f"grid {cfg.width}x{cfg.height} at spacing {cfg.rp_spacing} places "
-            f"{len(rps)} RPs; need at least 2"
-        )
+    """Build a full longitudinal dataset plus its ground truth, seeded.
+    Rows run in (CI, floorplan RP, scan) order."""
+    xs, ys = (np.arange(int(extent / cfg.rp_spacing) + 1) * cfg.rp_spacing
+              for extent in (cfg.width, cfg.height))
+    n_rps = len(xs) * len(ys)
+    rps = tuple(ReferencePoint(rp_id=i, x=x, y=y)
+                for i, (y, x) in enumerate(itertools.product(ys.tolist(), xs.tolist())))
 
     rng = np.random.default_rng(cfg.seed)
     ap_pos = np.column_stack([
@@ -109,17 +102,14 @@ def generate(cfg: SimConfig) -> tuple[FingerprintDataset, GroundTruth]:
         rng.uniform(0.0, cfg.height, size=cfg.n_aps),
     ])
     registry = tuple(f"{i:03d}" for i in range(cfg.n_aps))
-    floorplan = FloorPlan(rps=tuple(rps), ap_registry=registry)
+    floorplan = FloorPlan(rps=rps, ap_registry=registry)
 
     # Removal order is one fixed permutation; cumulative fractions then map
     # to nested prefixes, so an AP once removed stays removed.
     removal_order = rng.permutation(cfg.n_aps)
-    removed_sets = []
-    current = 0
-    for ci in range(cfg.n_cis):
-        if ci in cfg.removal_schedule:
-            current = int(round(cfg.removal_schedule[ci] * cfg.n_aps))
-        removed_sets.append(frozenset(int(a) for a in removal_order[:current]))
+    removed_at_ci = np.full(cfg.n_aps, -1, dtype=np.int64)
+    for ci in sorted(cfg.removal_schedule, reverse=True):  # earlier CIs overwrite their prefix
+        removed_at_ci[removal_order[:int(round(cfg.removal_schedule[ci] * cfg.n_aps))]] = ci
 
     # per-CI bias: session transient plus a gradual walk away from the
     # surveyed (first-CI) state
@@ -135,21 +125,20 @@ def generate(cfg: SimConfig) -> tuple[FingerprintDataset, GroundTruth]:
     d = np.sqrt(((pos[:, None, :] - ap_pos[None, :, :]) ** 2).sum(axis=2))
     base = cfg.tx_power_dbm - 10.0 * cfg.path_loss_exponent * np.log10(np.maximum(d, 1.0))
 
-    fingerprints = []
-    for ci in range(cfg.n_cis):
-        level = np.repeat((base + biases[ci])[None, :, :], cfg.fpr, axis=0)
-        if cfg.shadow_sigma_db > 0:
-            level += rng.normal(0.0, cfg.shadow_sigma_db, size=level.shape)
-        scans = np.rint(np.clip(level, -100.0, 0.0))
-        dead = np.array([ap in removed_sets[ci] for ap in range(cfg.n_aps)])
-        scans[:, :, dead] = -100.0
-        for r, rp in enumerate(rps):
-            for s in range(cfg.fpr):
-                fingerprints.append(Fingerprint(rp_id=rp.rp_id, ci=ci, rssi=scans[s, r]))
+    scans = np.repeat((base + biases[:, None, :])[:, :, None, :], cfg.fpr, axis=2)
+    if cfg.shadow_sigma_db > 0:
+        # drawn in (CI, scan, RP, AP) order, which fixes each cell's draw per seed
+        scans += rng.normal(0.0, cfg.shadow_sigma_db,
+                            size=(cfg.n_cis, cfg.fpr, n_rps, cfg.n_aps)).transpose(0, 2, 1, 3)
+    np.rint(np.clip(scans, RSSI_MISSING, RSSI_MAX, out=scans), out=scans)
+    dead = (removed_at_ci >= 0) & (removed_at_ci <= np.arange(cfg.n_cis)[:, None])
+    np.copyto(scans, RSSI_MISSING, where=dead[:, None, None, :])
 
-    dataset = FingerprintDataset(floorplan=floorplan, fingerprints=tuple(fingerprints))
-    truth = GroundTruth(ap_positions=ap_pos, removed_sets=tuple(removed_sets),
-                        biases=biases)
+    dataset = FingerprintDataset.from_columns(
+        floorplan, scans.reshape(-1, cfg.n_aps),
+        rp_ids=np.tile(np.repeat(np.arange(n_rps), cfg.fpr), cfg.n_cis),
+        ci_ids=np.repeat(np.arange(cfg.n_cis), n_rps * cfg.fpr))
+    truth = GroundTruth(ap_positions=ap_pos, removed_at_ci=removed_at_ci, biases=biases)
     return dataset, truth
 
 
@@ -198,9 +187,8 @@ def write_scenario(dataset: FingerprintDataset, truth: GroundTruth,
     with open(paths["ground_truth"], "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["ap_id", "x_m", "y_m", "removed_at_ci"])
-        for i, ap in enumerate(dataset.floorplan.ap_registry):
-            removed = truth.removed_at(i)
-            writer.writerow([ap, repr(float(truth.ap_positions[i, 0])),
-                             repr(float(truth.ap_positions[i, 1])),
-                             -1 if removed is None else removed])
+        for ap, (x, y), removed in zip(dataset.floorplan.ap_registry,
+                                       truth.ap_positions.tolist(),
+                                       truth.removed_at_ci.tolist()):
+            writer.writerow([ap, repr(x), repr(y), removed])
     return paths

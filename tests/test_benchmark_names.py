@@ -96,3 +96,23 @@ def test_encode_batch_takes_a_list_of_rows():
     e = driftloc.encode_batch(model, [driftloc.to_image(fp)])
     assert e.shape == (1, 5)
     np.testing.assert_array_equal(e, driftloc.encode_batch(model, driftloc.pixel_rows([fp.rssi])))
+
+
+def test_dataset_surface_the_workloads_use():
+    # office-eval builds one dataset per test CI from a tuple of the split's
+    # rows, positionally; uji-predict and the checks read fingerprints[i]
+    ds, _ = driftloc.generate(driftloc.SimConfig(width=6.0, height=0.5, rp_spacing=2.0,
+                                                 n_aps=5, n_cis=3, fpr=2, seed=3))
+    train_set, test_set = driftloc.split_by_ci(ds, 0, 1, seed=4)
+    fps = test_set.fingerprints
+    assert fps is test_set.fingerprints and len(fps) == len(test_set)
+    for i, fp in enumerate(fps):
+        assert (fp.rp_id, fp.ci) == (test_set.rp_ids[i], test_set.ci_ids[i])
+        np.testing.assert_array_equal(fp.rssi, test_set.rssi[i])
+    picked = [i for i, fp in enumerate(fps) if fp.ci == 1]
+    part = driftloc.FingerprintDataset(test_set.floorplan, tuple(fps[i] for i in picked))
+    assert len(part) == len(picked) == 8
+    np.testing.assert_array_equal(part.rssi, test_set.rssi[picked])
+    np.testing.assert_array_equal(part.rp_ids, test_set.rp_ids[picked])
+    assert part.cis() == (1,)
+    assert [f.rp_id for f in train_set.fingerprints] == train_set.rp_ids.tolist()

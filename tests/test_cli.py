@@ -230,6 +230,22 @@ def test_scan_short_row_reports_row(tmp_path):
         load_scans(scan, ("a", "b"))
 
 
+@pytest.mark.parametrize("flags, field", [
+    (["--width", "inf"], "width"),
+    (["--width", "1e308", "--rp-spacing", "1e-308"], "rp_spacing"),
+    (["--tx-power-dbm", "inf"], "tx_power_dbm"),
+    (["--shadow-sigma-db", "nan"], "shadow_sigma_db")])
+def test_simulate_bad_config_fails_cleanly(tmp_path, capsys, flags, field):
+    out = tmp_path / "scenario"
+    code, stdout, err = run(["simulate", "--preset", "office-like", "--out", str(out),
+                             *flags], capsys)
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert field in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_gradcheck_passes(capsys):
     code, out, _ = run(["gradcheck", "--seed", "3"], capsys)
     assert code == 0

@@ -1,10 +1,16 @@
+import csv
+
 import numpy as np
 import pytest
 
 from driftloc.data import (Fingerprint, FingerprintDataset, FloorPlan,
                            ReferencePoint, load_dataset, save_dataset,
                            split_by_ci)
+from driftloc.encoder import EncoderConfig
 from driftloc.errors import DatasetFormatError
+from driftloc.evaluate import evaluate_over_time
+from driftloc.localizer import TrainConfig, train
+from driftloc.simulate import SimConfig, generate, write_scenario
 
 
 def write(path, text):
@@ -157,22 +163,36 @@ def test_split_fpr_one():
     assert all(len(v) == 1 for v in per_rp.values())
 
 
+COLUMNS = ("rssi", "rp_ids", "ci_ids")
+
+
+def rows_of(ds):
+    """Each row's content as a hashable (rp_id, ci, dBm...) tuple, in order."""
+    return [(rp, ci, *v) for rp, ci, v in
+            zip(ds.rp_ids.tolist(), ds.ci_ids.tolist(), ds.rssi.tolist())]
+
+
 def test_split_deterministic():
     ds = grid_dataset()
     a1, b1 = split_by_ci(ds, 0, 3, seed=77)
     a2, b2 = split_by_ci(ds, 0, 3, seed=77)
     for x, y in ((a1, a2), (b1, b2)):
         assert len(x) == len(y)
-        for f, g in zip(x.fingerprints, y.fingerprints):
-            assert f is g  # same objects, same order
+        for col in COLUMNS:  # same rows, same order
+            np.testing.assert_array_equal(getattr(x, col), getattr(y, col))
 
 
 def test_split_partitions_dataset():
     ds = grid_dataset(seed=5)
     train, test = split_by_ci(ds, 0, 4, seed=1)
-    ids = lambda part: sorted(id(fp) for fp in part.fingerprints)
-    assert sorted(ids(train) + ids(test)) == sorted(id(fp) for fp in ds.fingerprints)
-    assert not set(ids(train)) & set(ids(test))
+    everything = rows_of(ds)
+    assert len(set(everything)) == len(ds)  # rows are distinct, so content names a row
+    assert sorted(rows_of(train) + rows_of(test)) == sorted(everything)
+    assert not set(rows_of(train)) & set(rows_of(test))
+    at = {row: i for i, row in enumerate(everything)}
+    for part in (train, test):  # each keeps the dataset order
+        positions = [at[row] for row in rows_of(part)]
+        assert positions == sorted(positions)
     counts = train.by_rp()
     assert all(len(v) <= 4 for v in counts.values())
 
@@ -216,33 +236,121 @@ def test_type_invariants():
         FingerprintDataset(fp, (Fingerprint(5, 0, np.array([-50.0, -60.0])),))
 
 
-def test_dataset_arrays_match_fingerprints():
-    # unordered rp_ids in the floorplan, and the dataset not grouped by RP
-    fp = FloorPlan(rps=(ReferencePoint(7, 1.5, 2.0), ReferencePoint(2, -3.0, 0.25),
-                        ReferencePoint(5, 0.0, 9.0)), ap_registry=("a", "b"))
-    coords = {rp.rp_id: (rp.x, rp.y) for rp in fp.rps}
-    rng = np.random.default_rng(4)
-    fps = tuple(Fingerprint(int(rp), int(ci), rng.integers(-100, 0, 2).astype(float))
-                for rp, ci in zip(rng.choice([7, 2, 5], 20), rng.integers(0, 4, 20)))
-    ds = FingerprintDataset(fp, fps)
+def assert_columns_match(ds, fps):
+    """The columns, ``xy``, ``cis()`` and ``by_rp()`` of ``ds`` against a
+    loop over the rows ``fps``."""
+    coords = {rp.rp_id: (rp.x, rp.y) for rp in ds.floorplan.rps}
+    assert len(ds) == len(fps)
     np.testing.assert_array_equal(ds.rssi, [f.rssi for f in fps])
     np.testing.assert_array_equal(ds.rp_ids, [f.rp_id for f in fps])
     np.testing.assert_array_equal(ds.ci_ids, [f.ci for f in fps])
     np.testing.assert_array_equal(ds.xy, [coords[f.rp_id] for f in fps])
     assert ds.rssi.dtype == ds.xy.dtype == np.float64
+    assert ds.rp_ids.dtype == ds.ci_ids.dtype == np.int64
     for arr in (ds.rssi, ds.rp_ids, ds.ci_ids, ds.xy):
         assert not arr.flags.writeable
-    assert ds.rssi is ds.rssi  # built once
+    assert ds.xy is ds.xy  # built once
     assert ds.cis() == tuple(sorted({f.ci for f in fps}))
-    for ci in (None, 0, 3, 9):
+    for ci in (None, *ds.cis(), max(ds.cis()) + 1):
         want = {rp.rp_id: [i for i, f in enumerate(fps)
                            if ci in (None, f.ci) and f.rp_id == rp.rp_id]
-                for rp in fp.rps}
+                for rp in ds.floorplan.rps}
         assert ds.by_rp(ci) == want
-        assert list(ds.by_rp(ci)) == [7, 2, 5]
+        assert list(ds.by_rp(ci)) == [rp.rp_id for rp in ds.floorplan.rps]
+
+
+def csv_rows(path):
+    """The rows of a fingerprint CSV, parsed cell by cell."""
+    _, *rows = csv.reader(path.read_text().splitlines())
+    return [Fingerprint(int(r[0]), int(r[1]), np.array(r[2:], dtype=float)) for r in rows]
+
+
+def test_dataset_arrays_match_fingerprints(tmp_path):
+    # unordered rp_ids in the floorplan, and the dataset not grouped by RP
+    fp = FloorPlan(rps=(ReferencePoint(7, 1.5, 2.0), ReferencePoint(2, -3.0, 0.25),
+                        ReferencePoint(5, 0.0, 9.0)), ap_registry=("a", "b"))
+    rng = np.random.default_rng(4)
+    fps = tuple(Fingerprint(int(rp), int(ci), rng.integers(-100, 0, 2).astype(float))
+                for rp, ci in zip(rng.choice([7, 2, 5], 20), rng.integers(0, 4, 20)))
+    ds = FingerprintDataset(fp, fps)
+    assert_columns_match(ds, fps)
+    assert ds.fingerprints is ds.fingerprints  # built once
+    assert_columns_match(ds, ds.fingerprints)
     empty = FingerprintDataset(fp, ())
     assert empty.rssi.shape == (0, 2) and empty.xy.shape == (0, 2)
     assert empty.cis() == () and empty.by_rp() == {7: [], 2: [], 5: []}
+    assert empty.fingerprints == ()
+
+    # datasets the simulator, the CSV reader and the split build from columns
+    gen, truth = generate(SimConfig(width=6.0, height=2.0, rp_spacing=2.0, n_aps=5,
+                                    n_cis=3, fpr=2, removal_schedule={2: 0.4}, seed=8))
+    assert_columns_match(gen, gen.fingerprints)
+    paths = write_scenario(gen, truth, tmp_path)
+    loaded = load_dataset(paths["floorplan"], paths["fingerprints"])
+    assert_columns_match(loaded, csv_rows(paths["fingerprints"]))
+    assert_columns_match(loaded, gen.fingerprints)
+    for part in split_by_ci(loaded, 1, 1, seed=2):
+        assert part.fingerprints is part.fingerprints
+        assert_columns_match(part, part.fingerprints)
+
+
+def test_column_pipeline_builds_no_fingerprint_objects(tmp_path, monkeypatch):
+    built = []
+    real = Fingerprint.__post_init__
+    monkeypatch.setattr(Fingerprint, "__post_init__",
+                        lambda self: built.append(self) or real(self))
+    ds, truth = generate(SimConfig(width=9.0, height=0.5, rp_spacing=3.0, n_aps=12,
+                                   n_cis=3, fpr=4, removal_schedule={2: 0.25}, seed=5))
+    paths = write_scenario(ds, truth, tmp_path)
+    loaded = load_dataset(paths["floorplan"], paths["fingerprints"])
+    tr, te = split_by_ci(loaded, 0, 4, seed=1)
+    cfg = TrainConfig(encoder=EncoderConfig(conv1_filters=4, conv2_filters=8, embed_dim=3),
+                      epochs=1, batch_size=16)
+    model, index = train(tr, cfg, seed=1)
+    report = evaluate_over_time(model, index, te)
+    assert sum(report.n_queries_per_ci.values()) == len(te)
+    assert built == []
+    assert len(tr.fingerprints) == len(built) == len(tr)  # the counter sees the row view
+
+
+def test_from_columns_validates_whole_arrays():
+    fp = FloorPlan(rps=(ReferencePoint(0, 0, 0), ReferencePoint(4, 1, 0)),
+                   ap_registry=("a", "b"))
+    rssi, rp_ids, ci_ids = np.array([[-50.0, -60.0], [-100.0, 0.0]]), [0, 4], [0, 3]
+    ds = FingerprintDataset.from_columns(fp, rssi, rp_ids, ci_ids)
+    assert ds.rssi is rssi and not rssi.flags.writeable  # kept, made read-only
+    np.testing.assert_array_equal(ds.xy, [[0, 0], [1, 0]])
+    for bad_rssi, match in (([[-50.0, 1.0], [-60.0, -70.0]], r"\[-100, 0\]"),
+                            ([[-50.0, np.nan], [-60.0, -70.0]], "finite"),
+                            ([[-50.0, -np.inf], [-60.0, -70.0]], "finite"),
+                            ([[-50.0], [-60.0]], "registry length 2"),
+                            ([-50.0, -60.0], "registry length 2")):
+        with pytest.raises(ValueError, match=match):
+            FingerprintDataset.from_columns(fp, np.array(bad_rssi), rp_ids, ci_ids)
+    with pytest.raises(ValueError, match="row 1: unknown rp_id 3"):
+        FingerprintDataset.from_columns(fp, np.full((2, 2), -50.0), [0, 3], ci_ids)
+    with pytest.raises(ValueError, match="ci must be non-negative"):
+        FingerprintDataset.from_columns(fp, np.full((2, 2), -50.0), rp_ids, [0, -1])
+    with pytest.raises(ValueError, match="lengths disagree"):
+        FingerprintDataset.from_columns(fp, np.full((2, 2), -50.0), [0], ci_ids)
+    with pytest.raises(ValueError, match="fit in int64"):
+        FingerprintDataset(fp, (Fingerprint(2**70, 0, np.array([-50.0, -60.0])),))
+    with pytest.raises(ValueError, match="fit in int64"):
+        FingerprintDataset(fp, (Fingerprint(0, 2**63, np.array([-50.0, -60.0])),))
+    # one rule for a row object and for whole columns
+    with pytest.raises(ValueError, match="ci must be non-negative"):
+        Fingerprint(0, -1, np.array([-50.0]))
+    with pytest.raises(ValueError, match="finite"):
+        Fingerprint(0, 0, np.array([np.nan]))
+
+
+def test_ci_beyond_int64_reports_row(tmp_path, tiny_files):
+    fp, _ = tiny_files
+    bad = write(tmp_path / "bad.csv", f"rp_id,ci,ap_a\n0,0,-40\n1,{2**63},-50\n")
+    with pytest.raises(DatasetFormatError, match=f"row 3: ci {2**63} does not fit in int64"):
+        load_dataset(fp, bad)
+    ok = write(tmp_path / "ok.csv", f"rp_id,ci,ap_a\n1,{2**63 - 1},-50\n")
+    assert load_dataset(fp, ok).cis() == (2**63 - 1,)
 
 
 def test_rssi_is_immutable():

@@ -120,6 +120,13 @@ def test_loss_length_mismatch():
         triplet_loss(np.ones(3), np.ones(3), np.ones(4), 0.2)
 
 
+@pytest.mark.parametrize("alpha", [-0.1, math.nan, math.inf])
+def test_loss_rejects_bad_alpha(alpha):
+    e = np.array([0.6, 0.8])
+    with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
+        triplet_loss(e, e, e, alpha)
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=100)
 def test_loss_bounds_for_unit_vectors(seed):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -51,31 +53,55 @@ def test_rssi_monotone_in_distance_noise_free():
         assert all(x >= y for x, y in zip(values, values[1:]))
 
 
+def silenced_at(ds, ci):
+    """APs that read -100 in every scan of one CI."""
+    return set(np.flatnonzero((ds.rssi[ds.ci_ids == ci] == -100.0).all(axis=0)).tolist())
+
+
 def test_exact_removal_count():
     cfg = SimConfig(width=48.0, height=0.5, rp_spacing=1.0, n_aps=50,
                     n_cis=16, fpr=2, removal_schedule={11: 0.2}, seed=3)
     ds, gt = generate(cfg)
+    assert gt.removed_at_ci.dtype == np.int64 and gt.removed_at_ci.shape == (50,)
+    assert sorted(set(gt.removed_at_ci.tolist())) == [-1, 11]
+    removed = set(np.flatnonzero(gt.removed_at_ci == 11).tolist())
+    assert len(removed) == 10
     for ci in range(16):
-        silenced = set()
-        for a in range(50):
-            readings = [fp.rssi[a] for fp in ds.fingerprints if fp.ci == ci]
-            if all(v == -100.0 for v in readings):
-                silenced.add(a)
-        if ci < 11:
-            assert gt.removed_sets[ci] == frozenset()
-        else:
-            assert len(gt.removed_sets[ci]) == 10
-        assert silenced == set(gt.removed_sets[ci])
+        assert silenced_at(ds, ci) == (removed if ci >= 11 else set())
 
 
 def test_removal_cumulative_and_monotone():
     cfg = base_config(n_cis=6, removal_schedule={2: 0.25, 4: 0.5})
     ds, gt = generate(cfg)
-    for earlier, later in zip(gt.removed_sets, gt.removed_sets[1:]):
-        assert earlier <= later
-    assert len(gt.removed_sets[2]) == 2  # 0.25 * 8
-    assert len(gt.removed_sets[4]) == 4
-    assert gt.removed_at(next(iter(gt.removed_sets[2]))) == 2
+    at = gt.removed_at_ci
+    # 0.25 * 8 = 2 APs from CI 2, then 2 more (0.5 * 8 = 4 in all) from CI 4
+    assert sorted(at.tolist()) == [-1] * 4 + [2] * 2 + [4] * 2
+    for ci in range(6):
+        assert silenced_at(ds, ci) == set(np.flatnonzero((at >= 0) & (at <= ci)).tolist())
+    for ci in range(5):
+        assert silenced_at(ds, ci) <= silenced_at(ds, ci + 1)
+
+
+def test_rows_in_ci_rp_scan_order():
+    # noise-free: the fpr scans of one RP in one CI are equal, and each row
+    # is its RP's path loss plus its CI's bias, rounded
+    cfg = base_config(shadow_sigma_db=0.0, drift_sigma_db=2.0, hourly_sigma_db=1.0,
+                      removal_schedule={2: 0.25})
+    ds, gt = generate(cfg)
+    n_rps = len(ds.floorplan.rps)
+    rp_order = np.array([rp.rp_id for rp in ds.floorplan.rps])
+    np.testing.assert_array_equal(ds.ci_ids, np.repeat(np.arange(4), n_rps * 3))
+    np.testing.assert_array_equal(ds.rp_ids, np.tile(np.repeat(rp_order, 3), 4))
+    pos = ds.floorplan.positions()
+    d = np.sqrt(((pos[:, None, :] - gt.ap_positions[None, :, :]) ** 2).sum(axis=2))
+    base = cfg.tx_power_dbm - 10.0 * cfg.path_loss_exponent * np.log10(np.maximum(d, 1.0))
+    for i, (rp, ci) in enumerate(zip(ds.rp_ids, ds.ci_ids)):
+        want = np.rint(np.clip(base[rp] + gt.biases[ci], -100.0, 0.0))
+        want[(gt.removed_at_ci >= 0) & (gt.removed_at_ci <= ci)] = -100.0
+        np.testing.assert_array_equal(ds.rssi[i], want)
+    assert ds.fingerprints is ds.fingerprints  # the row view is built once
+    assert [(f.rp_id, f.ci) for f in ds.fingerprints] == list(zip(ds.rp_ids.tolist(),
+                                                                   ds.ci_ids.tolist()))
 
 
 def test_bias_structure():
@@ -95,12 +121,12 @@ def test_bias_structure():
 
 
 def test_same_seed_identical_output():
-    a, _ = generate(base_config())
-    b, _ = generate(base_config())
+    a, ga = generate(base_config(removal_schedule={2: 0.5}))
+    b, gb = generate(base_config(removal_schedule={2: 0.5}))
     assert len(a) == len(b)
-    for fa, fb in zip(a.fingerprints, b.fingerprints):
-        assert (fa.rp_id, fa.ci) == (fb.rp_id, fb.ci)
-        np.testing.assert_array_equal(fa.rssi, fb.rssi)
+    for col in ("rssi", "rp_ids", "ci_ids"):
+        np.testing.assert_array_equal(getattr(a, col), getattr(b, col))
+    np.testing.assert_array_equal(ga.removed_at_ci, gb.removed_at_ci)
 
 
 def test_round_trips_through_csv(tmp_path):
@@ -113,6 +139,15 @@ def test_round_trips_through_csv(tmp_path):
         np.testing.assert_array_equal(fa.rssi, fb.rssi)
     header = paths["ground_truth"].read_text().splitlines()[0]
     assert header == "ap_id,x_m,y_m,removed_at_ci"
+
+
+def test_ground_truth_csv_holds_removed_at_ci(tmp_path):
+    ds, gt = generate(base_config(n_cis=6, removal_schedule={2: 0.25, 4: 0.5}))
+    paths = write_scenario(ds, gt, tmp_path)
+    rows = [line.split(",") for line in paths["ground_truth"].read_text().splitlines()[1:]]
+    assert [r[0] for r in rows] == list(ds.floorplan.ap_registry)
+    assert [int(r[3]) for r in rows] == gt.removed_at_ci.tolist()
+    np.testing.assert_array_equal([[float(r[1]), float(r[2])] for r in rows], gt.ap_positions)
 
 
 def test_presets():
@@ -150,3 +185,21 @@ def test_config_validation():
         base_config(removal_schedule={1: 1.5})
     with pytest.raises(ValueError, match="at least 2"):
         generate(base_config(width=0.5, height=0.5, rp_spacing=5.0))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["width", "height", "rp_spacing", "tx_power_dbm",
+                                   "path_loss_exponent", "shadow_sigma_db",
+                                   "drift_sigma_db", "hourly_sigma_db"])
+def test_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=field):
+        base_config(**{field: value})
+
+
+def test_config_rejects_grid_too_large_to_count():
+    for kw in (dict(width=1e308, rp_spacing=1e-308), dict(height=1e300, rp_spacing=1e-10),
+               dict(width=2.0**16, height=2.0**15, rp_spacing=1.0)):
+        with pytest.raises(ValueError, match=r"rp_spacing .* RPs; need .* at most 2\*\*31"):
+            base_config(**kw)
+    # the largest grid whose rp_ids fit in int32 is accepted (and not built)
+    base_config(width=2.0**16 - 1, height=2.0**15 - 1, rp_spacing=1.0)
