@@ -12,20 +12,18 @@ import csv
 import logging
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 
 from . import simulate as sim
-from .data import (RSSI_MISSING, FingerprintDataset, FloorPlan, ReferencePoint,
-                   ap_columns, csv_rows, load_dataset, load_fingerprints_csv,
-                   load_floorplan, parse_rssi_cell, split_by_ci)
+from .data import (FingerprintDataset, FloorPlan, ReferencePoint, load_dataset,
+                   load_fingerprints_csv, load_floorplan, load_scans, split_by_ci)
 from .encoder import (EncoderConfig, encode_batch, gradient_check, init_model,
                       small_check_config, triplet_loss)
-from .errors import DatasetFormatError, DriftlocError
+from .errors import DriftlocError
 from .evaluate import (evaluate_baseline_over_time, evaluate_over_time,
                        fpr_sweep, write_report_csv, write_sweep_csv)
-from .localizer import TrainConfig, predict_batch, train
+from .localizer import DEFAULT_K, DEFAULT_RULE, RULES, TrainConfig, predict_batch, train
 from .model_io import load_model_full, save_model
 
 logger = logging.getLogger(__name__)
@@ -43,6 +41,7 @@ _SIM_OVERRIDES = {
 
 def _add_sim(sub):
     p = sub.add_parser("simulate", help="generate a synthetic drift scenario")
+    p.set_defaults(run=_cmd_simulate)
     p.add_argument("--preset", required=True, choices=["office-like", "uji-like"])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="scenario", help="output directory")
@@ -75,6 +74,7 @@ def _cmd_simulate(args) -> int:
 
 def _add_train(sub):
     p = sub.add_parser("train", help="run the offline phase and save a model")
+    p.set_defaults(run=_cmd_train)
     p.add_argument("--floorplan", required=True)
     p.add_argument("--fingerprints", required=True)
     p.add_argument("--train-ci", type=int, default=0)
@@ -148,15 +148,16 @@ def _cmd_train(args) -> int:
 
 def _add_eval(sub):
     p = sub.add_parser("eval", help="per-CI error report for a saved model")
+    p.set_defaults(run=_cmd_eval)
     p.add_argument("--model", required=True)
     p.add_argument("--fingerprints", required=True)
-    p.add_argument("--k", type=int, default=3)
+    p.add_argument("--k", type=int, default=DEFAULT_K)
     p.add_argument("--baseline", action="store_true",
                    help="also report the raw-RSSI KNN baseline")
     p.add_argument("--report", required=True, help="output CSV path")
     p.add_argument("--floorplan", help="optional floorplan CSV; defaults to "
                                        "RP coordinates recovered from the model")
-    p.add_argument("--rule", choices=["vote", "centroid"], default="vote")
+    p.add_argument("--rule", choices=RULES, default=DEFAULT_RULE)
 
 
 def _floorplan_from_model(index, registry: tuple[str, ...]) -> FloorPlan:
@@ -166,10 +167,15 @@ def _floorplan_from_model(index, registry: tuple[str, ...]) -> FloorPlan:
     return FloorPlan(rps=rps, ap_registry=registry)
 
 
-def _dataset_for_model(args, index, extra) -> FingerprintDataset:
+def _model_registry(extra) -> tuple[str, ...]:
     registry = tuple(extra.get("ap_registry", "").split(","))
     if registry == ("",):
         raise DriftlocError("model file lacks the AP registry; cannot align scans")
+    return registry
+
+
+def _dataset_for_model(args, index, extra) -> FingerprintDataset:
+    registry = _model_registry(extra)
     if args.floorplan:
         floorplan = FloorPlan(rps=load_floorplan(args.floorplan), ap_registry=registry)
     else:
@@ -215,6 +221,7 @@ def _cmd_eval(args) -> int:
 
 def _add_sweep(sub):
     p = sub.add_parser("sweep-fpr", help="sensitivity of error to fingerprints per RP")
+    p.set_defaults(run=_cmd_sweep)
     p.add_argument("--floorplan", required=True)
     p.add_argument("--fingerprints", required=True)
     p.add_argument("--fprs", default="1,2,4,6", help="comma-separated FPR values")
@@ -222,7 +229,7 @@ def _add_sweep(sub):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report", required=True)
     p.add_argument("--train-ci", type=int, default=0)
-    p.add_argument("--k", type=int, default=3)
+    p.add_argument("--k", type=int, default=DEFAULT_K)
     _add_train_flags(p)
 
 
@@ -240,6 +247,7 @@ def _cmd_sweep(args) -> int:
 
 def _add_gradcheck(sub):
     p = sub.add_parser("gradcheck", help="verify backprop against finite differences")
+    p.set_defaults(run=_cmd_gradcheck)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--side", type=int, default=4)
     p.add_argument("--embed-dim", type=int, default=3)
@@ -275,55 +283,17 @@ def _cmd_gradcheck(args) -> int:
 
 def _add_predict(sub):
     p = sub.add_parser("predict", help="locate scans with a saved model")
+    p.set_defaults(run=_cmd_predict)
     p.add_argument("--model", required=True)
     p.add_argument("--scan", required=True, help="CSV of scans (ap_<id> columns)")
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--rule", choices=["vote", "centroid"], default="vote")
-
-
-def load_scans(path: str | Path, registry: tuple[str, ...]) -> np.ndarray:
-    """Parse scan rows aligned by AP column name to a training registry,
-    as an (m, len(registry)) dBm array.
-
-    Registry APs absent from the file are filled with -100; columns for
-    unknown APs are ignored (post-deployment networks grow).  Leading
-    rp_id/ci columns are accepted and skipped.  Column names and dBm cells
-    follow the fingerprint CSV's rules, and every row has one cell per
-    column.
-    """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise DatasetFormatError(f"{path}: empty scan file") from None
-        skip = 0
-        while skip < len(header) and not header[skip].startswith("ap_"):
-            if header[skip] not in ("rp_id", "ci"):
-                raise DatasetFormatError(
-                    f"{path}: unexpected column {header[skip]!r}", row=1)
-            skip += 1
-        pos = {ap: i for i, ap in enumerate(registry)}
-        # (registry position, column) of each AP the registry knows
-        known = [(pos[ap], j) for j, ap in enumerate(ap_columns(header[skip:], path), skip)
-                 if ap in pos]
-        scans = []
-        for lineno, cells in csv_rows(reader, len(header)):
-            rssi = np.full(len(registry), RSSI_MISSING)
-            for i, j in known:
-                rssi[i] = parse_rssi_cell(cells[j], lineno, header[j])
-            scans.append(rssi)
-    if not scans:
-        raise DatasetFormatError(f"{path}: no scan rows")
-    return np.stack(scans)
+    p.add_argument("--k", type=int, default=DEFAULT_K)
+    p.add_argument("--rule", choices=RULES, default=DEFAULT_RULE)
 
 
 def _cmd_predict(args) -> int:
     model, index, extra = load_model_full(args.model)
-    registry = tuple(extra.get("ap_registry", "").split(","))
-    if registry == ("",):
-        raise DriftlocError("model file lacks the AP registry; cannot align scans")
-    preds = predict_batch(model, index, load_scans(args.scan, registry), args.k, args.rule)
+    scans = load_scans(args.scan, _model_registry(extra))
+    preds = predict_batch(model, index, scans, args.k, args.rule)
     writer = csv.writer(sys.stdout)
     writer.writerow(["x_m", "y_m", "rp_id"])
     for p in preds:
@@ -348,16 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
-    "simulate": _cmd_simulate,
-    "train": _cmd_train,
-    "eval": _cmd_eval,
-    "sweep-fpr": _cmd_sweep,
-    "gradcheck": _cmd_gradcheck,
-    "predict": _cmd_predict,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.verbose:
@@ -366,7 +326,7 @@ def main(argv: list[str] | None = None) -> int:
             format="%(levelname)s %(name)s: %(message)s",
         )
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (DriftlocError, ValueError, OSError, FloatingPointError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1

@@ -5,22 +5,25 @@ registry) plus one row per RSSI scan, stored as columns.  Rows are dense
 vectors aligned to the registry; an access point that was not observed in
 a scan carries the sentinel value -100 dBm.
 
-Two CSV schemas are used as the on-disk exchange format:
+Three CSV schemas are used as the on-disk exchange format:
 
 * floorplan CSV: header ``rp_id,x_m,y_m``, one row per reference point;
 * fingerprint CSV: header ``rp_id,ci,ap_<id>,ap_<id>,...``, one row per
   scan, with dBm values in [-100, 0].  The order of the ``ap_`` columns
-  defines the canonical registry order for the whole dataset.
+  defines the canonical registry order for the whole dataset;
+* scan CSV (online queries, :func:`load_scans`): ``ap_`` columns of a
+  trained model's registry, in any order.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -195,41 +198,62 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _parse_number(cell: str, row: int, what: str) -> float:
+def _parse(cast, cell: str, row: int, what: str):
+    """``cast(cell)``, int or float; a rejected cell is a DatasetFormatError at ``row``."""
     try:
-        return float(cell)
+        return cast(cell)
     except ValueError:
-        raise DatasetFormatError(f"non-numeric {what}: {cell!r}", row=row) from None
-
-
-def _parse_int(cell: str, row: int, what: str) -> int:
-    try:
-        return int(cell)
-    except ValueError:
-        raise DatasetFormatError(f"non-integer {what}: {cell!r}", row=row) from None
+        kind = "integer" if cast is int else "numeric"
+        raise DatasetFormatError(f"non-{kind} {what}: {cell!r}", row=row) from None
 
 
 def parse_rssi_cell(cell: str, row: int, column: str) -> float:
     """One dBm cell of a CSV row.  A non-numeric cell, or a value outside
     [-100, 0] (NaN included), raises :class:`DatasetFormatError` at ``row``."""
-    v = _parse_number(cell, row, f"rssi cell {column}")
+    v = _parse(float, cell, row, f"rssi cell {column}")
     if not RSSI_MISSING <= v <= RSSI_MAX:
         raise DatasetFormatError(f"rssi {v:g} out of [-100, 0] in column {column}", row=row)
     return v
 
 
-def csv_rows(reader: Iterable[list[str]], n_cells: int) -> Iterator[tuple[int, list[str]]]:
-    """(line number, cells) of each non-empty row after the header.  A row
-    with another cell count raises :class:`DatasetFormatError` at its line."""
-    for lineno, cells in enumerate(reader, start=2):
-        if not cells:
-            continue
-        if len(cells) != n_cells:
-            raise DatasetFormatError(f"expected {n_cells} cells, got {len(cells)}", row=lineno)
-        yield lineno, cells
+def _dbm_row(cells: Sequence[str], columns: Sequence[str], row: int) -> np.ndarray:
+    """One CSV row's dBm cells as float64: one cast (numpy reads a str as
+    ``float`` does) and one range check.  A failing row is walked with
+    :func:`parse_rssi_cell`, which names its first bad cell."""
+    try:
+        values = np.array(cells, dtype=np.float64)
+        if ((values >= RSSI_MISSING) & (values <= RSSI_MAX)).all():  # NaN fails too
+            return values
+    except ValueError:
+        pass
+    return np.array([parse_rssi_cell(cell, row, col) for cell, col in zip(cells, columns)])
 
 
-def ap_columns(header: Sequence[str], path: str | Path) -> list[AccessPointId]:
+@contextmanager
+def _csv_table(path: str | Path, kind: str):
+    """A CSV file's stripped header and an iterator over (line number, cells)
+    of each non-empty row after it.  A missing header, or a row with another
+    cell count than the header, raises :class:`DatasetFormatError`."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise DatasetFormatError(f"{path}: empty {kind} file")
+        header = [h.strip() for h in header]
+
+        def rows() -> Iterator[tuple[int, list[str]]]:
+            for lineno, cells in enumerate(reader, start=2):
+                if not cells:
+                    continue
+                if len(cells) != len(header):
+                    raise DatasetFormatError(
+                        f"expected {len(header)} cells, got {len(cells)}", row=lineno)
+                yield lineno, cells
+
+        yield header, rows()
+
+
+def _ap_columns(header: Sequence[str], path: str | Path) -> list[AccessPointId]:
     """AP ids of ``ap_<id>`` header cells, in column order.  A cell without
     the prefix or an id, or a repeated column, raises
     :class:`DatasetFormatError` at row 1."""
@@ -245,22 +269,15 @@ def ap_columns(header: Sequence[str], path: str | Path) -> list[AccessPointId]:
 
 def load_floorplan(path: str | Path) -> tuple[ReferencePoint, ...]:
     """Reference points of a floorplan CSV (``rp_id,x_m,y_m``), in file order."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetFormatError(f"{path}: empty floorplan file") from None
-        if [h.strip() for h in header] != ["rp_id", "x_m", "y_m"]:
-            raise DatasetFormatError(
-                f"{path}: malformed floorplan header {header!r}, expected rp_id,x_m,y_m",
-                row=1,
-            )
+    with _csv_table(path, "floorplan") as (header, rows):
+        if header != ["rp_id", "x_m", "y_m"]:
+            raise DatasetFormatError(f"{path}: malformed floorplan header {header!r}, "
+                                     "expected rp_id,x_m,y_m", row=1)
         rps = []
-        for lineno, cells in csv_rows(reader, 3):
-            rp_id = _parse_int(cells[0], lineno, "rp_id")
-            x = _parse_number(cells[1], lineno, "x_m")
-            y = _parse_number(cells[2], lineno, "y_m")
+        for lineno, cells in rows:
+            rp_id = _parse(int, cells[0], lineno, "rp_id")
+            x = _parse(float, cells[1], lineno, "x_m")
+            y = _parse(float, cells[2], lineno, "y_m")
             try:
                 rps.append(ReferencePoint(rp_id, x, y))
             except ValueError as exc:
@@ -276,49 +293,67 @@ def load_dataset(floorplan_path: str | Path, fingerprints_path: str | Path) -> F
     malformed header, non-numeric cell, out-of-range RSSI, or fingerprint
     referencing an unknown rp_id.
     """
-    rps = load_floorplan(floorplan_path)
-    return load_fingerprints_csv(fingerprints_path, rps)
+    return load_fingerprints_csv(fingerprints_path, load_floorplan(floorplan_path))
 
 
 def load_fingerprints_csv(fingerprints_path: str | Path,
                           rps: Sequence[ReferencePoint]) -> FingerprintDataset:
     """Parse a fingerprint CSV against already-known reference points."""
     fingerprints_path = Path(fingerprints_path)
-
-    with open(fingerprints_path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise DatasetFormatError(f"{fingerprints_path}: empty fingerprint file") from None
+    with _csv_table(fingerprints_path, "fingerprint") as (header, rows):
         if len(header) < 3 or header[0] != "rp_id" or header[1] != "ci":
-            raise DatasetFormatError(
-                f"{fingerprints_path}: malformed fingerprint header {header!r}, "
-                "expected rp_id,ci,ap_<id>,...",
-                row=1,
-            )
-        registry = ap_columns(header[2:], fingerprints_path)
+            raise DatasetFormatError(f"{fingerprints_path}: malformed fingerprint header "
+                                     f"{header!r}, expected rp_id,ci,ap_<id>,...", row=1)
+        columns = header[2:]
+        registry = _ap_columns(columns, fingerprints_path)
         floorplan = FloorPlan(rps=tuple(rps), ap_registry=tuple(registry))
         known = {rp.rp_id for rp in floorplan.rps}
-        width = len(registry)
 
-        rows, rp_ids, ci_ids = [], [], []
-        for lineno, cells in csv_rows(reader, width + 2):
-            rp_id = _parse_int(cells[0], lineno, "rp_id")
+        scans, rp_ids, ci_ids = [], [], []
+        for lineno, cells in rows:
+            rp_id = _parse(int, cells[0], lineno, "rp_id")
             if rp_id not in known:
                 raise DatasetFormatError(f"unknown rp_id {rp_id}", row=lineno)
-            ci = _parse_int(cells[1], lineno, "ci")
+            ci = _parse(int, cells[1], lineno, "ci")
             if ci < 0:
                 raise DatasetFormatError(f"negative ci {ci}", row=lineno)
             if ci >= 2**63:
                 raise DatasetFormatError(f"ci {ci} does not fit in int64", row=lineno)
-            rows.append(np.array([parse_rssi_cell(cell, lineno, col)
-                                  for cell, col in zip(cells[2:], header[2:])]))
+            scans.append(_dbm_row(cells[2:], columns, lineno))
             rp_ids.append(rp_id)
             ci_ids.append(ci)
 
-    return FingerprintDataset.from_columns(floorplan, np.array(rows).reshape(-1, width),
-                                           rp_ids, ci_ids)
+    return FingerprintDataset.from_columns(
+        floorplan, np.array(scans).reshape(-1, len(columns)), rp_ids, ci_ids)
+
+
+def load_scans(path: str | Path, registry: Sequence[AccessPointId]) -> np.ndarray:
+    """Scan rows aligned by AP column name to a training registry, as an
+    (m, len(registry)) dBm array.  Registry APs absent from the file read
+    -100 and unknown AP columns are ignored (post-deployment networks grow),
+    but one column at least must name a registry AP.  Leading rp_id/ci
+    columns are skipped; names and cells follow the fingerprint CSV's rules.
+    """
+    with _csv_table(path, "scan") as (header, rows):
+        skip = next((j for j, col in enumerate(header) if col.startswith("ap_")), len(header))
+        for col in header[:skip]:
+            if col not in ("rp_id", "ci"):
+                raise DatasetFormatError(f"{path}: unexpected column {col!r}", row=1)
+        pos = {ap: i for i, ap in enumerate(registry)}
+        # the columns of the APs the registry knows, and their registry positions
+        cols = [j for j, ap in enumerate(_ap_columns(header[skip:], path), skip) if ap in pos]
+        if not cols:
+            raise DatasetFormatError(f"{path}: no ap_ column is in the registry", row=1)
+        slots = [pos[header[j][3:]] for j in cols]
+        names = [header[j] for j in cols]
+        scans = []
+        for lineno, cells in rows:
+            rssi = np.full(len(registry), RSSI_MISSING)
+            rssi[slots] = _dbm_row([cells[j] for j in cols], names, lineno)
+            scans.append(rssi)
+    if not scans:
+        raise DatasetFormatError(f"{path}: no scan rows")
+    return np.stack(scans)
 
 
 def _format_value(v: float) -> str:

@@ -134,10 +134,10 @@ def _forward(model: EncoderModel, flats: np.ndarray, train: bool,
     rate = model.config.dropout_rate if train else 0.0
     h1, c_conv1 = nn.conv2d_forward(x, p["conv1_w"], p["conv1_b"])
     a1, c_relu1 = nn.relu_forward(h1)
-    d1, c_drop1 = nn.dropout_forward(a1, rate, rng) if rate > 0 else (a1, None)
+    d1, c_drop1 = nn.dropout_forward(a1, rate, rng)
     h2, c_conv2 = nn.conv2d_forward(d1, p["conv2_w"], p["conv2_b"])
     a2, c_relu2 = nn.relu_forward(h2)
-    d2, c_drop2 = nn.dropout_forward(a2, rate, rng) if rate > 0 else (a2, None)
+    d2, c_drop2 = nn.dropout_forward(a2, rate, rng)
     flat = d2.reshape(d2.shape[0], -1)
     h3, c_fc1 = nn.dense_forward(flat, p["fc1_w"], p["fc1_b"])
     a3, c_relu3 = nn.relu_forward(h3)
@@ -208,8 +208,8 @@ def triplet_loss(ea: np.ndarray, ep: np.ndarray, en: np.ndarray, alpha: float) -
         raise ValueError(f"embedding shapes differ: {ea.shape}, {ep.shape}, {en.shape}")
     if not 0.0 <= alpha < math.inf:
         raise ValueError("alpha must be finite and >= 0")
-    raw = float(((ea - ep) ** 2).sum() - ((ea - en) ** 2).sum() + alpha)
-    return max(0.0, raw)
+    _, loss = _batch_losses(ea[None], ep[None], en[None], alpha)
+    return float(loss[0])
 
 
 def _batch_losses(ea: np.ndarray, ep: np.ndarray, en: np.ndarray, alpha: float):
@@ -217,6 +217,12 @@ def _batch_losses(ea: np.ndarray, ep: np.ndarray, en: np.ndarray, alpha: float):
     dn = ((ea - en) ** 2).sum(axis=1)
     raw = dp - dn + alpha
     return raw, np.maximum(raw, 0.0)
+
+
+def _hinge_grad(ea: np.ndarray, ep: np.ndarray, en: np.ndarray) -> np.ndarray:
+    """Gradient of each raw hinge with respect to its anchor, positive and
+    negative embeddings, stacked in that order as (3b, d)."""
+    return np.concatenate([2.0 * (en - ep), -2.0 * (ea - ep), 2.0 * (ea - en)])
 
 
 def train_step(model: EncoderModel, batch: np.ndarray, n_real: int,
@@ -252,13 +258,7 @@ def train_step(model: EncoderModel, batch: np.ndarray, n_real: int,
     if not active.any():
         return model, opt_state, mean_loss
 
-    scale = active / b
-    ge = np.concatenate([
-        2.0 * (en - ep) * scale,
-        -2.0 * (ea - ep) * scale,
-        2.0 * (ea - en) * scale,
-    ])
-    grads = _backward(caches, ge)
+    grads = _backward(caches, _hinge_grad(ea, ep, en) * np.tile(active / b, (3, 1)))
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise NonFiniteLossError(f"non-finite gradient in {name}")
@@ -298,9 +298,7 @@ def gradient_check(model: EncoderModel, triplet: np.ndarray, alpha: float,
         raise HingeInactiveError(
             f"raw loss {raw:.6g} <= 0: the hinge is inactive and the check is vacuous"
         )
-    ea, ep, en = e[0], e[1], e[2]
-    ge = np.stack([2.0 * (en - ep), -2.0 * (ea - ep), 2.0 * (ea - en)])
-    analytic = _backward(caches, ge)
+    analytic = _backward(caches, _hinge_grad(e[0:1], e[1:2], e[2:3]))
 
     max_rel = 0.0
     for name in PARAM_ORDER:

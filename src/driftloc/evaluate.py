@@ -18,8 +18,8 @@ import numpy as np
 
 from .data import Fingerprint, FingerprintDataset, split_by_ci
 from .encoder import EncoderModel
-from .localizer import (EmbeddingIndex, Prediction, TrainConfig,
-                        baseline_predict_batch, predict_batch, train)
+from .localizer import (DEFAULT_K, DEFAULT_RULE, EmbeddingIndex, Prediction,
+                        TrainConfig, baseline_predict_batch, predict_batch, train)
 # Unused here; perfbench/spans.py traces the per-scan entry point under
 # this module's name.
 from .localizer import predict  # noqa: F401
@@ -80,8 +80,8 @@ def _run_eval(predict_fn: Callable[[Fingerprint], Prediction],
 
 
 def evaluate_over_time(model: EncoderModel, index: EmbeddingIndex,
-                       test: FingerprintDataset, k: int = 3,
-                       rule: str = "vote") -> EvalReport:
+                       test: FingerprintDataset, k: int = DEFAULT_K,
+                       rule: str = DEFAULT_RULE) -> EvalReport:
     """Predict every test fingerprint through the encoder+KNN pipeline in
     one batched call and aggregate errors per CI."""
     preds = predict_batch(model, index, test.rssi, k, rule)
@@ -89,8 +89,8 @@ def evaluate_over_time(model: EncoderModel, index: EmbeddingIndex,
 
 
 def evaluate_baseline_over_time(train_set: FingerprintDataset,
-                                test: FingerprintDataset, k: int = 3,
-                                rule: str = "vote") -> EvalReport:
+                                test: FingerprintDataset, k: int = DEFAULT_K,
+                                rule: str = DEFAULT_RULE) -> EvalReport:
     """Same harness, raw-RSSI KNN instead of the encoder."""
     preds = baseline_predict_batch(train_set, test.rssi, k, rule)
     return _report(preds, test, BASELINE_METHOD)
@@ -109,8 +109,8 @@ class SweepResult:
 
 
 def fpr_sweep(dataset: FingerprintDataset, fprs: Sequence[int], cfg: TrainConfig,
-              repeats: int, seed: int, train_ci: int = 0, k: int = 3,
-              rule: str = "vote") -> SweepResult:
+              repeats: int, seed: int, train_ci: int = 0, k: int = DEFAULT_K,
+              rule: str = DEFAULT_RULE) -> SweepResult:
     """Re-split (fresh seed per repeat), train, and evaluate for every FPR.
 
     Requires every RP to actually have max(fprs) fingerprints at the

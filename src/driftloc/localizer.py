@@ -34,6 +34,10 @@ logger = logging.getLogger(__name__)
 # than training does.
 QUERY_BLOCK = 96
 
+DEFAULT_K = 3  # neighbours per query, for the library and the command-line flags
+RULES = ("vote", "centroid")  # the decision rules _decide implements
+DEFAULT_RULE = RULES[0]
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -156,7 +160,7 @@ def _check_query(n: int, k: int, rule: str) -> None:
         raise ValueError("k must be >= 1")
     if k > n:
         raise ValueError(f"k={k} exceeds index size {n}")
-    if rule not in ("vote", "centroid"):
+    if rule not in RULES:
         raise ValueError(f"unknown decision rule {rule!r}")
 
 
@@ -230,7 +234,7 @@ def _knn_blocks(rows: np.ndarray, to_query: Callable[[np.ndarray], np.ndarray],
 
 
 def predict_batch(model: EncoderModel, index: EmbeddingIndex, rssi_rows: np.ndarray,
-                  k: int = 3, rule: str = "vote") -> list[Prediction]:
+                  k: int = DEFAULT_K, rule: str = DEFAULT_RULE) -> list[Prediction]:
     """Locate every row of an (m, n_aps) dBm array: embed the scans (no
     noise, no dropout) and run exact KNN over the index."""
     if model.config.embed_dim != index.embed_dim:
@@ -242,13 +246,13 @@ def predict_batch(model: EncoderModel, index: EmbeddingIndex, rssi_rows: np.ndar
 
 
 def predict(model: EncoderModel, index: EmbeddingIndex, scan: Fingerprint,
-            k: int = 3, rule: str = "vote") -> Prediction:
+            k: int = DEFAULT_K, rule: str = DEFAULT_RULE) -> Prediction:
     """Locate one scan: a one-row :func:`predict_batch`."""
     return predict_batch(model, index, scan.rssi[None, :], k, rule)[0]
 
 
 def baseline_predict_batch(train_set: FingerprintDataset, rssi_rows: np.ndarray,
-                           k: int = 3, rule: str = "vote") -> list[Prediction]:
+                           k: int = DEFAULT_K, rule: str = DEFAULT_RULE) -> list[Prediction]:
     """Encoder-free KNN of every row of an (m, n_aps) dBm array against the
     training set's normalized RSSI rows, same decision rule as
     :func:`predict_batch`."""

@@ -223,6 +223,17 @@ def test_scan_non_finite_cell_reports_row(tmp_path):
         load_scans(scan, ("a", "b"))
 
 
+@pytest.mark.parametrize("header, row", [("rp_id,ci", "0,0"), ("ap_zzz", "-50")])
+def test_predict_scan_without_registry_ap_fails(model_path, tmp_path, capsys, header, row):
+    # no column the model knows: there is nothing to locate from
+    scan = tmp_path / "scan.csv"
+    scan.write_text(f"{header}\n{row}\n")
+    code, out, err = run(["predict", "--model", str(model_path), "--scan", str(scan)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: row 1: {scan}: no ap_ column is in the registry\n"
+
+
 def test_scan_short_row_reports_row(tmp_path):
     scan = tmp_path / "scan.csv"
     scan.write_text("ap_a,ap_b\n-40,-50\n-40\n")

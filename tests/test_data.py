@@ -3,14 +3,15 @@ import csv
 import numpy as np
 import pytest
 
+from driftloc import data
 from driftloc.data import (Fingerprint, FingerprintDataset, FloorPlan,
-                           ReferencePoint, load_dataset, save_dataset,
-                           split_by_ci)
+                           ReferencePoint, load_dataset, load_scans,
+                           parse_rssi_cell, save_dataset, split_by_ci)
 from driftloc.encoder import EncoderConfig
 from driftloc.errors import DatasetFormatError
 from driftloc.evaluate import evaluate_over_time
 from driftloc.localizer import TrainConfig, train
-from driftloc.simulate import SimConfig, generate, write_scenario
+from driftloc.simulate import SimConfig, generate, preset, write_scenario
 
 
 def write(path, text):
@@ -357,3 +358,111 @@ def test_rssi_is_immutable():
     f = Fingerprint(0, 0, np.array([-50.0, -60.0]))
     with pytest.raises(ValueError):
         f.rssi[0] = -10.0
+
+
+def per_cell_rows(path, registry=None):
+    """(rp_id, ci, dBm row) of each row of a CSV, every dBm cell read
+    by its own parse_rssi_cell call.  With ``registry``, the row holds that
+    registry's APs as a scan file aligns them; absent ones read -100."""
+    header, *rows = csv.reader(path.read_text().splitlines())
+    header = [h.strip() for h in header]
+    aps = [j for j, col in enumerate(header) if col.startswith("ap_")]
+    out = []
+    for lineno, cells in enumerate(rows, start=2):
+        if not cells:
+            continue
+        if len(cells) != len(header):
+            raise DatasetFormatError(f"expected {len(header)} cells, got {len(cells)}",
+                                     row=lineno)
+        values = {header[j][3:]: parse_rssi_cell(cells[j], lineno, header[j]) for j in aps}
+        row = [values[ap] for ap in values] if registry is None else \
+            [values.get(ap, -100.0) for ap in registry]
+        out.append((int(cells[0]), int(cells[1]), np.array(row, dtype=np.float64)))
+    return out
+
+
+def outcome(fn, *args):
+    """The bytes, dtypes and shapes of ``fn``'s arrays, or its exception."""
+    try:
+        arrays = fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+def dataset_columns(floorplan, fingerprints):
+    ds = load_dataset(floorplan, fingerprints)
+    return ds.rssi, ds.rp_ids, ds.ci_ids
+
+
+def per_cell_columns(floorplan, fingerprints):
+    rows = per_cell_rows(fingerprints)
+    return (np.array([r for _, _, r in rows]), np.array([rp for rp, _, _ in rows]),
+            np.array([ci for _, ci, _ in rows]))
+
+
+SCAN_REGISTRY = ("c", "zz", "a")  # out of column order, one AP the files lack
+
+
+def scan_rows(path, registry):
+    return [load_scans(path, registry)]
+
+
+def per_cell_scans(path, registry):
+    return [np.stack([r for _, _, r in per_cell_rows(path, registry)])]
+
+
+@pytest.mark.parametrize("name", ["office-like", "uji-like"])
+def test_readers_match_per_cell_parse_on_presets(tmp_path, name):
+    ds, truth = generate(preset(name, seed=0))
+    paths = write_scenario(ds, truth, tmp_path)
+    fp, fps = paths["floorplan"], paths["fingerprints"]
+    want = outcome(per_cell_columns, fp, fps)
+    assert outcome(dataset_columns, fp, fps) == want
+    assert want[0][2] == ds.rssi.tobytes()
+    registry = ds.floorplan.ap_registry[::-1] + ("zz",)
+    assert outcome(scan_rows, fps, registry) == outcome(per_cell_scans, fps, registry)
+
+
+HOSTILE_CELLS = [" -50 ", "1_0", "-1_0", "nan", "inf", "-inf", "-0", "0x10", "1e400",
+                 "", "\uff11", "strong", "5"]
+
+
+@pytest.mark.parametrize("column", [0, 2])
+@pytest.mark.parametrize("cell", HOSTILE_CELLS)
+def test_readers_match_per_cell_parse_on_hostile_cells(tmp_path, tiny_files, cell, column):
+    fp, _ = tiny_files
+    row = ["-40", "-50", "-60"]
+    row[column] = cell
+    fps = write(tmp_path / "fps.csv",
+                "rp_id,ci,ap_a,ap_b,ap_c\n0,0,-41,-51,-61\n1,2," + ",".join(row) + "\n")
+    want = outcome(per_cell_columns, fp, fps)
+    assert outcome(dataset_columns, fp, fps) == want
+    assert outcome(scan_rows, fps, SCAN_REGISTRY) == outcome(per_cell_scans, fps, SCAN_REGISTRY)
+    if cell in ("strong", "5"):
+        assert want[0] is DatasetFormatError
+
+
+@pytest.mark.parametrize("rows", [["0,0,-40,-50,-60", "1,0,-40,-50"],
+                                  ["0,0,-40,-50,-60", "", "1,3,-70,-100,0", ""]])
+def test_readers_match_per_cell_parse_on_short_row_and_blank_line(tmp_path, tiny_files, rows):
+    fp, _ = tiny_files
+    fps = write(tmp_path / "fps.csv", "\n".join(["rp_id,ci,ap_a,ap_b,ap_c"] + rows) + "\n")
+    want = outcome(per_cell_columns, fp, fps)
+    assert outcome(dataset_columns, fp, fps) == want
+    assert outcome(scan_rows, fps, SCAN_REGISTRY) == outcome(per_cell_scans, fps, SCAN_REGISTRY)
+
+
+def test_valid_rows_take_no_per_cell_parse(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(data, "parse_rssi_cell",
+                        lambda *args: calls.append(args) or parse_rssi_cell(*args))
+    ds, truth = generate(preset("office-like", seed=0))
+    paths = write_scenario(ds, truth, tmp_path)
+    loaded = load_dataset(paths["floorplan"], paths["fingerprints"])
+    assert loaded.rssi.tobytes() == ds.rssi.tobytes()
+    assert calls == []
+    bad = write(tmp_path / "bad.csv", "rp_id,ci,ap_a,ap_b\n0,0,-40,-50\n0,0,-40,strong\n")
+    with pytest.raises(DatasetFormatError, match="row 3: non-numeric rssi cell ap_b"):
+        load_dataset(paths["floorplan"], bad)
+    assert calls == [("-40", 3, "ap_a"), ("strong", 3, "ap_b")]  # the failing row only
