@@ -1,13 +1,13 @@
 """Convolutional Siamese encoder with triplet loss.
 
-A single parameter set embeds pixel rows onto the d-dimensional unit
-sphere: noise (train only) -> conv 2x2 -> ReLU -> dropout -> conv 2x2 ->
-ReLU -> dropout -> flatten -> FC -> ReLU -> FC(d) -> L2 normalization.
-Inputs are (m, s*s) arrays of row-major pixels in [0, 1], as
-:func:`~driftloc.preprocess.pixel_rows` returns; a triplet is a (3, s*s)
-array and a training batch a (3, b, s*s) array of anchor, positive and
-negative rows.  The three triplet branches are forwards through the same
-weights, so weight sharing holds by construction.
+A single parameter set embeds rows onto the d-dimensional unit sphere:
+noise (train only) -> zero-padding to s*s -> conv 2x2 -> ReLU -> dropout
+-> conv 2x2 -> ReLU -> dropout -> flatten -> FC -> ReLU -> FC(d) -> L2
+normalization.  Inputs are (m, w) arrays of values in [0, 1] whose width
+pads to the model's s x s image (see :func:`_input`); a triplet is a
+(3, w) array and a training batch a (3, b, w) array of anchor, positive
+and negative rows.  The three triplet branches are forwards through the
+same weights, so weight sharing holds by construction.
 
 Training math is float64; gradients are verifiable against central
 finite differences via :func:`gradient_check`.
@@ -23,6 +23,7 @@ import numpy as np
 from . import nn
 from .augment import noise_flat
 from .errors import HingeInactiveError, NonFiniteLossError, StochasticModelError
+from .preprocess import image_side, pad_square
 
 PARAM_ORDER = ("conv1_w", "conv1_b", "conv2_w", "conv2_b",
                "fc1_w", "fc1_b", "fc2_w", "fc2_b")
@@ -63,6 +64,11 @@ def min_input_side(cfg: EncoderConfig) -> int:
 
 
 def _param_shapes(cfg: EncoderConfig, input_side: int) -> dict[str, tuple[int, ...]]:
+    if input_side < min_input_side(cfg):
+        raise ValueError(
+            f"input side {input_side} too small: two {cfg.filter_size}x{cfg.filter_size} "
+            f"valid convolutions need side >= {min_input_side(cfg)}"
+        )
     k = cfg.filter_size
     side2 = input_side - 2 * (k - 1)
     flat = cfg.conv2_filters * side2 * side2
@@ -89,9 +95,11 @@ class EncoderModel:
 
     def __post_init__(self):
         shapes = _param_shapes(self.config, self.input_side)
+        names, want = set(self.params), set(PARAM_ORDER)
+        if names != want:
+            raise ValueError(f"missing parameters {sorted(want - names)}, "
+                             f"unknown parameters {sorted(names - want)}")
         for name in PARAM_ORDER:
-            if name not in self.params:
-                raise ValueError(f"missing parameter {name}")
             got = self.params[name].shape
             if got != shapes[name]:
                 raise ValueError(f"parameter {name}: shape {got} != expected {shapes[name]}")
@@ -102,11 +110,6 @@ class EncoderModel:
 def init_model(cfg: EncoderConfig, input_side: int, seed: int) -> EncoderModel:
     """Fresh parameters: He-style fan-in-scaled uniform weights, zero
     biases; deterministic per seed."""
-    if input_side < min_input_side(cfg):
-        raise ValueError(
-            f"input side {input_side} too small: two {cfg.filter_size}x{cfg.filter_size} "
-            f"valid convolutions need side >= {min_input_side(cfg)}"
-        )
     rng = np.random.default_rng(seed)
     shapes = _param_shapes(cfg, input_side)
     fan_in = {
@@ -125,11 +128,11 @@ def init_model(cfg: EncoderConfig, input_side: int, seed: int) -> EncoderModel:
     return EncoderModel(config=cfg, input_side=input_side, params=params)
 
 
-def _forward(model: EncoderModel, flats: np.ndarray, train: bool,
+def _forward(model: EncoderModel, rows: np.ndarray, train: bool,
              rng: np.random.Generator | None):
-    """(N, s*s) pixel rows -> unit embeddings (N, d) plus backward caches."""
+    """(N, w) rows -> unit embeddings (N, d) plus backward caches."""
     s = model.input_side
-    x = flats.reshape(len(flats), 1, s, s)
+    x = pad_square(rows).reshape(len(rows), 1, s, s)
     p = model.params
     rate = model.config.dropout_rate if train else 0.0
     h1, c_conv1 = nn.conv2d_forward(x, p["conv1_w"], p["conv1_b"])
@@ -171,30 +174,30 @@ def _backward(caches, ge: np.ndarray) -> dict[str, np.ndarray]:
 
 
 def _input(model: EncoderModel, rows) -> np.ndarray:
-    """Pixel rows as an (m, s*s) float64 array, validated against the model."""
+    """Rows as an (m, w) float64 array in [0, 1] whose image has the
+    model's side s: (s-1)**2 < w <= s*s."""
     s = model.input_side
-    flats = np.asarray(rows, dtype=np.float64)
-    if flats.ndim != 2 or flats.shape[1] != s * s:
-        raise ValueError(f"pixel rows of shape {flats.shape} do not fit model input side {s}")
-    if not np.all((flats >= 0.0) & (flats <= 1.0)):
-        raise ValueError("pixel values must lie in [0, 1]")
-    return flats
+    x = np.asarray(rows, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] == 0 or image_side(x.shape[1]) != s:
+        raise ValueError(f"rows of shape {x.shape} do not fit model input side {s}")
+    if not np.all((x >= 0.0) & (x <= 1.0)):
+        raise ValueError("input values must lie in [0, 1]")
+    return x
 
 
-def _train_forward(model: EncoderModel, flats: np.ndarray, n_real: int,
-                   rng: np.random.Generator):
-    """The stochastic forward of training: Gaussian input noise on the
-    first n_real pixels of each row, then the forward with dropout, both
-    drawn from ``rng`` in that order."""
+def _train_forward(model: EncoderModel, rows: np.ndarray, rng: np.random.Generator):
+    """The stochastic forward of training: Gaussian input noise on every
+    entry of each row, then the forward with dropout, both drawn from
+    ``rng`` in that order."""
     sigma = model.config.noise_sigma
     if sigma > 0.0:
-        flats = noise_flat(flats, n_real, sigma, rng)
-    return _forward(model, flats, train=True, rng=rng)
+        rows = noise_flat(rows, sigma, rng)
+    return _forward(model, rows, train=True, rng=rng)
 
 
 def encode_batch(model: EncoderModel, images) -> np.ndarray:
-    """Embed an (m, side*side) array of pixel rows, or a list of rows, at
-    inference (no noise, no dropout); output rows have unit Euclidean norm."""
+    """Embed an (m, w) array of rows, or a list of rows, at inference (no
+    noise, no dropout); output rows have unit Euclidean norm."""
     if len(images) == 0:
         raise ValueError("empty image batch")
     e, _ = _forward(model, _input(model, images), train=False, rng=None)
@@ -225,11 +228,10 @@ def _hinge_grad(ea: np.ndarray, ep: np.ndarray, en: np.ndarray) -> np.ndarray:
     return np.concatenate([2.0 * (en - ep), -2.0 * (ea - ep), 2.0 * (ea - en)])
 
 
-def train_step(model: EncoderModel, batch: np.ndarray, n_real: int,
-               opt_state: nn.AdamState,
+def train_step(model: EncoderModel, batch: np.ndarray, opt_state: nn.AdamState,
                rng: np.random.Generator) -> tuple[EncoderModel, nn.AdamState, float]:
-    """One optimization step over a (3, b, s*s) batch of anchor, positive
-    and negative rows whose first ``n_real`` pixels are real APs.
+    """One optimization step over a (3, b, w) batch of anchor, positive
+    and negative rows.
 
     All three branches run through the shared parameters in a single
     stacked forward pass.  Gradient flows only through triplets whose
@@ -238,13 +240,13 @@ def train_step(model: EncoderModel, batch: np.ndarray, n_real: int,
     """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 3 or batch.shape[0] != 3:
-        raise ValueError(f"batch of shape {batch.shape} is not (3, b, pixels)")
+        raise ValueError(f"batch of shape {batch.shape} is not (3, b, width)")
     b = batch.shape[1]
     if b == 0:
         raise ValueError("empty batch")
     cfg = model.config
 
-    e, caches = _train_forward(model, _input(model, batch.reshape(3 * b, -1)), n_real, rng)
+    e, caches = _train_forward(model, _input(model, batch.reshape(3 * b, -1)), rng)
     ea, ep, en = e[:b], e[b:2 * b], e[2 * b:]
 
     raw, losses = _batch_losses(ea, ep, en, cfg.margin_alpha)
@@ -268,7 +270,7 @@ def train_step(model: EncoderModel, batch: np.ndarray, n_real: int,
 
 def _triplet_loss_forward(model: EncoderModel, x: np.ndarray, alpha: float):
     """Deterministic single-triplet loss used by the gradient check.
-    x is the (3, s*s) anchor, positive and negative rows."""
+    x is the (3, w) anchor, positive and negative rows."""
     e, caches = _forward(model, x, train=False, rng=None)
     raw, _ = _batch_losses(e[0:1], e[1:2], e[2:3], alpha)
     return float(raw[0]), e, caches
@@ -277,7 +279,7 @@ def _triplet_loss_forward(model: EncoderModel, x: np.ndarray, alpha: float):
 def gradient_check(model: EncoderModel, triplet: np.ndarray, alpha: float,
                    step: float = 1e-5) -> float:
     """Max relative error between backprop and central finite differences
-    over every parameter entry of the full triplet loss of a (3, s*s)
+    over every parameter entry of the full triplet loss of a (3, w)
     array of anchor, positive and negative rows.
 
     Requires a deterministic model (dropout and input noise disabled) and

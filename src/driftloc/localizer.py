@@ -24,7 +24,7 @@ import numpy as np
 from .data import Fingerprint, FingerprintDataset
 from .encoder import EncoderConfig, EncoderModel, encode_batch, init_model, train_step
 from .nn import AdamState
-from .preprocess import image_side, normalize_rows, pixel_rows
+from .preprocess import image_side, normalize_rows
 from .sampler import build_pmf_table, make_batch, rp_members
 
 logger = logging.getLogger(__name__)
@@ -118,27 +118,25 @@ def train(train_set: FingerprintDataset, cfg: TrainConfig, seed: int,
     into the index.  Deterministic per seed."""
     if len(train_set) == 0:
         raise ValueError("empty training set")
-    fp = train_set.floorplan
-    n_real = fp.n_aps
+    rows = normalize_rows(train_set.rssi)
 
     ss = np.random.SeedSequence(seed)
     init_seed, sampler_seed, step_seed = (int(s) for s in ss.generate_state(3))
-    model = init_model(cfg.encoder, image_side(n_real), init_seed)
+    model = init_model(cfg.encoder, image_side(rows.shape[1]), init_seed)
     sampler_rng = np.random.default_rng(sampler_seed)
     step_rng = np.random.default_rng(step_seed)
 
-    pixels = pixel_rows(train_set.rssi)
     members = rp_members(train_set)
-    pmf = build_pmf_table(fp, cfg.sigma_sel)
+    pmf = build_pmf_table(train_set.floorplan, cfg.sigma_sel)
     opt = AdamState(lr=cfg.learning_rate)
 
     batches_per_epoch = max(1, math.ceil(len(train_set) / cfg.batch_size))
     for epoch in range(cfg.epochs):
         total = 0.0
         for _ in range(batches_per_epoch):
-            _, batch = make_batch(pixels, members, pmf, n_real, cfg.batch_size,
-                                  cfg.p_upper, sampler_rng)
-            model, opt, loss = train_step(model, batch, n_real, opt, step_rng)
+            _, batch = make_batch(rows, members, pmf, cfg.batch_size, cfg.p_upper,
+                                  sampler_rng)
+            model, opt, loss = train_step(model, batch, opt, step_rng)
             total += loss
         mean = total / batches_per_epoch
         logger.debug("epoch %d/%d mean triplet loss %.5f", epoch + 1, cfg.epochs, mean)
@@ -149,7 +147,7 @@ def train(train_set: FingerprintDataset, cfg: TrainConfig, seed: int,
     for name in model.params:
         model.params[name] = model.params[name].astype(np.float32).astype(np.float64)
 
-    emb = encode_batch(model, pixels).astype(np.float32)
+    emb = encode_batch(model, rows).astype(np.float32)
     index = EmbeddingIndex(embeddings=emb, rp_ids=train_set.rp_ids,
                            xs=train_set.xy[:, 0], ys=train_set.xy[:, 1])
     return model, index
@@ -239,8 +237,7 @@ def predict_batch(model: EncoderModel, index: EmbeddingIndex, rssi_rows: np.ndar
     noise, no dropout) and run exact KNN over the index."""
     if model.config.embed_dim != index.embed_dim:
         raise ValueError("model and index disagree on embedding length")
-    pixels = pixel_rows(rssi_rows)
-    return _knn_blocks(pixels, lambda b: encode_batch(model, b),
+    return _knn_blocks(normalize_rows(rssi_rows), lambda b: encode_batch(model, b),
                        index.embeddings.astype(np.float64), index.rp_ids,
                        index.xs, index.ys, k, rule)
 

@@ -168,6 +168,8 @@ def load_model_full(path: str | Path) -> tuple[EncoderModel, EmbeddingIndex, dic
             name = r.take(r.u32()).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ModelFormatError(f"parameter name is not UTF-8: {exc}") from None
+        if name in params:
+            raise ModelFormatError(f"parameter {name!r} appears twice")
         rank = r.u32()
         if rank > 8:
             raise ModelFormatError(f"parameter {name!r}: implausible rank {rank}")

@@ -1,4 +1,4 @@
-"""Floorplan-aware triplet selection on pixel-row arrays.
+"""Floorplan-aware triplet selection on arrays of normalized rows.
 
 Hard negatives come from reference points that are physically close to the
 anchor: the probability of picking RP_i as the negative for anchor RP_a is
@@ -8,10 +8,10 @@ rest renormalized.  Positives are drawn uniformly from the anchor's RP;
 with a single fingerprint at that RP the anchor is reused (augmentation
 still differentiates the pair).
 
-The training set enters as three arrays built once: the (n, s*s) pixel
-rows, one index array of rows per RP, and the (n_rp, n_rp) pmf matrix,
-all in floorplan RP order.  A triplet is three row indices; a batch is a
-(3, b, s*s) array of anchor, positive and negative rows.
+The training set enters as three arrays built once: the (n, n_aps)
+normalized rows, one index array of rows per RP, and the (n_rp, n_rp)
+pmf matrix, all in floorplan RP order.  A triplet is three row indices;
+a batch is a (3, b, n_aps) array of anchor, positive and negative rows.
 """
 
 from __future__ import annotations
@@ -85,12 +85,12 @@ def sample_triplet(members: list[np.ndarray], pmf: np.ndarray,
     return int(own[a]), int(own[p]), int(neg[rng.integers(len(neg))])
 
 
-def make_batch(pixels: np.ndarray, members: list[np.ndarray], pmf: np.ndarray,
-               n_real: int, batch_size: int, p_upper: float,
+def make_batch(rows: np.ndarray, members: list[np.ndarray], pmf: np.ndarray,
+               batch_size: int, p_upper: float,
                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Sample a batch of triplets and apply AP dropout to each row.
 
-    Returns the (batch_size, 3) row indices and the (3, batch_size, s*s)
+    Returns the (batch_size, 3) row indices and the (3, batch_size, n_aps)
     anchor, positive and negative rows.  Each of a triplet's three rows
     draws its own turn-off fraction from [0, p_upper] right after the
     triplet is drawn; p_upper 0 draws none.  Gaussian input noise is not
@@ -99,12 +99,12 @@ def make_batch(pixels: np.ndarray, members: list[np.ndarray], pmf: np.ndarray,
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     idx = np.empty((batch_size, 3), dtype=np.intp)
-    rows = np.empty((3, batch_size, pixels.shape[1]))
+    batch = np.empty((3, batch_size, rows.shape[1]))
     for i in range(batch_size):
         idx[i] = sample_triplet(members, pmf, rng)
         for j, r in enumerate(idx[i]):
-            row = pixels[r]
+            row = rows[r]
             if p_upper > 0.0:
-                row = apply_ap_dropout(row, n_real, draw_turnoff_fraction(p_upper, rng), rng)
-            rows[j, i] = row
-    return idx, rows
+                row = apply_ap_dropout(row, draw_turnoff_fraction(p_upper, rng), rng)
+            batch[j, i] = row
+    return idx, batch

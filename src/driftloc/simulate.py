@@ -127,9 +127,11 @@ def generate(cfg: SimConfig) -> tuple[FingerprintDataset, GroundTruth]:
 
     scans = np.repeat((base + biases[:, None, :])[:, :, None, :], cfg.fpr, axis=2)
     if cfg.shadow_sigma_db > 0:
-        # drawn in (CI, scan, RP, AP) order, which fixes each cell's draw per seed
-        scans += rng.normal(0.0, cfg.shadow_sigma_db,
-                            size=(cfg.n_cis, cfg.fpr, n_rps, cfg.n_aps)).transpose(0, 2, 1, 3)
+        # drawn in (CI, scan, RP, AP) order, which fixes each cell's draw per
+        # seed; one CI at a time, so only one CI's draws are held at once
+        for ci_scans in scans:
+            ci_scans += rng.normal(0.0, cfg.shadow_sigma_db,
+                                   size=(cfg.fpr, n_rps, cfg.n_aps)).transpose(1, 0, 2)
     np.rint(np.clip(scans, RSSI_MISSING, RSSI_MAX, out=scans), out=scans)
     dead = (removed_at_ci >= 0) & (removed_at_ci <= np.arange(cfg.n_cis)[:, None])
     np.copyto(scans, RSSI_MISSING, where=dead[:, None, None, :])

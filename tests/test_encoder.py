@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from driftloc import nn
 from driftloc.cli import random_check_triplet, run_gradcheck
 from driftloc.encoder import (EncoderConfig, _train_forward, encode_batch,
                               gradient_check, init_model, small_check_config,
                               train_step, triplet_loss)
 from driftloc.errors import HingeInactiveError, StochasticModelError
 from driftloc.nn import AdamState
+from driftloc.preprocess import image_side, normalize_rows, pixel_rows
 
 
 def rand_image(side, rng):
@@ -62,7 +64,7 @@ def test_train_mode_unit_norm():
     rng = np.random.default_rng(2)
     model = small_model(dropout_rate=0.25, noise_sigma=0.1)
     for _ in range(20):
-        e = _train_forward(model, rand_image(4, rng)[None], 16, rng)[0][0]
+        e = _train_forward(model, rand_image(4, rng)[None], rng)[0][0]
         assert abs(np.linalg.norm(e) - 1.0) <= 1e-9
 
 
@@ -165,7 +167,7 @@ def test_train_step_inactive_hinge_leaves_params():
     other = rand_image(4, rng)
     batch = np.stack([img, img, other])[:, None, :]
     before = {k: v.copy() for k, v in model.params.items()}
-    _, _, loss = train_step(model, batch, 16, AdamState(), np.random.default_rng(8))
+    _, _, loss = train_step(model, batch, AdamState(), np.random.default_rng(8))
     assert loss == 0.0
     for name in before:
         np.testing.assert_array_equal(model.params[name], before[name])
@@ -180,7 +182,7 @@ def test_train_step_deterministic():
         step_rng = np.random.default_rng(10)
         for _ in range(5):
             batch = fixed_batch(4, rng)
-            model, opt, _ = train_step(model, batch, 16, opt, step_rng)
+            model, opt, _ = train_step(model, batch, opt, step_rng)
         results.append(model)
     for name in results[0].params:
         np.testing.assert_array_equal(results[0].params[name],
@@ -195,7 +197,7 @@ def test_train_step_reduces_loss_on_repeated_batch():
     step_rng = np.random.default_rng(12)
     first = None
     for _ in range(60):
-        model, opt, loss = train_step(model, batch, 16, opt, step_rng)
+        model, opt, loss = train_step(model, batch, opt, step_rng)
         if first is None:
             first = loss
     assert loss < first
@@ -204,7 +206,49 @@ def test_train_step_reduces_loss_on_repeated_batch():
 def test_train_step_rejects_empty_batch():
     model = small_model()
     with pytest.raises(ValueError, match="empty"):
-        train_step(model, np.empty((3, 0, 16)), 16, AdamState(), np.random.default_rng(0))
+        train_step(model, np.empty((3, 0, 16)), AdamState(), np.random.default_rng(0))
+
+
+# --- input width and padding ------------------------------------------------
+
+def test_noise_never_reaches_padding(monkeypatch):
+    # 10 APs in a side-4 model: conv1 sees the noisy rows, zero-padded to 16
+    seen = []
+    conv = nn.conv2d_forward
+
+    def recording_conv(x, w, b):
+        seen.append(x.copy())
+        return conv(x, w, b)
+
+    monkeypatch.setattr(nn, "conv2d_forward", recording_conv)
+    rng = np.random.default_rng(15)
+    model = small_model(noise_sigma=0.3)
+    batch = rng.uniform(0.2, 0.8, size=(3, 4, 10))
+    train_step(model, batch, AdamState(), np.random.default_rng(16))
+    x = seen[0].reshape(12, 16)  # conv1 input: 3 x 4 rows, 1 channel, 4 x 4
+    assert np.all(x[:, 10:] == 0.0)
+    assert np.all(x[:, :10] != batch.reshape(12, 10))  # noise on every AP
+
+
+@pytest.mark.parametrize("n", [5, 9, 10, 50])
+def test_unpadded_rows_embed_like_pixel_rows(n):
+    r = np.random.default_rng(n).uniform(-100.0, 0.0, size=(7, n))
+    model = small_model(side=image_side(n))
+    np.testing.assert_array_equal(encode_batch(model, normalize_rows(r)),
+                                  encode_batch(model, pixel_rows(r)))
+
+
+def test_width_must_fit_model_side():
+    model = small_model(side=4)  # widths 10..16 make a 4 x 4 image
+    rng = np.random.default_rng(17)
+    for w in (10, 16):
+        assert encode_batch(model, rng.random((2, w))).shape == (2, 3)
+        train_step(model, rng.random((3, 2, w)), AdamState(), rng)
+    for w in (9, 17):
+        with pytest.raises(ValueError, match="side"):
+            encode_batch(model, rng.random((2, w)))
+        with pytest.raises(ValueError, match="side"):
+            train_step(model, rng.random((3, 2, w)), AdamState(), rng)
 
 
 # --- gradient check ---------------------------------------------------------

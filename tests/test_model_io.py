@@ -142,3 +142,32 @@ def test_non_finite_config_value_rejected(tiny, field, value):
     path.write_bytes(_with_crc(raw[:8] + struct.pack("<I", len(block)) + block + raw[12 + n:-4]))
     with pytest.raises(ModelFormatError, match=f"config block invalid: {field}"):
         load_model_full(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    ("input side below the convolutions' minimum", "too small"),
+    ("parameter outside the encoder's set", "unknown parameters"),
+    ("parameter given twice", "appears twice"),
+])
+def test_hostile_geometry_and_parameter_set(tiny, edit, message):
+    # CRC-valid files whose structure parses; only the model's geometry and
+    # parameter-set checks can refuse them
+    raw, path = tiny
+    body = raw[:-4]
+    fields, names = _layout(raw)
+    count_at, blocks_end = fields[3], fields[-1]
+    if edit.startswith("input side"):
+        # side 1 gives the same fc1 shape as side 3: (1 - 2)**2 == (3 - 2)**2
+        assert body.count(b"\ninput_side=3\n") == 1
+        body = body.replace(b"\ninput_side=3\n", b"\ninput_side=1\n")
+    else:
+        if edit.startswith("parameter outside"):
+            block = (struct.pack("<I", 3) + b"zzz" + struct.pack("<II", 1, 1)
+                     + np.float32(0.5).tobytes())
+        else:
+            block = body[names[-1][0] - 4:blocks_end]  # fc2_b once more
+        body = (body[:count_at] + struct.pack("<I", 9) + body[count_at + 4:blocks_end]
+                + block + body[blocks_end:])
+    path.write_bytes(_with_crc(body))
+    with pytest.raises(ModelFormatError, match=message):
+        load_model_full(path)

@@ -6,7 +6,7 @@ from scipy import stats
 
 from driftloc.data import (Fingerprint, FingerprintDataset, FloorPlan,
                            ReferencePoint)
-from driftloc.preprocess import pixel_rows
+from driftloc.preprocess import normalize_rows
 from driftloc.sampler import (build_pmf_table, default_sigma_sel, make_batch,
                               rp_members, sample_triplet)
 
@@ -33,9 +33,8 @@ def dataset_on(fp, fpr=2, seed=0):
 
 
 def arrays_of(ds, sigma_sel):
-    """The training arrays train() builds: pixel rows, members, pmf."""
-    pixels = pixel_rows(ds.rssi)
-    return pixels, rp_members(ds), build_pmf_table(ds.floorplan, sigma_sel)
+    """The training arrays train() builds: normalized rows, members, pmf."""
+    return normalize_rows(ds.rssi), rp_members(ds), build_pmf_table(ds.floorplan, sigma_sel)
 
 
 def rp_of(ds):
@@ -209,8 +208,8 @@ def test_make_batch_count_and_determinism():
     fp = grid_floorplan()
     ds = dataset_on(fp, fpr=2)
     arrays = arrays_of(ds, None)
-    i1, b1 = make_batch(*arrays, 4, 32, 0.9, np.random.default_rng(4))
-    i2, b2 = make_batch(*arrays, 4, 32, 0.9, np.random.default_rng(4))
+    i1, b1 = make_batch(*arrays, 32, 0.9, np.random.default_rng(4))
+    i2, b2 = make_batch(*arrays, 32, 0.9, np.random.default_rng(4))
     assert i1.shape == (32, 3) and b1.shape == (3, 32, 4)
     np.testing.assert_array_equal(i1, i2)
     np.testing.assert_array_equal(b1, b2)
@@ -220,7 +219,7 @@ def test_make_batch_no_augmentation_is_clean():
     fp = grid_floorplan()
     ds = dataset_on(fp, fpr=2)
     pixels, members, pmf = arrays_of(ds, None)
-    idx, rows = make_batch(pixels, members, pmf, 4, 16, 0.0, np.random.default_rng(5))
+    idx, rows = make_batch(pixels, members, pmf, 16, 0.0, np.random.default_rng(5))
     np.testing.assert_array_equal(rows, pixels[idx.T])
 
 
@@ -251,7 +250,7 @@ def test_first_batch_draws_are_pinned():
             fps.append(Fingerprint(rp.rp_id, 0, rssi))
     pixels, members, pmf = arrays_of(FingerprintDataset(fp, tuple(fps)), 1.5)
     rng = np.random.default_rng(20)
-    idx, rows = make_batch(pixels, members, pmf, 7, 8, 0.9, rng)
+    idx, rows = make_batch(pixels, members, pmf, 8, 0.9, rng)
     assert idx.tolist() == [[6, 7, 3], [1, 2, 5], [5, 4, 7], [5, 4, 6],
                             [5, 4, 7], [4, 5, 2], [6, 7, 4], [3, 3, 1]]
     zeroed = (pixels[idx] > 0).sum(-1) - (rows.swapaxes(0, 1) > 0).sum(-1)
