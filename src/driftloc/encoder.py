@@ -25,6 +25,11 @@ from .augment import noise_flat
 from .errors import HingeInactiveError, NonFiniteLossError, StochasticModelError
 from .preprocess import image_side, pad_square
 
+# Inference runs the network on at most this many rows at a time: the rows
+# of one default training forward (3 x 32), so embedding a large set never
+# holds more activations than a training step does.
+BLOCK_ROWS = 96
+
 PARAM_ORDER = ("conv1_w", "conv1_b", "conv2_w", "conv2_b",
                "fc1_w", "fc1_b", "fc2_w", "fc2_b")
 
@@ -197,11 +202,13 @@ def _train_forward(model: EncoderModel, rows: np.ndarray, rng: np.random.Generat
 
 def encode_batch(model: EncoderModel, images) -> np.ndarray:
     """Embed an (m, w) array of rows, or a list of rows, at inference (no
-    noise, no dropout); output rows have unit Euclidean norm."""
+    noise, no dropout), BLOCK_ROWS rows at a time; output rows have unit
+    Euclidean norm."""
     if len(images) == 0:
         raise ValueError("empty image batch")
-    e, _ = _forward(model, _input(model, images), train=False, rng=None)
-    return e
+    x = _input(model, images)
+    return np.concatenate([_forward(model, x[lo:lo + BLOCK_ROWS], train=False, rng=None)[0]
+                           for lo in range(0, len(x), BLOCK_ROWS)])
 
 
 def triplet_loss(ea: np.ndarray, ep: np.ndarray, en: np.ndarray, alpha: float) -> float:

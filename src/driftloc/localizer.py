@@ -22,17 +22,13 @@ from typing import Callable
 import numpy as np
 
 from .data import Fingerprint, FingerprintDataset
-from .encoder import EncoderConfig, EncoderModel, encode_batch, init_model, train_step
+from .encoder import (BLOCK_ROWS, EncoderConfig, EncoderModel, encode_batch, init_model,
+                      train_step)
 from .nn import AdamState
 from .preprocess import image_side, normalize_rows
 from .sampler import build_pmf_table, make_batch, rp_members
 
 logger = logging.getLogger(__name__)
-
-# Queries embed in blocks of this many rows: the rows of one default
-# training forward (3 x 32), so inference never holds more activations
-# than training does.
-QUERY_BLOCK = 96
 
 DEFAULT_K = 3  # neighbours per query, for the library and the command-line flags
 RULES = ("vote", "centroid")  # the decision rules _decide implements
@@ -214,7 +210,7 @@ def _knn_decide(dists: np.ndarray, rp_ids: np.ndarray, xs: np.ndarray,
 def _knn_blocks(rows: np.ndarray, to_query: Callable[[np.ndarray], np.ndarray],
                 table: np.ndarray, rp_ids: np.ndarray, xs: np.ndarray,
                 ys: np.ndarray, k: int, rule: str) -> list[Prediction]:
-    """Exact KNN of every row against ``table``, QUERY_BLOCK rows at a time.
+    """Exact KNN of every row against ``table``, BLOCK_ROWS rows at a time.
 
     ``to_query`` maps a block of rows to its (b, d) query vectors.
     Distances are elementwise differences, so identical table rows get
@@ -223,8 +219,8 @@ def _knn_blocks(rows: np.ndarray, to_query: Callable[[np.ndarray], np.ndarray],
     _check_query(len(table), k, rule)
     by_rp = np.argsort(rp_ids, kind="stable")
     out: list[Prediction] = []
-    for lo in range(0, len(rows), QUERY_BLOCK):
-        q = to_query(rows[lo:lo + QUERY_BLOCK])
+    for lo in range(0, len(rows), BLOCK_ROWS):
+        q = to_query(rows[lo:lo + BLOCK_ROWS])
         diff = table[None, :, :] - q[:, None, :]
         dists = np.sqrt(np.square(diff, out=diff).sum(axis=-1))
         out += _knn_rows(dists, by_rp, rp_ids, xs, ys, k, rule)

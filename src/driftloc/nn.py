@@ -2,9 +2,13 @@
 
 Plain numpy float64 throughout.  Each layer is a forward function
 returning (output, cache) and a matching backward function taking
-(cache, grad_out).  Convolutions are valid (no padding), stride 1,
-implemented as k*k shifted-view matmuls, which keeps the arithmetic
-exact and BLAS-fast without an im2col copy.
+(cache, grad_out).  Convolutions are valid (no padding), stride 1, and
+take and return C-contiguous NCHW arrays.  Inside, each is one im2col
+GEMM (Chellapilla et al., 2006): the forward multiplies the
+(N*Ho*Wo, k*k*C) patch matrix, gathered from channels-last shifted
+slices, by the weights; the backward forms the weight gradient as one
+patch-matrix GEMM and adds the input gradient as k*k per-shift GEMMs into
+a channels-last buffer.
 """
 
 from __future__ import annotations
@@ -14,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    """x: (N, C, H, W), w: (F, C, k, k), b: (F,) -> (N, F, H-k+1, W-k+1)."""
+def _check_conv(x: np.ndarray, w: np.ndarray) -> tuple[int, int, int]:
+    """(k, Ho, Wo) of a valid stride-1 convolution of x by w."""
     n, c, h, wid = x.shape
     f, c2, k, k2 = w.shape
     if c2 != c or k != k2:
@@ -23,32 +27,45 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     ho, wo = h - k + 1, wid - k + 1
     if ho < 1 or wo < 1:
         raise ValueError(f"input {h}x{wid} too small for a {k}x{k} valid convolution")
-    out = np.empty((n, f, ho, wo), dtype=np.float64)
-    out[:] = b[None, :, None, None]
+    return k, ho, wo
+
+
+def _im2col(x: np.ndarray, k: int, ho: int, wo: int) -> np.ndarray:
+    """(N*Ho*Wo, k*k*C) patch matrix of x, columns in (dy, dx, c) order."""
+    n, c = x.shape[:2]
+    xh = x.transpose(0, 2, 3, 1)  # channels-last view
+    cols = np.empty((n, ho, wo, k, k, c), dtype=np.float64)
     for dy in range(k):
         for dx in range(k):
-            view = x[:, :, dy:dy + ho, dx:dx + wo]
-            # (N, Ho, Wo, F) <- (N, C, Ho, Wo) x (F, C)
-            out += np.tensordot(view, w[:, :, dy, dx], axes=([1], [1])).transpose(0, 3, 1, 2)
+            cols[:, :, :, dy, dx, :] = xh[:, dy:dy + ho, dx:dx + wo, :]
+    return cols.reshape(n * ho * wo, k * k * c)
+
+
+def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
+    """x: (N, C, H, W), w: (F, C, k, k), b: (F,) -> (N, F, H-k+1, W-k+1)."""
+    k, ho, wo = _check_conv(x, w)
+    n, f = len(x), w.shape[0]
+    # (N*Ho*Wo, k*k*C) x (k*k*C, F), w's rows taken in the patch's (dy, dx, c) order
+    y = _im2col(x, k, ho, wo) @ w.transpose(2, 3, 1, 0).reshape(-1, f)
+    y += b
+    out = np.ascontiguousarray(y.reshape(n, ho, wo, f).transpose(0, 3, 1, 2))
     return out, (x, w)
 
 
 def conv2d_backward(cache, gout: np.ndarray):
     x, w = cache
+    k, ho, wo = _check_conv(x, w)
     n, c, h, wid = x.shape
-    f, _, k, _ = w.shape
-    ho, wo = h - k + 1, wid - k + 1
-    dw = np.empty_like(w)
-    dx = np.zeros_like(x)
-    db = gout.sum(axis=(0, 2, 3))
+    f = w.shape[0]
+    g = gout.transpose(0, 2, 3, 1).reshape(n * ho * wo, f)
+    dw = (_im2col(x, k, ho, wo).T @ g).reshape(k, k, c, f).transpose(3, 2, 0, 1)
+    dxh = np.zeros((n, h, wid, c), dtype=np.float64)
     for dy in range(k):
-        for dx_ in range(k):
-            view = x[:, :, dy:dy + ho, dx_:dx_ + wo]
-            dw[:, :, dy, dx_] = np.tensordot(gout, view, axes=([0, 2, 3], [0, 2, 3]))
-            dx[:, :, dy:dy + ho, dx_:dx_ + wo] += np.tensordot(
-                gout, w[:, :, dy, dx_], axes=([1], [0])
-            ).transpose(0, 3, 1, 2)
-    return dx, dw, db
+        for dx in range(k):
+            dxh[:, dy:dy + ho, dx:dx + wo, :] += (g @ w[:, :, dy, dx]).reshape(n, ho, wo, c)
+    db = gout.sum(axis=(0, 2, 3))
+    return (np.ascontiguousarray(dxh.transpose(0, 3, 1, 2)),
+            np.ascontiguousarray(dw), db)
 
 
 def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
@@ -101,6 +118,9 @@ def l2norm_backward(cache, gout: np.ndarray):
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# Adam walks each parameter in blocks of about this many entries, so the
+# dozen elementwise passes of one block run in cache.
+ADAM_BLOCK = 1 << 16
 
 
 @dataclass
@@ -115,17 +135,34 @@ class AdamState:
 
 def adam_update(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
                 state: AdamState) -> None:
-    """One Adam step, in place."""
+    """One Adam step, in place: m and v updated, then
+    p -= (lr * mhat) / (sqrt(vhat) + eps) with mhat = m / (1 - beta1**t) and
+    vhat = v / (1 - beta2**t).  Each parameter goes by blocks of leading-axis
+    rows through two scratch buffers that the whole call shares."""
     state.step += 1
     t = state.step
-    for name, g in grads.items():
-        p = params[name]
-        m = state.m.setdefault(name, np.zeros_like(p))
-        v = state.v.setdefault(name, np.zeros_like(p))
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        mhat = m / (1.0 - ADAM_BETA1 ** t)
-        vhat = v / (1.0 - ADAM_BETA2 ** t)
-        p -= state.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+    c1 = 1.0 - ADAM_BETA1 ** t
+    c2 = 1.0 - ADAM_BETA2 ** t
+    # a block is as many rows as fit in ADAM_BLOCK entries, or one longer row
+    size = max([ADAM_BLOCK] + [g.size // len(g) for g in grads.values()])
+    buf_a, buf_b = np.empty(size), np.empty(size)
+    for name, grad in grads.items():
+        param = params[name]
+        mom1 = state.m.setdefault(name, np.zeros_like(param))
+        mom2 = state.v.setdefault(name, np.zeros_like(param))
+        r = max(1, ADAM_BLOCK // (grad.size // len(grad)))
+        for lo in range(0, len(param), r):
+            p, g, m, v = (arr[lo:lo + r] for arr in (param, grad, mom1, mom2))
+            a = buf_a[:p.size].reshape(p.shape)
+            b = buf_b[:p.size].reshape(p.shape)
+            m *= ADAM_BETA1
+            m += np.multiply(g, 1.0 - ADAM_BETA1, out=a)
+            v *= ADAM_BETA2
+            np.multiply(g, 1.0 - ADAM_BETA2, out=a)
+            v += np.multiply(a, g, out=a)
+            np.divide(m, c1, out=a)
+            a *= state.lr
+            np.divide(v, c2, out=b)
+            np.sqrt(b, out=b)
+            b += ADAM_EPS
+            p -= np.divide(a, b, out=a)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from driftloc import nn
 from driftloc.cli import random_check_triplet, run_gradcheck
-from driftloc.encoder import (EncoderConfig, _train_forward, encode_batch,
+from driftloc.encoder import (BLOCK_ROWS, EncoderConfig, _train_forward, encode_batch,
                               gradient_check, init_model, small_check_config,
                               train_step, triplet_loss)
 from driftloc.errors import HingeInactiveError, StochasticModelError
@@ -228,6 +228,23 @@ def test_noise_never_reaches_padding(monkeypatch):
     x = seen[0].reshape(12, 16)  # conv1 input: 3 x 4 rows, 1 channel, 4 x 4
     assert np.all(x[:, 10:] == 0.0)
     assert np.all(x[:, :10] != batch.reshape(12, 10))  # noise on every AP
+
+
+def test_encode_batch_runs_in_blocks(monkeypatch):
+    seen = []
+    conv = nn.conv2d_forward
+
+    def recording_conv(x, w, b):
+        seen.append(len(x))
+        return conv(x, w, b)
+
+    model = small_model(side=4)
+    rows = np.random.default_rng(18).random((250, 16))
+    parts = np.concatenate([encode_batch(model, rows[lo:lo + BLOCK_ROWS])
+                            for lo in range(0, len(rows), BLOCK_ROWS)])
+    monkeypatch.setattr(nn, "conv2d_forward", recording_conv)
+    np.testing.assert_array_equal(encode_batch(model, rows), parts)
+    assert seen == [96, 96, 96, 96, 58, 58]  # conv1 and conv2 of each block
 
 
 @pytest.mark.parametrize("n", [5, 9, 10, 50])

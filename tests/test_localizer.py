@@ -5,15 +5,16 @@ from hypothesis import strategies as st
 
 from knn_oracle import oracle_baseline_predict, oracle_embedding_predict
 
+from driftloc import nn
 from driftloc.data import Fingerprint, ReferencePoint, split_by_ci
-from driftloc.encoder import EncoderConfig, encode_batch
+from driftloc.encoder import BLOCK_ROWS, EncoderConfig, encode_batch
 from driftloc.errors import ModelFormatError
 from driftloc.localizer import (EmbeddingIndex, TrainConfig,
                                 baseline_predict_batch, predict, predict_batch,
                                 train)
 from driftloc.model_io import load_model, load_model_full, save_model
 from driftloc.preprocess import to_image
-from driftloc.simulate import SimConfig, generate
+from driftloc.simulate import SimConfig, generate, preset
 
 
 def small_train_config(**kw):
@@ -369,3 +370,23 @@ def test_oversized_index_count_rejected(tmp_path, trained):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_train_runs_the_network_on_bounded_blocks(monkeypatch):
+    # office-like CI 0 has 294 training rows; the index build must not run
+    # the network on all of them at once
+    ds, _ = generate(preset("office-like", 0))
+    tr, _ = split_by_ci(ds, 0, 6, seed=0)
+    assert len(tr) == 294
+    conv1_rows = []
+    conv = nn.conv2d_forward
+
+    def recording_conv(x, w, b):
+        if x.shape[1] == 1:
+            conv1_rows.append(len(x))
+        return conv(x, w, b)
+
+    monkeypatch.setattr(nn, "conv2d_forward", recording_conv)
+    train(tr, TrainConfig(epochs=1), seed=1)
+    assert max(conv1_rows) <= BLOCK_ROWS == 96
+    assert conv1_rows[-4:] == [96, 96, 96, 6]  # the index build

@@ -1,0 +1,113 @@
+import numpy as np
+import pytest
+
+from driftloc import nn
+
+
+def naive_conv_forward(x, w, b):
+    n, c, h, wid = x.shape
+    f, _, k, _ = w.shape
+    out = np.empty((n, f, h - k + 1, wid - k + 1))
+    for i in range(n):
+        for o in range(f):
+            for y in range(h - k + 1):
+                for z in range(wid - k + 1):
+                    acc = b[o]
+                    for ch in range(c):
+                        for dy in range(k):
+                            for dx in range(k):
+                                acc += x[i, ch, y + dy, z + dx] * w[o, ch, dy, dx]
+                    out[i, o, y, z] = acc
+    return out
+
+
+def naive_conv_backward(x, w, gout):
+    n, c, h, wid = x.shape
+    f, _, k, _ = w.shape
+    gx, gw, gb = np.zeros_like(x), np.zeros_like(w), np.zeros(f)
+    for i in range(n):
+        for o in range(f):
+            for y in range(h - k + 1):
+                for z in range(wid - k + 1):
+                    g = gout[i, o, y, z]
+                    gb[o] += g
+                    for ch in range(c):
+                        for dy in range(k):
+                            for dx in range(k):
+                                gx[i, ch, y + dy, z + dx] += g * w[o, ch, dy, dx]
+                                gw[o, ch, dy, dx] += g * x[i, ch, y + dy, z + dx]
+    return gx, gw, gb
+
+
+# (N, C, H, W, F, k): k in {1, 2, 3}, C = 1 and C > 1, N = 1 and N > 1, H != W
+CONV_CASES = [
+    (1, 1, 5, 4, 3, 1),
+    (3, 2, 4, 6, 5, 1),
+    (2, 1, 4, 6, 5, 2),
+    (1, 4, 7, 5, 3, 2),
+    (3, 3, 5, 7, 2, 3),
+    (1, 2, 3, 3, 4, 3),
+]
+
+
+@pytest.mark.parametrize("n, c, h, wid, f, k", CONV_CASES)
+def test_conv_matches_nested_loops(n, c, h, wid, f, k):
+    rng = np.random.default_rng(n * 100 + c * 10 + k)
+    x = rng.standard_normal((n, c, h, wid))
+    w = rng.standard_normal((f, c, k, k))
+    b = rng.standard_normal(f)
+    out, cache = nn.conv2d_forward(x, w, b)
+    assert out.shape == (n, f, h - k + 1, wid - k + 1)
+    assert out.flags.c_contiguous and out.dtype == np.float64
+    np.testing.assert_allclose(out, naive_conv_forward(x, w, b), rtol=0, atol=1e-12)
+
+    gout = rng.standard_normal(out.shape)
+    gx, gw, gb = nn.conv2d_backward(cache, gout)
+    want_gx, want_gw, want_gb = naive_conv_backward(x, w, gout)
+    assert gx.shape == x.shape and gw.shape == w.shape and gb.shape == (f,)
+    np.testing.assert_allclose(gx, want_gx, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(gw, want_gw, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(gb, want_gb, rtol=0, atol=1e-12)
+
+
+def test_conv_shape_errors():
+    x = np.zeros((2, 3, 4, 5))
+    with pytest.raises(ValueError, match="incompatible"):
+        nn.conv2d_forward(x, np.zeros((4, 2, 2, 2)), np.zeros(4))
+    with pytest.raises(ValueError, match="incompatible"):
+        nn.conv2d_forward(x, np.zeros((4, 3, 2, 3)), np.zeros(4))
+    with pytest.raises(ValueError, match="too small"):
+        nn.conv2d_forward(x, np.zeros((4, 3, 5, 5)), np.zeros(4))
+    with pytest.raises(ValueError, match="too small"):
+        nn.conv2d_forward(np.zeros((2, 3, 6, 2)), np.zeros((4, 3, 3, 3)), np.zeros(4))
+
+
+def test_adam_matches_textbook():
+    # Shapes cover one block, several row blocks (the 2-D and the long 1-D
+    # one) and rows longer than a block.
+    shapes = {"w": (3, 2, 2, 2), "b": (7,),
+              "fc": (nn.ADAM_BLOCK // 40, 100),
+              "long": (nn.ADAM_BLOCK + 5,),
+              "wide": (2, nn.ADAM_BLOCK + 3)}
+    rng = np.random.default_rng(9)
+    params = {name: rng.standard_normal(s) for name, s in shapes.items()}
+    want = {name: p.copy() for name, p in params.items()}
+    m = {name: np.zeros(s) for name, s in shapes.items()}
+    v = {name: np.zeros(s) for name, s in shapes.items()}
+    lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
+    state = nn.AdamState(lr=lr)
+    for t in range(1, 7):
+        grads = {name: rng.standard_normal(s) * 10.0 ** rng.uniform(-6, 1)
+                 for name, s in shapes.items()}
+        nn.adam_update(params, grads, state)
+        for name, g in grads.items():
+            m[name] = b1 * m[name] + (1 - b1) * g
+            v[name] = b2 * v[name] + (1 - b2) * g * g
+            mhat = m[name] / (1 - b1 ** t)
+            vhat = v[name] / (1 - b2 ** t)
+            want[name] = want[name] - lr * mhat / (np.sqrt(vhat) + eps)
+        assert state.step == t
+        for name in shapes:
+            np.testing.assert_array_equal(state.m[name], m[name])
+            np.testing.assert_array_equal(state.v[name], v[name])
+            np.testing.assert_array_equal(params[name], want[name])
