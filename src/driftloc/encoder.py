@@ -141,34 +141,29 @@ def _forward(model: EncoderModel, rows: np.ndarray, train: bool,
     p = model.params
     rate = model.config.dropout_rate if train else 0.0
     h1, c_conv1 = nn.conv2d_forward(x, p["conv1_w"], p["conv1_b"])
-    a1, c_relu1 = nn.relu_forward(h1)
-    d1, c_drop1 = nn.dropout_forward(a1, rate, rng)
-    h2, c_conv2 = nn.conv2d_forward(d1, p["conv2_w"], p["conv2_b"])
-    a2, c_relu2 = nn.relu_forward(h2)
-    d2, c_drop2 = nn.dropout_forward(a2, rate, rng)
-    flat = d2.reshape(d2.shape[0], -1)
+    a1, c_act1 = nn.relu_dropout_forward(h1, rate, rng)
+    h2, c_conv2 = nn.conv2d_forward(a1, p["conv2_w"], p["conv2_b"])
+    a2, c_act2 = nn.relu_dropout_forward(h2, rate, rng)
+    flat = a2.reshape(a2.shape[0], -1)
     h3, c_fc1 = nn.dense_forward(flat, p["fc1_w"], p["fc1_b"])
     a3, c_relu3 = nn.relu_forward(h3)
     z, c_fc2 = nn.dense_forward(a3, p["fc2_w"], p["fc2_b"])
     e, c_norm = nn.l2norm_forward(z)
-    caches = (c_conv1, c_relu1, c_drop1, c_conv2, c_relu2, c_drop2,
-              d2.shape, c_fc1, c_relu3, c_fc2, c_norm)
+    caches = (c_conv1, c_act1, c_conv2, c_act2, a2.shape,
+              c_fc1, c_relu3, c_fc2, c_norm)
     return e, caches
 
 
 def _backward(caches, ge: np.ndarray) -> dict[str, np.ndarray]:
-    (c_conv1, c_relu1, c_drop1, c_conv2, c_relu2, c_drop2,
-     conv2_out_shape, c_fc1, c_relu3, c_fc2, c_norm) = caches
+    (c_conv1, c_act1, c_conv2, c_act2, conv2_out_shape,
+     c_fc1, c_relu3, c_fc2, c_norm) = caches
     gz = nn.l2norm_backward(c_norm, ge)
     ga3, g_fc2_w, g_fc2_b = nn.dense_backward(c_fc2, gz)
     gh3 = nn.relu_backward(c_relu3, ga3)
     gflat, g_fc1_w, g_fc1_b = nn.dense_backward(c_fc1, gh3)
-    gd2 = gflat.reshape(conv2_out_shape)
-    ga2 = nn.dropout_backward(c_drop2, gd2)
-    gh2 = nn.relu_backward(c_relu2, ga2)
-    gd1, g_conv2_w, g_conv2_b = nn.conv2d_backward(c_conv2, gh2)
-    ga1 = nn.dropout_backward(c_drop1, gd1)
-    gh1 = nn.relu_backward(c_relu1, ga1)
+    gh2 = nn.relu_dropout_backward(c_act2, gflat.reshape(conv2_out_shape))
+    ga1, g_conv2_w, g_conv2_b = nn.conv2d_backward(c_conv2, gh2)
+    gh1 = nn.relu_dropout_backward(c_act1, ga1)
     _, g_conv1_w, g_conv1_b = nn.conv2d_backward(c_conv1, gh1)
     return {
         "conv1_w": g_conv1_w, "conv1_b": g_conv1_b,

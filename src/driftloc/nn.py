@@ -9,6 +9,11 @@ GEMM (Chellapilla et al., 2006): the forward multiplies the
 slices, by the weights; the backward forms the weight gradient as one
 patch-matrix GEMM and adds the input gradient as k*k per-shift GEMMs into
 a channels-last buffer.
+
+relu_dropout_forward and relu_dropout_backward overwrite their array
+argument and return it: the caller hands over an array it owns (a fresh
+conv output, a fresh upstream gradient) and must not read the original
+again.
 """
 
 from __future__ import annotations
@@ -60,9 +65,11 @@ def conv2d_backward(cache, gout: np.ndarray):
     g = gout.transpose(0, 2, 3, 1).reshape(n * ho * wo, f)
     dw = (_im2col(x, k, ho, wo).T @ g).reshape(k, k, c, f).transpose(3, 2, 0, 1)
     dxh = np.zeros((n, h, wid, c), dtype=np.float64)
+    shift = np.empty((n * ho * wo, c), dtype=np.float64)  # one shift's product
     for dy in range(k):
         for dx in range(k):
-            dxh[:, dy:dy + ho, dx:dx + wo, :] += (g @ w[:, :, dy, dx]).reshape(n, ho, wo, c)
+            np.matmul(g, w[:, :, dy, dx], out=shift)
+            dxh[:, dy:dy + ho, dx:dx + wo, :] += shift.reshape(n, ho, wo, c)
     db = gout.sum(axis=(0, 2, 3))
     return (np.ascontiguousarray(dxh.transpose(0, 3, 1, 2)),
             np.ascontiguousarray(dw), db)
@@ -86,18 +93,29 @@ def relu_backward(cache, gout: np.ndarray):
     return gout * cache
 
 
-def dropout_forward(x: np.ndarray, rate: float, rng: np.random.Generator):
-    """Inverted dropout: surviving units are scaled by 1/(1-rate)."""
+def relu_dropout_forward(x: np.ndarray, rate: float, rng: np.random.Generator | None):
+    """ReLU then inverted dropout, in place on x: surviving units are
+    scaled by 1/(1-rate).  The cache is one boolean mask (positive and
+    kept) and that scale; rate 0 draws nothing from rng."""
     if not 0.0 <= rate < 1.0:
         raise ValueError("dropout rate must lie in [0, 1)")
-    if rate == 0.0:
-        return x, None
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    return x * mask, mask
+    mask = x > 0.0
+    np.maximum(x, 0.0, out=x)
+    scale = 1.0
+    if rate > 0.0:
+        scale = 1.0 / (1.0 - rate)
+        mask &= rng.random(x.shape) >= rate
+        x *= mask
+        x *= scale
+    return x, (mask, scale)
 
 
-def dropout_backward(cache, gout: np.ndarray):
-    return gout if cache is None else gout * cache
+def relu_dropout_backward(cache, gout: np.ndarray):
+    """Gradient of relu_dropout_forward, in place on gout."""
+    mask, scale = cache
+    gout *= mask
+    gout *= scale
+    return gout
 
 
 def l2norm_forward(z: np.ndarray):
@@ -148,8 +166,10 @@ def adam_update(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     buf_a, buf_b = np.empty(size), np.empty(size)
     for name, grad in grads.items():
         param = params[name]
-        mom1 = state.m.setdefault(name, np.zeros_like(param))
-        mom2 = state.v.setdefault(name, np.zeros_like(param))
+        if name not in state.m:
+            state.m[name] = np.zeros_like(param)
+            state.v[name] = np.zeros_like(param)
+        mom1, mom2 = state.m[name], state.v[name]
         r = max(1, ADAM_BLOCK // (grad.size // len(grad)))
         for lo in range(0, len(param), r):
             p, g, m, v = (arr[lo:lo + r] for arr in (param, grad, mom1, mom2))

@@ -1,17 +1,22 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_nn import reference_relu_dropout_backward, reference_relu_dropout_forward
 
 from driftloc import nn
 from driftloc.cli import random_check_triplet, run_gradcheck
+from driftloc.data import split_by_ci
 from driftloc.encoder import (BLOCK_ROWS, EncoderConfig, _train_forward, encode_batch,
                               gradient_check, init_model, small_check_config,
                               train_step, triplet_loss)
 from driftloc.errors import HingeInactiveError, StochasticModelError
 from driftloc.nn import AdamState
 from driftloc.preprocess import image_side, normalize_rows, pixel_rows
+from driftloc.sampler import build_pmf_table, make_batch, rp_members
+from driftloc.simulate import generate, preset
 
 
 def rand_image(side, rng):
@@ -207,6 +212,54 @@ def test_train_step_rejects_empty_batch():
     model = small_model()
     with pytest.raises(ValueError, match="empty"):
         train_step(model, np.empty((3, 0, 16)), AdamState(), np.random.default_rng(0))
+
+
+def office_batches(n):
+    """n default-size (batch 32) training batches on office-like CI 0, and
+    the rows' width."""
+    ds, _ = generate(preset("office-like", 0))
+    tr, _ = split_by_ci(ds, 0, 6, 0)
+    rows = normalize_rows(tr.rssi)
+    arrays = (rows, rp_members(tr), build_pmf_table(tr.floorplan))
+    rng = np.random.default_rng(0)
+    return [make_batch(*arrays, 32, 0.9, rng)[1] for _ in range(n)], rows.shape[1]
+
+
+def test_fused_layers_match_reference_step(monkeypatch):
+    batches, width = office_batches(3)
+
+    def run():
+        model = init_model(EncoderConfig(), image_side(width), 19)
+        opt, rng = AdamState(), np.random.default_rng(20)
+        for batch in batches:
+            train_step(model, batch, opt, rng)
+        return model, opt
+
+    model, opt = run()
+    monkeypatch.setattr(nn, "relu_dropout_forward", reference_relu_dropout_forward)
+    monkeypatch.setattr(nn, "relu_dropout_backward", reference_relu_dropout_backward)
+    ref_model, ref_opt = run()
+    assert opt.step == ref_opt.step == 3
+    for name in model.params:
+        np.testing.assert_array_equal(model.params[name], ref_model.params[name])
+        np.testing.assert_array_equal(opt.m[name], ref_opt.m[name])
+        np.testing.assert_array_equal(opt.v[name], ref_opt.v[name])
+
+
+def test_train_step_peak_memory():
+    # numpy reports its buffers to tracemalloc, so the peak is host-independent;
+    # step 2 is measured because step 1 also allocates the Adam moments
+    (first, second), width = office_batches(2)
+    model = init_model(EncoderConfig(), image_side(width), 21)
+    opt, rng = AdamState(), np.random.default_rng(22)
+    train_step(model, first, opt, rng)
+    tracemalloc.start()
+    try:
+        train_step(model, second, opt, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 30e6, f"train_step peak {peak / 1e6:.1f} MB"
 
 
 # --- input width and padding ------------------------------------------------

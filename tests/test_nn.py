@@ -111,3 +111,76 @@ def test_adam_matches_textbook():
             np.testing.assert_array_equal(state.m[name], m[name])
             np.testing.assert_array_equal(state.v[name], v[name])
             np.testing.assert_array_equal(params[name], want[name])
+
+
+def reference_relu_dropout_forward(x, rate, rng):
+    """The unfused composition: ReLU, then inverted dropout with a float
+    mask of 0 or 1/(1-rate); neither touches x."""
+    relu_mask = x > 0.0
+    a = np.maximum(x, 0.0)
+    if rate == 0.0:
+        return a, (relu_mask, None)
+    drop_mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
+    return a * drop_mask, (relu_mask, drop_mask)
+
+
+def reference_relu_dropout_backward(cache, gout):
+    relu_mask, drop_mask = cache
+    if drop_mask is not None:
+        gout = gout * drop_mask
+    return gout * relu_mask
+
+
+def with_signed_zeros(a):
+    a.reshape(-1)[::7] = 0.0
+    a.reshape(-1)[3::11] = -0.0
+    return a
+
+
+# conv1 and conv2 outputs of an office-like model: 64 filters at 7 x 7, 128 at 6 x 6
+@pytest.mark.parametrize("shape", [(6, 64, 7, 7), (6, 128, 6, 6)])
+@pytest.mark.parametrize("rate", [0.0, 0.25, 0.5])
+def test_relu_dropout_matches_reference(shape, rate):
+    data = np.random.default_rng(31)
+    x = with_signed_zeros(data.standard_normal(shape))
+    gout = with_signed_zeros(data.standard_normal(shape))
+    rng, ref_rng = np.random.default_rng(32), np.random.default_rng(32)
+
+    want, ref_cache = reference_relu_dropout_forward(x, rate, ref_rng)
+    x_in = x.copy()
+    out, cache = nn.relu_dropout_forward(x_in, rate, rng)
+    assert out is x_in
+    np.testing.assert_array_equal(out, want)
+    np.testing.assert_array_equal(np.signbit(out), np.signbit(want))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    want_g = reference_relu_dropout_backward(ref_cache, gout)
+    g_in = gout.copy()
+    got_g = nn.relu_dropout_backward(cache, g_in)
+    assert got_g is g_in
+    np.testing.assert_array_equal(got_g, want_g)
+    np.testing.assert_array_equal(np.signbit(got_g), np.signbit(want_g))
+
+
+@pytest.mark.parametrize("rate", [-0.1, 1.0, float("nan")])
+def test_relu_dropout_rejects_bad_rate(rate):
+    with pytest.raises(ValueError, match=r"dropout rate must lie in \[0, 1\)"):
+        nn.relu_dropout_forward(np.ones((2, 3)), rate, np.random.default_rng(0))
+
+
+def test_adam_allocates_moments_once(monkeypatch):
+    rng = np.random.default_rng(33)
+    params = {"w": rng.standard_normal((4, 3)), "b": rng.standard_normal(3)}
+    calls = []
+    zeros_like = np.zeros_like
+
+    def counting_zeros_like(*args, **kwargs):
+        calls.append(1)
+        return zeros_like(*args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros_like", counting_zeros_like)
+    state = nn.AdamState()
+    for step in range(1, 5):
+        grads = {name: rng.standard_normal(p.shape) for name, p in params.items()}
+        nn.adam_update(params, grads, state)
+        assert len(calls) == 2 * len(params), f"step {step}"
