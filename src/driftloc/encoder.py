@@ -10,13 +10,15 @@ and negative rows.  The three triplet branches are forwards through the
 same weights, so weight sharing holds by construction.
 
 Training math is float64; gradients are verifiable against central
-finite differences via :func:`gradient_check`.
+finite differences via :func:`gradient_check`.  Inference runs a separate
+cache-free forward (:func:`_infer`) that keeps no backward state and
+gives the same bits as the training forward without dropout.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -92,7 +94,8 @@ def _param_shapes(cfg: EncoderConfig, input_side: int) -> dict[str, tuple[int, .
 @dataclass(eq=False)
 class EncoderModel:
     """Configuration plus the parameter tensors of a trained or fresh
-    encoder.  ``params`` is mutated in place by training."""
+    encoder.  Training steps update ``params`` in place; ``train()`` and
+    ``load_model_full`` return them read-only."""
 
     config: EncoderConfig
     input_side: int
@@ -135,14 +138,19 @@ def init_model(cfg: EncoderConfig, input_side: int, seed: int) -> EncoderModel:
 
 def _forward(model: EncoderModel, rows: np.ndarray, train: bool,
              rng: np.random.Generator | None):
-    """(N, w) rows -> unit embeddings (N, d) plus backward caches."""
+    """(N, w) rows -> unit embeddings (N, d) plus backward caches.  Each
+    conv output is copied to C-contiguous memory first, so dropout draws
+    its mask in NCHW order; rebinding the name frees the kernel's output
+    before the next allocation."""
     s = model.input_side
     x = pad_square(rows).reshape(len(rows), 1, s, s)
     p = model.params
     rate = model.config.dropout_rate if train else 0.0
     h1, c_conv1 = nn.conv2d_forward(x, p["conv1_w"], p["conv1_b"])
+    h1 = np.ascontiguousarray(h1)
     a1, c_act1 = nn.relu_dropout_forward(h1, rate, rng)
     h2, c_conv2 = nn.conv2d_forward(a1, p["conv2_w"], p["conv2_b"])
+    h2 = np.ascontiguousarray(h2)
     a2, c_act2 = nn.relu_dropout_forward(h2, rate, rng)
     flat = a2.reshape(a2.shape[0], -1)
     h3, c_fc1 = nn.dense_forward(flat, p["fc1_w"], p["fc1_b"])
@@ -152,6 +160,24 @@ def _forward(model: EncoderModel, rows: np.ndarray, train: bool,
     caches = (c_conv1, c_act1, c_conv2, c_act2, a2.shape,
               c_fc1, c_relu3, c_fc2, c_norm)
     return e, caches
+
+
+def _infer(model: EncoderModel, rows: np.ndarray) -> np.ndarray:
+    """(N, w) rows -> unit embeddings (N, d), the inference forward: ReLU
+    in place on each layer's fresh output, no dropout, and each layer's
+    cache and input dropped as soon as the layer returns.  Bit-equal to
+    ``_forward(model, rows, train=False, rng=None)[0]``."""
+    s = model.input_side
+    p = model.params
+    h = pad_square(rows).reshape(len(rows), 1, s, s)
+    h = nn.conv2d_forward(h, p["conv1_w"], p["conv1_b"])[0]
+    np.maximum(h, 0.0, out=h)
+    h = nn.conv2d_forward(h, p["conv2_w"], p["conv2_b"])[0]
+    np.maximum(h, 0.0, out=h)
+    h = nn.dense_forward(h.reshape(len(h), -1), p["fc1_w"], p["fc1_b"])[0]
+    np.maximum(h, 0.0, out=h)
+    h = nn.dense_forward(h, p["fc2_w"], p["fc2_b"])[0]
+    return nn.l2norm_forward(h)[0]
 
 
 def _backward(caches, ge: np.ndarray) -> dict[str, np.ndarray]:
@@ -202,7 +228,7 @@ def encode_batch(model: EncoderModel, images) -> np.ndarray:
     if len(images) == 0:
         raise ValueError("empty image batch")
     x = _input(model, images)
-    return np.concatenate([_forward(model, x[lo:lo + BLOCK_ROWS], train=False, rng=None)[0]
+    return np.concatenate([_infer(model, x[lo:lo + BLOCK_ROWS])
                            for lo in range(0, len(x), BLOCK_ROWS)])
 
 
@@ -246,6 +272,9 @@ def train_step(model: EncoderModel, batch: np.ndarray, opt_state: nn.AdamState,
     b = batch.shape[1]
     if b == 0:
         raise ValueError("empty batch")
+    if not all(p.flags.writeable for p in model.params.values()):
+        raise ValueError("model parameters are read-only (trained or loaded); "
+                         "train a model whose params are writable copies")
     cfg = model.config
 
     e, caches = _train_forward(model, _input(model, batch.reshape(3 * b, -1)), rng)
@@ -270,12 +299,10 @@ def train_step(model: EncoderModel, batch: np.ndarray, opt_state: nn.AdamState,
     return model, opt_state, mean_loss
 
 
-def _triplet_loss_forward(model: EncoderModel, x: np.ndarray, alpha: float):
-    """Deterministic single-triplet loss used by the gradient check.
-    x is the (3, w) anchor, positive and negative rows."""
-    e, caches = _forward(model, x, train=False, rng=None)
+def _raw_loss(e: np.ndarray, alpha: float) -> float:
+    """Raw hinge of the (3, d) anchor, positive and negative embeddings."""
     raw, _ = _batch_losses(e[0:1], e[1:2], e[2:3], alpha)
-    return float(raw[0]), e, caches
+    return float(raw[0])
 
 
 def gradient_check(model: EncoderModel, triplet: np.ndarray, alpha: float,
@@ -285,7 +312,9 @@ def gradient_check(model: EncoderModel, triplet: np.ndarray, alpha: float,
     array of anchor, positive and negative rows.
 
     Requires a deterministic model (dropout and input noise disabled) and
-    an active hinge; both are reported distinctly otherwise.
+    an active hinge; both are reported distinctly otherwise.  The
+    perturbations go to a copy of the parameters, so read-only (trained or
+    loaded) parameters can be checked too.
     """
     cfg = model.config
     if cfg.dropout_rate > 0.0 or cfg.noise_sigma > 0.0:
@@ -296,8 +325,10 @@ def gradient_check(model: EncoderModel, triplet: np.ndarray, alpha: float,
     x = _input(model, triplet)
     if len(x) != 3:
         raise ValueError(f"a triplet has 3 rows, got {len(x)}")
+    model = replace(model, params={name: p.copy() for name, p in model.params.items()})
 
-    raw, e, caches = _triplet_loss_forward(model, x, alpha)
+    e, caches = _forward(model, x, train=False, rng=None)
+    raw = _raw_loss(e, alpha)
     if raw <= 0.0:
         raise HingeInactiveError(
             f"raw loss {raw:.6g} <= 0: the hinge is inactive and the check is vacuous"
@@ -312,9 +343,9 @@ def gradient_check(model: EncoderModel, triplet: np.ndarray, alpha: float,
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + step
-            lo_hi, _, _ = _triplet_loss_forward(model, x, alpha)
+            lo_hi = _raw_loss(_infer(model, x), alpha)
             flat[i] = orig - step
-            lo_lo, _, _ = _triplet_loss_forward(model, x, alpha)
+            lo_lo = _raw_loss(_infer(model, x), alpha)
             flat[i] = orig
             numeric = (lo_hi - lo_lo) / (2.0 * step)
             ai = a.reshape(-1)[i]

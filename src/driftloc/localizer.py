@@ -61,13 +61,17 @@ class TrainConfig:
 class EmbeddingIndex:
     """(embedding, rp_id, x, y) rows queried by exhaustive KNN.
 
-    Stored at float32 precision so that serialization is lossless.
+    Stored at float32 precision so that serialization is lossless.  The
+    query side, built once: ``table``, the embeddings as float64, and
+    ``tie_order``, the entry positions in (rp_id, position) order.
     """
 
     embeddings: np.ndarray  # (n, d) float32, unit rows
     rp_ids: np.ndarray      # (n,) int32
     xs: np.ndarray          # (n,) float32
     ys: np.ndarray          # (n,) float32
+    table: np.ndarray = field(init=False, repr=False)       # (n, d) float64
+    tie_order: np.ndarray = field(init=False, repr=False)   # (n,) int64
 
     def __post_init__(self):
         emb = np.asarray(self.embeddings, dtype=np.float32)
@@ -86,7 +90,9 @@ class EmbeddingIndex:
         norms = np.linalg.norm(emb.astype(np.float64), axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-5):
             raise ValueError("index embeddings must be unit-norm")
-        for arr, name in ((emb, "embeddings"), (rp, "rp_ids"), (xs, "xs"), (ys, "ys")):
+        for arr, name in ((emb, "embeddings"), (rp, "rp_ids"), (xs, "xs"), (ys, "ys"),
+                          (emb.astype(np.float64), "table"),
+                          (np.argsort(rp, kind="stable"), "tie_order")):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -139,9 +145,12 @@ def train(train_set: FingerprintDataset, cfg: TrainConfig, seed: int,
         if progress is not None:
             progress(epoch, mean)
 
-    # Finalize at serialized precision so save/load cannot change predictions.
+    # Finalize at serialized precision so save/load cannot change
+    # predictions, read-only so nn can lay the conv weights out once.
     for name in model.params:
-        model.params[name] = model.params[name].astype(np.float32).astype(np.float64)
+        p = model.params[name].astype(np.float32).astype(np.float64)
+        p.setflags(write=False)
+        model.params[name] = p
 
     emb = encode_batch(model, rows).astype(np.float32)
     index = EmbeddingIndex(embeddings=emb, rp_ids=train_set.rp_ids,
@@ -189,9 +198,9 @@ def _knn_rows(dists: np.ndarray, by_rp: np.ndarray, rp_ids: np.ndarray,
               xs: np.ndarray, ys: np.ndarray, k: int, rule: str) -> list[Prediction]:
     """Exact top-k and decision for each row of an (m, n) distance table.
 
-    ``by_rp`` lists the table positions in (rp_id, position) order; a
-    stable sort of each row's distances in that order yields neighbours in
-    (distance, rp_id, position) order.
+    ``by_rp`` is the tie order, the table positions in (rp_id, position)
+    order; a stable sort of each row's distances in that order yields
+    neighbours in (distance, rp_id, position) order.
     """
     nb = by_rp[np.argsort(dists[:, by_rp], axis=1, kind="stable")[:, :k]]
     return [_decide(*cols, rule) for cols in zip(
@@ -207,23 +216,24 @@ def _knn_decide(dists: np.ndarray, rp_ids: np.ndarray, xs: np.ndarray,
                      rp_ids, xs, ys, k, rule)[0]
 
 
-def _knn_blocks(rows: np.ndarray, to_query: Callable[[np.ndarray], np.ndarray],
-                table: np.ndarray, rp_ids: np.ndarray, xs: np.ndarray,
-                ys: np.ndarray, k: int, rule: str) -> list[Prediction]:
-    """Exact KNN of every row against ``table``, BLOCK_ROWS rows at a time.
-
-    ``to_query`` maps a block of rows to its (b, d) query vectors.
-    Distances are elementwise differences, so identical table rows get
-    identical distances.
-    """
+def _knn_blocks(queries: np.ndarray, table: np.ndarray, by_rp: np.ndarray,
+                rp_ids: np.ndarray, xs: np.ndarray, ys: np.ndarray, k: int,
+                rule: str) -> list[Prediction]:
+    """Exact KNN of every (m, d) query vector against the (n, d) ``table``,
+    BLOCK_ROWS queries at a time through one difference and one distance
+    buffer.  Distances are elementwise differences, so identical table
+    rows get identical distances."""
     _check_query(len(table), k, rule)
-    by_rp = np.argsort(rp_ids, kind="stable")
+    b = min(len(queries), BLOCK_ROWS)
+    diff = np.empty((b,) + table.shape)
+    dists = np.empty((b, len(table)))
     out: list[Prediction] = []
-    for lo in range(0, len(rows), BLOCK_ROWS):
-        q = to_query(rows[lo:lo + BLOCK_ROWS])
-        diff = table[None, :, :] - q[:, None, :]
-        dists = np.sqrt(np.square(diff, out=diff).sum(axis=-1))
-        out += _knn_rows(dists, by_rp, rp_ids, xs, ys, k, rule)
+    for lo in range(0, len(queries), BLOCK_ROWS):
+        q = queries[lo:lo + BLOCK_ROWS]
+        d, dd = diff[:len(q)], dists[:len(q)]
+        np.subtract(table[None, :, :], q[:, None, :], out=d)
+        np.sqrt(np.square(d, out=d).sum(axis=-1, out=dd), out=dd)
+        out += _knn_rows(dd, by_rp, rp_ids, xs, ys, k, rule)
     return out
 
 
@@ -233,8 +243,9 @@ def predict_batch(model: EncoderModel, index: EmbeddingIndex, rssi_rows: np.ndar
     noise, no dropout) and run exact KNN over the index."""
     if model.config.embed_dim != index.embed_dim:
         raise ValueError("model and index disagree on embedding length")
-    return _knn_blocks(normalize_rows(rssi_rows), lambda b: encode_batch(model, b),
-                       index.embeddings.astype(np.float64), index.rp_ids,
+    rows = normalize_rows(rssi_rows)
+    queries = encode_batch(model, rows) if len(rows) else np.empty((0, index.embed_dim))
+    return _knn_blocks(queries, index.table, index.tie_order, index.rp_ids,
                        index.xs, index.ys, k, rule)
 
 
@@ -254,7 +265,7 @@ def baseline_predict_batch(train_set: FingerprintDataset, rssi_rows: np.ndarray,
     rows = normalize_rows(rssi_rows)
     if rows.shape[1] != train_set.floorplan.n_aps:
         raise ValueError("scan is not aligned to the training registry")
-    return _knn_blocks(rows, lambda b: b, normalize_rows(train_set.rssi),
-                       train_set.rp_ids, train_set.xy[:, 0], train_set.xy[:, 1],
-                       k, rule)
+    return _knn_blocks(rows, normalize_rows(train_set.rssi),
+                       np.argsort(train_set.rp_ids, kind="stable"), train_set.rp_ids,
+                       train_set.xy[:, 0], train_set.xy[:, 1], k, rule)
 

@@ -176,9 +176,12 @@ def load_model_full(path: str | Path) -> tuple[EncoderModel, EmbeddingIndex, dic
         dims = struct.unpack(f"<{rank}I", r.take(4 * rank))
         raw = r.take(4 * math.prod(dims))  # Python ints: no overflow
         try:
-            params[name] = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(dims)
+            # cast after the reshape, so each array owns its data and, read-only,
+            # lets nn lay the conv weights out once
+            params[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).astype(np.float64)
         except ValueError as exc:  # e.g. a zero dim beside dims too large to address
             raise ModelFormatError(f"parameter {name!r}: bad dims {dims}: {exc}") from None
+        params[name].setflags(write=False)
     try:
         model = EncoderModel(config=cfg, input_side=input_side, params=params)
     except ValueError as exc:

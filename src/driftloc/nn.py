@@ -3,12 +3,21 @@
 Plain numpy float64 throughout.  Each layer is a forward function
 returning (output, cache) and a matching backward function taking
 (cache, grad_out).  Convolutions are valid (no padding), stride 1, and
-take and return C-contiguous NCHW arrays.  Inside, each is one im2col
-GEMM (Chellapilla et al., 2006): the forward multiplies the
+take (N, C, H, W) arrays of any memory layout.  Inside, each is one
+im2col GEMM (Chellapilla et al., 2006): the forward multiplies the
 (N*Ho*Wo, k*k*C) patch matrix, gathered from channels-last shifted
-slices, by the weights; the backward forms the weight gradient as one
-patch-matrix GEMM and adds the input gradient as k*k per-shift GEMMs into
-a channels-last buffer.
+slices, by the weights' (k*k*C, F) GEMM matrix; the backward forms the
+weight gradient as one patch-matrix GEMM and adds the input gradient as
+k*k per-shift GEMMs into a channels-last buffer.
+
+conv2d_forward returns its GEMM output without a copy: an (N, F, Ho, Wo)
+view of channels-last memory, so ``out.transpose(0, 2, 3, 1)`` is
+C-contiguous and ``out`` itself is not (unless F or Ho*Wo is 1).  A
+caller that needs NCHW memory copies it.  The weights' GEMM matrix is
+built once per weight array when that array is read-only and owns its
+data (a finalized model's weights), and on every call otherwise; the
+memo holds only a weak reference to the array, so an entry goes when its
+weight does.  A memoized weight must stay read-only.
 
 relu_dropout_forward and relu_dropout_backward overwrite their array
 argument and return it: the caller hands over an array it owns (a fresh
@@ -18,6 +27,7 @@ again.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,15 +56,36 @@ def _im2col(x: np.ndarray, k: int, ho: int, wo: int) -> np.ndarray:
     return cols.reshape(n * ho * wo, k * k * c)
 
 
+# id(weight) -> (weak reference to the weight, its read-only GEMM matrix)
+_GEMM_WEIGHTS: dict[int, tuple[weakref.ref, np.ndarray]] = {}
+
+
+def _gemm_weight(w: np.ndarray) -> np.ndarray:
+    """w's (k*k*C, F) GEMM matrix, rows in the patch's (dy, dx, c) order;
+    memoized while w is alive when w is read-only and owns its data."""
+    key = id(w)
+    frozen = not w.flags.writeable and w.flags.owndata
+    hit = _GEMM_WEIGHTS.get(key) if frozen else None
+    if hit is not None and hit[0]() is w:
+        return hit[1]
+    mat = w.transpose(2, 3, 1, 0).reshape(-1, w.shape[0])
+    if frozen:
+        mat.setflags(write=False)
+
+        def forget(_, memo=_GEMM_WEIGHTS):  # bound now: the global is gone at exit
+            memo.pop(key, None)
+        _GEMM_WEIGHTS[key] = (weakref.ref(w, forget), mat)
+    return mat
+
+
 def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    """x: (N, C, H, W), w: (F, C, k, k), b: (F,) -> (N, F, H-k+1, W-k+1)."""
+    """x: (N, C, H, W), w: (F, C, k, k), b: (F,) -> (N, F, H-k+1, W-k+1),
+    a view of channels-last memory."""
     k, ho, wo = _check_conv(x, w)
     n, f = len(x), w.shape[0]
-    # (N*Ho*Wo, k*k*C) x (k*k*C, F), w's rows taken in the patch's (dy, dx, c) order
-    y = _im2col(x, k, ho, wo) @ w.transpose(2, 3, 1, 0).reshape(-1, f)
+    y = _im2col(x, k, ho, wo) @ _gemm_weight(w)  # (N*Ho*Wo, k*k*C) x (k*k*C, F)
     y += b
-    out = np.ascontiguousarray(y.reshape(n, ho, wo, f).transpose(0, 3, 1, 2))
-    return out, (x, w)
+    return y.reshape(n, ho, wo, f).transpose(0, 3, 1, 2), (x, w)
 
 
 def conv2d_backward(cache, gout: np.ndarray):

@@ -9,7 +9,7 @@ from test_nn import reference_relu_dropout_backward, reference_relu_dropout_forw
 from driftloc import nn
 from driftloc.cli import random_check_triplet, run_gradcheck
 from driftloc.data import split_by_ci
-from driftloc.encoder import (BLOCK_ROWS, EncoderConfig, _train_forward, encode_batch,
+from driftloc.encoder import (BLOCK_ROWS, EncoderConfig, _forward, _train_forward, encode_batch,
                               gradient_check, init_model, small_check_config,
                               train_step, triplet_loss)
 from driftloc.errors import HingeInactiveError, StochasticModelError
@@ -298,6 +298,21 @@ def test_encode_batch_runs_in_blocks(monkeypatch):
     monkeypatch.setattr(nn, "conv2d_forward", recording_conv)
     np.testing.assert_array_equal(encode_batch(model, rows), parts)
     assert seen == [96, 96, 96, 96, 58, 58]  # conv1 and conv2 of each block
+
+
+@pytest.mark.parametrize("width", [5, 9, 50])
+@pytest.mark.parametrize("m", [1, 96, 97, 250])
+def test_encode_batch_matches_training_forward(width, m):
+    # the cache-free inference forward gives the training forward's bits,
+    # block by block, with writable weights and with read-only (memoized) ones
+    rows = np.random.default_rng(width * 1000 + m).random((m, width))
+    model = init_model(EncoderConfig(), image_side(width), seed=m)
+    want = np.concatenate([_forward(model, rows[lo:lo + BLOCK_ROWS], train=False, rng=None)[0]
+                           for lo in range(0, m, BLOCK_ROWS)])
+    np.testing.assert_array_equal(encode_batch(model, rows), want)
+    for p in model.params.values():
+        p.setflags(write=False)
+    np.testing.assert_array_equal(encode_batch(model, rows), want)
 
 
 @pytest.mark.parametrize("n", [5, 9, 10, 50])

@@ -7,12 +7,13 @@ from knn_oracle import oracle_baseline_predict, oracle_embedding_predict
 
 from driftloc import nn
 from driftloc.data import Fingerprint, ReferencePoint, split_by_ci
-from driftloc.encoder import BLOCK_ROWS, EncoderConfig, encode_batch
+from driftloc.encoder import BLOCK_ROWS, EncoderConfig, encode_batch, train_step
 from driftloc.errors import ModelFormatError
 from driftloc.localizer import (EmbeddingIndex, TrainConfig,
                                 baseline_predict_batch, predict, predict_batch,
                                 train)
 from driftloc.model_io import load_model, load_model_full, save_model
+from driftloc.nn import AdamState
 from driftloc.preprocess import to_image
 from driftloc.simulate import SimConfig, generate, preset
 
@@ -128,6 +129,35 @@ def test_batch_matches_single(trained, sim_split, seed, m, k, rule, p_missing, n
         else:
             assert got.x == pytest.approx(want.x, abs=1e-9)
             assert got.y == pytest.approx(want.y, abs=1e-9)
+
+
+def test_predict_batch_of_no_rows(trained, sim_split):
+    tr, _ = sim_split
+    model, index = trained
+    assert predict_batch(model, index, np.empty((0, tr.floorplan.n_aps))) == []
+
+
+def test_index_tie_order_is_built_once(trained):
+    _, index = trained
+    np.testing.assert_array_equal(index.tie_order, np.argsort(index.rp_ids, kind="stable"))
+    np.testing.assert_array_equal(index.table, index.embeddings.astype(np.float64))
+    assert not index.tie_order.flags.writeable and not index.table.flags.writeable
+
+
+def test_trained_and_loaded_params_are_read_only(tmp_path, trained):
+    model, index = trained
+    save_model(model, index, tmp_path / "m.stne")
+    loaded, _ = load_model(tmp_path / "m.stne")
+    batch = np.full((3, 2, loaded.input_side ** 2), 0.5)
+    for m in (model, loaded):
+        for name, p in m.params.items():
+            assert p.flags.owndata, name
+            with pytest.raises(ValueError, match="read-only"):
+                p += 0.0
+        opt = AdamState()
+        with pytest.raises(ValueError, match="read-only"):
+            train_step(m, batch, opt, np.random.default_rng(0))
+        assert opt.step == 0 and not opt.m
 
 
 def test_predict_batch_validations(trained, sim_split):

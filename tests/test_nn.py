@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -58,8 +60,12 @@ def test_conv_matches_nested_loops(n, c, h, wid, f, k):
     b = rng.standard_normal(f)
     out, cache = nn.conv2d_forward(x, w, b)
     assert out.shape == (n, f, h - k + 1, wid - k + 1)
-    assert out.flags.c_contiguous and out.dtype == np.float64
+    assert out.transpose(0, 2, 3, 1).flags.c_contiguous and out.dtype == np.float64
     np.testing.assert_allclose(out, naive_conv_forward(x, w, b), rtol=0, atol=1e-12)
+    # a channels-last view, as conv2 receives conv1's output at inference
+    x_cl = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    np.testing.assert_allclose(nn.conv2d_forward(x_cl, w, b)[0], naive_conv_forward(x, w, b),
+                               rtol=0, atol=1e-12)
 
     gout = rng.standard_normal(out.shape)
     gx, gw, gb = nn.conv2d_backward(cache, gout)
@@ -68,6 +74,29 @@ def test_conv_matches_nested_loops(n, c, h, wid, f, k):
     np.testing.assert_allclose(gx, want_gx, rtol=0, atol=1e-12)
     np.testing.assert_allclose(gw, want_gw, rtol=0, atol=1e-12)
     np.testing.assert_allclose(gb, want_gb, rtol=0, atol=1e-12)
+
+
+def test_gemm_weight_memo_keeps_read_only_owners_only():
+    rng = np.random.default_rng(3)
+    x, b = rng.standard_normal((2, 3, 4, 4)), rng.standard_normal(5)
+    w = rng.standard_normal((5, 3, 2, 2))
+    before = len(nn._GEMM_WEIGHTS)
+    assert nn._gemm_weight(w) is not nn._gemm_weight(w)  # writable: laid out per call
+    view = w[:, :, :, :]
+    view.setflags(write=False)
+    assert nn._gemm_weight(view) is not nn._gemm_weight(view)  # read-only view of a writable base
+    assert len(nn._GEMM_WEIGHTS) == before
+
+    w.setflags(write=False)
+    mat = nn._gemm_weight(w)
+    assert nn._gemm_weight(w) is mat and not mat.flags.writeable
+    np.testing.assert_array_equal(mat, w.transpose(2, 3, 1, 0).reshape(-1, 5))
+    np.testing.assert_array_equal(nn.conv2d_forward(x, w, b)[0],
+                                  nn.conv2d_forward(x, w.copy(), b)[0])
+    assert len(nn._GEMM_WEIGHTS) == before + 1
+    del w, view, mat
+    gc.collect()
+    assert len(nn._GEMM_WEIGHTS) == before
 
 
 def test_conv_shape_errors():
