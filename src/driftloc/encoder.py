@@ -94,8 +94,9 @@ def _param_shapes(cfg: EncoderConfig, input_side: int) -> dict[str, tuple[int, .
 @dataclass(eq=False)
 class EncoderModel:
     """Configuration plus the parameter tensors of a trained or fresh
-    encoder.  Training steps update ``params`` in place; ``train()`` and
-    ``load_model_full`` return them read-only."""
+    encoder.  ``params`` is the model's own dict, with the conv weights in
+    :func:`nn.gemm_layout`.  Training steps update it in place;
+    ``train()`` and ``load_model_full`` return it read-only."""
 
     config: EncoderConfig
     input_side: int
@@ -113,6 +114,8 @@ class EncoderModel:
                 raise ValueError(f"parameter {name}: shape {got} != expected {shapes[name]}")
             if not np.all(np.isfinite(self.params[name])):
                 raise ValueError(f"parameter {name} contains non-finite values")
+        self.params = {name: nn.gemm_layout(p) if name in ("conv1_w", "conv2_w") else p
+                       for name, p in self.params.items()}
 
 
 def init_model(cfg: EncoderConfig, input_side: int, seed: int) -> EncoderModel:
@@ -154,11 +157,11 @@ def _forward(model: EncoderModel, rows: np.ndarray, train: bool,
     a2, c_act2 = nn.relu_dropout_forward(h2, rate, rng)
     flat = a2.reshape(a2.shape[0], -1)
     h3, c_fc1 = nn.dense_forward(flat, p["fc1_w"], p["fc1_b"])
-    a3, c_relu3 = nn.relu_forward(h3)
+    a3, c_act3 = nn.relu_dropout_forward(h3, 0.0, None)
     z, c_fc2 = nn.dense_forward(a3, p["fc2_w"], p["fc2_b"])
     e, c_norm = nn.l2norm_forward(z)
     caches = (c_conv1, c_act1, c_conv2, c_act2, a2.shape,
-              c_fc1, c_relu3, c_fc2, c_norm)
+              c_fc1, c_act3, c_fc2, c_norm)
     return e, caches
 
 
@@ -182,10 +185,10 @@ def _infer(model: EncoderModel, rows: np.ndarray) -> np.ndarray:
 
 def _backward(caches, ge: np.ndarray) -> dict[str, np.ndarray]:
     (c_conv1, c_act1, c_conv2, c_act2, conv2_out_shape,
-     c_fc1, c_relu3, c_fc2, c_norm) = caches
+     c_fc1, c_act3, c_fc2, c_norm) = caches
     gz = nn.l2norm_backward(c_norm, ge)
     ga3, g_fc2_w, g_fc2_b = nn.dense_backward(c_fc2, gz)
-    gh3 = nn.relu_backward(c_relu3, ga3)
+    gh3 = nn.relu_dropout_backward(c_act3, ga3)
     gflat, g_fc1_w, g_fc1_b = nn.dense_backward(c_fc1, gh3)
     gh2 = nn.relu_dropout_backward(c_act2, gflat.reshape(conv2_out_shape))
     ga1, g_conv2_w, g_conv2_b = nn.conv2d_backward(c_conv2, gh2)
@@ -339,16 +342,15 @@ def gradient_check(model: EncoderModel, triplet: np.ndarray, alpha: float,
     for name in PARAM_ORDER:
         p = model.params[name]
         a = analytic[name]
-        flat = p.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
+        for i in np.ndindex(p.shape):  # by index: a conv weight is not C-contiguous
+            orig = p[i]
+            p[i] = orig + step
             lo_hi = _raw_loss(_infer(model, x), alpha)
-            flat[i] = orig - step
+            p[i] = orig - step
             lo_lo = _raw_loss(_infer(model, x), alpha)
-            flat[i] = orig
+            p[i] = orig
             numeric = (lo_hi - lo_lo) / (2.0 * step)
-            ai = a.reshape(-1)[i]
+            ai = a[i]
             # guard keeps finite-difference noise on near-zero entries from
             # masquerading as relative error
             rel = abs(ai - numeric) / max(abs(ai), abs(numeric), 1e-5)

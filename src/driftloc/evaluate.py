@@ -128,8 +128,9 @@ def fpr_sweep(dataset: FingerprintDataset, fprs: Sequence[int], cfg: TrainConfig
             f"available per RP at ci {train_ci}"
         )
 
+    # Every repeat of one FPR tests the same CIs: what stays at train_ci
+    # does not depend on the split seed.
     err: dict[tuple[int, int], float] = {}
-    counts: dict[tuple[int, int], int] = {}
     overall: dict[int, float] = {f: 0.0 for f in fprs}
     cis: set[int] = set()
     for fpr in fprs:
@@ -146,11 +147,10 @@ def fpr_sweep(dataset: FingerprintDataset, fprs: Sequence[int], cfg: TrainConfig
             for ci, m in report.per_ci_mean_error.items():
                 cis.add(ci)
                 err[(fpr, ci)] = err.get((fpr, ci), 0.0) + m
-                counts[(fpr, ci)] = counts.get((fpr, ci), 0) + 1
     return SweepResult(
         fprs=fprs,
         cis=tuple(sorted(cis)),
-        mean_error={key: err[key] / counts[key] for key in err},
+        mean_error={key: total / repeats for key, total in err.items()},
         overall={f: overall[f] / repeats for f in fprs},
         repeats=repeats,
     )

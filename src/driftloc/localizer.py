@@ -146,7 +146,7 @@ def train(train_set: FingerprintDataset, cfg: TrainConfig, seed: int,
             progress(epoch, mean)
 
     # Finalize at serialized precision so save/load cannot change
-    # predictions, read-only so nn can lay the conv weights out once.
+    # predictions, read-only so the model stays the one its index embeds.
     for name in model.params:
         p = model.params[name].astype(np.float32).astype(np.float64)
         p.setflags(write=False)

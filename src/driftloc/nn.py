@@ -13,11 +13,12 @@ k*k per-shift GEMMs into a channels-last buffer.
 conv2d_forward returns its GEMM output without a copy: an (N, F, Ho, Wo)
 view of channels-last memory, so ``out.transpose(0, 2, 3, 1)`` is
 C-contiguous and ``out`` itself is not (unless F or Ho*Wo is 1).  A
-caller that needs NCHW memory copies it.  The weights' GEMM matrix is
-built once per weight array when that array is read-only and owns its
-data (a finalized model's weights), and on every call otherwise; the
-memo holds only a weak reference to the array, so an entry goes when its
-weight does.  A memoized weight must stay read-only.
+caller that needs NCHW memory copies it.  A conv weight is stored
+GEMM-ready: gemm_layout gives its (F, C, k, k) values as a view of
+C-contiguous (k, k, C, F) memory, the transpose of its (k*k*C, F) GEMM
+matrix, so each conv call reads that matrix without a copy.  A weight in
+any other layout gives the same results through a per-call copy.
+conv2d_backward returns the weight gradient in the same layout.
 
 relu_dropout_forward and relu_dropout_backward overwrite their array
 argument and return it: the caller hands over an array it owns (a fresh
@@ -27,7 +28,6 @@ again.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,26 +56,18 @@ def _im2col(x: np.ndarray, k: int, ho: int, wo: int) -> np.ndarray:
     return cols.reshape(n * ho * wo, k * k * c)
 
 
-# id(weight) -> (weak reference to the weight, its read-only GEMM matrix)
-_GEMM_WEIGHTS: dict[int, tuple[weakref.ref, np.ndarray]] = {}
+def gemm_layout(w: np.ndarray) -> np.ndarray:
+    """w's (F, C, k, k) values as a view of C-contiguous (k, k, C, F)
+    memory, with w's write flag; no copy when w is laid out so already."""
+    out = np.ascontiguousarray(w.transpose(2, 3, 1, 0)).transpose(3, 2, 0, 1)
+    out.setflags(write=w.flags.writeable)
+    return out
 
 
 def _gemm_weight(w: np.ndarray) -> np.ndarray:
-    """w's (k*k*C, F) GEMM matrix, rows in the patch's (dy, dx, c) order;
-    memoized while w is alive when w is read-only and owns its data."""
-    key = id(w)
-    frozen = not w.flags.writeable and w.flags.owndata
-    hit = _GEMM_WEIGHTS.get(key) if frozen else None
-    if hit is not None and hit[0]() is w:
-        return hit[1]
-    mat = w.transpose(2, 3, 1, 0).reshape(-1, w.shape[0])
-    if frozen:
-        mat.setflags(write=False)
-
-        def forget(_, memo=_GEMM_WEIGHTS):  # bound now: the global is gone at exit
-            memo.pop(key, None)
-        _GEMM_WEIGHTS[key] = (weakref.ref(w, forget), mat)
-    return mat
+    """w's (k*k*C, F) GEMM matrix, rows in the patch's (dy, dx, c) order:
+    a view for a gemm_layout weight, a copy otherwise."""
+    return w.transpose(2, 3, 1, 0).reshape(-1, w.shape[0])
 
 
 def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
@@ -94,16 +86,17 @@ def conv2d_backward(cache, gout: np.ndarray):
     n, c, h, wid = x.shape
     f = w.shape[0]
     g = gout.transpose(0, 2, 3, 1).reshape(n * ho * wo, f)
+    # (k*k*C, F) GEMM product, returned in gemm_layout without a copy
     dw = (_im2col(x, k, ho, wo).T @ g).reshape(k, k, c, f).transpose(3, 2, 0, 1)
     dxh = np.zeros((n, h, wid, c), dtype=np.float64)
     shift = np.empty((n * ho * wo, c), dtype=np.float64)  # one shift's product
     for dy in range(k):
         for dx in range(k):
-            np.matmul(g, w[:, :, dy, dx], out=shift)
+            # a C-order (F, C) slice: the same product whatever w's layout
+            np.matmul(g, np.ascontiguousarray(w[:, :, dy, dx]), out=shift)
             dxh[:, dy:dy + ho, dx:dx + wo, :] += shift.reshape(n, ho, wo, c)
     db = gout.sum(axis=(0, 2, 3))
-    return (np.ascontiguousarray(dxh.transpose(0, 3, 1, 2)),
-            np.ascontiguousarray(dw), db)
+    return np.ascontiguousarray(dxh.transpose(0, 3, 1, 2)), dw, db
 
 
 def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
@@ -114,14 +107,6 @@ def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
 def dense_backward(cache, gout: np.ndarray):
     x, w = cache
     return gout @ w.T, x.T @ gout, gout.sum(axis=0)
-
-
-def relu_forward(x: np.ndarray):
-    return np.maximum(x, 0.0), (x > 0.0)
-
-
-def relu_backward(cache, gout: np.ndarray):
-    return gout * cache
 
 
 def relu_dropout_forward(x: np.ndarray, rate: float, rng: np.random.Generator | None):
@@ -187,20 +172,25 @@ def adam_update(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     """One Adam step, in place: m and v updated, then
     p -= (lr * mhat) / (sqrt(vhat) + eps) with mhat = m / (1 - beta1**t) and
     vhat = v / (1 - beta2**t).  Each parameter goes by blocks of leading-axis
-    rows through two scratch buffers that the whole call shares."""
+    rows, a conv weight in its (k, k, C, F) memory order, through two
+    scratch buffers that the whole call shares."""
     state.step += 1
     t = state.step
     c1 = 1.0 - ADAM_BETA1 ** t
     c2 = 1.0 - ADAM_BETA2 ** t
-    # a block is as many rows as fit in ADAM_BLOCK entries, or one longer row
-    size = max([ADAM_BLOCK] + [g.size // len(g) for g in grads.values()])
-    buf_a, buf_b = np.empty(size), np.empty(size)
-    for name, grad in grads.items():
-        param = params[name]
+    for name in grads:
         if name not in state.m:
-            state.m[name] = np.zeros_like(param)
-            state.v[name] = np.zeros_like(param)
-        mom1, mom2 = state.m[name], state.v[name]
+            state.m[name] = np.zeros_like(params[name])
+            state.v[name] = np.zeros_like(params[name])
+    # a conv weight goes as its gemm_layout memory, (k, k, C, F); the update
+    # is elementwise, so transposing all four arrays alike changes no bit
+    arrays = [[a.transpose(2, 3, 1, 0) if a.ndim == 4 else a
+               for a in (params[name], grad, state.m[name], state.v[name])]
+              for name, grad in grads.items()]
+    # a block is as many rows as fit in ADAM_BLOCK entries, or one longer row
+    size = max([ADAM_BLOCK] + [g.size // len(g) for _, g, _, _ in arrays])
+    buf_a, buf_b = np.empty(size), np.empty(size)
+    for param, grad, mom1, mom2 in arrays:
         r = max(1, ADAM_BLOCK // (grad.size // len(grad)))
         for lo in range(0, len(param), r):
             p, g, m, v = (arr[lo:lo + r] for arr in (param, grad, mom1, mom2))

@@ -9,8 +9,8 @@ from test_nn import reference_relu_dropout_backward, reference_relu_dropout_forw
 from driftloc import nn
 from driftloc.cli import random_check_triplet, run_gradcheck
 from driftloc.data import split_by_ci
-from driftloc.encoder import (BLOCK_ROWS, EncoderConfig, _forward, _train_forward, encode_batch,
-                              gradient_check, init_model, small_check_config,
+from driftloc.encoder import (BLOCK_ROWS, EncoderConfig, EncoderModel, _forward, _train_forward,
+                              encode_batch, gradient_check, init_model, small_check_config,
                               train_step, triplet_loss)
 from driftloc.errors import HingeInactiveError, StochasticModelError
 from driftloc.nn import AdamState
@@ -304,7 +304,7 @@ def test_encode_batch_runs_in_blocks(monkeypatch):
 @pytest.mark.parametrize("m", [1, 96, 97, 250])
 def test_encode_batch_matches_training_forward(width, m):
     # the cache-free inference forward gives the training forward's bits,
-    # block by block, with writable weights and with read-only (memoized) ones
+    # block by block, with writable weights and with read-only ones
     rows = np.random.default_rng(width * 1000 + m).random((m, width))
     model = init_model(EncoderConfig(), image_side(width), seed=m)
     want = np.concatenate([_forward(model, rows[lo:lo + BLOCK_ROWS], train=False, rng=None)[0]
@@ -348,6 +348,34 @@ def test_gradient_check_various_sides():
     for side in (3, 5):
         err = run_gradcheck(seed=1, side=side, embed_dim=3)
         assert err <= 1e-4
+
+
+def test_gradient_check_reaches_every_conv_weight_layout():
+    # the check perturbs entries by index, so a C-order conv weight and a
+    # gemm_layout one (not C-contiguous) give the same, passing error
+    cfg = small_check_config()
+    laid = init_model(cfg, 4, 2)
+    c_order = init_model(cfg, 4, 2)
+    for name in ("conv1_w", "conv2_w"):
+        c_order.params[name] = np.ascontiguousarray(c_order.params[name])
+        assert not laid.params[name].flags.c_contiguous
+    rng = np.random.default_rng([2, 0])
+    t = random_check_triplet(4, rng)
+    while triplet_loss(*encode_batch(laid, t), cfg.margin_alpha) <= 1e-3:
+        t = random_check_triplet(4, rng)
+    err = gradient_check(laid, t, cfg.margin_alpha)
+    assert err <= 1e-4
+    assert gradient_check(c_order, t, cfg.margin_alpha) == err
+
+
+def test_model_lays_out_its_own_param_dict():
+    model = small_model()
+    params = {name: np.ascontiguousarray(p) for name, p in model.params.items()}
+    copy = EncoderModel(model.config, model.input_side, params)
+    assert copy.params is not params
+    for name, p in params.items():
+        assert p.flags.c_contiguous and copy.params[name].flags.c_contiguous == (p.ndim < 4)
+        np.testing.assert_array_equal(copy.params[name], p)
 
 
 def test_gradient_check_refuses_stochastic_model():

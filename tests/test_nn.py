@@ -1,5 +1,3 @@
-import gc
-
 import numpy as np
 import pytest
 
@@ -76,27 +74,29 @@ def test_conv_matches_nested_loops(n, c, h, wid, f, k):
     np.testing.assert_allclose(gb, want_gb, rtol=0, atol=1e-12)
 
 
-def test_gemm_weight_memo_keeps_read_only_owners_only():
-    rng = np.random.default_rng(3)
-    x, b = rng.standard_normal((2, 3, 4, 4)), rng.standard_normal(5)
-    w = rng.standard_normal((5, 3, 2, 2))
-    before = len(nn._GEMM_WEIGHTS)
-    assert nn._gemm_weight(w) is not nn._gemm_weight(w)  # writable: laid out per call
-    view = w[:, :, :, :]
-    view.setflags(write=False)
-    assert nn._gemm_weight(view) is not nn._gemm_weight(view)  # read-only view of a writable base
-    assert len(nn._GEMM_WEIGHTS) == before
-
+@pytest.mark.parametrize("n, c, h, wid, f, k", CONV_CASES)
+def test_gemm_layout_is_bit_neutral(n, c, h, wid, f, k):
+    rng = np.random.default_rng(n * 100 + c * 10 + k + 7)
+    x = rng.standard_normal((n, c, h, wid))
+    w = rng.standard_normal((f, c, k, k))
+    b = rng.standard_normal(f)
+    wl = nn.gemm_layout(w)
+    np.testing.assert_array_equal(wl, w)
+    assert wl.flags.writeable and np.shares_memory(nn._gemm_weight(wl), wl)
+    assert np.shares_memory(nn.gemm_layout(wl), wl)  # already laid out: no copy
     w.setflags(write=False)
-    mat = nn._gemm_weight(w)
-    assert nn._gemm_weight(w) is mat and not mat.flags.writeable
-    np.testing.assert_array_equal(mat, w.transpose(2, 3, 1, 0).reshape(-1, 5))
-    np.testing.assert_array_equal(nn.conv2d_forward(x, w, b)[0],
-                                  nn.conv2d_forward(x, w.copy(), b)[0])
-    assert len(nn._GEMM_WEIGHTS) == before + 1
-    del w, view, mat
-    gc.collect()
-    assert len(nn._GEMM_WEIGHTS) == before
+    assert not nn.gemm_layout(w).flags.writeable
+
+    out, cache = nn.conv2d_forward(x, w, b)
+    out_l, cache_l = nn.conv2d_forward(x, wl, b)
+    np.testing.assert_array_equal(out_l, out)
+    gout = rng.standard_normal(out.shape)
+    grads = nn.conv2d_backward(cache, gout)
+    grads_l = nn.conv2d_backward(cache_l, gout)
+    for got, want in zip(grads_l, grads):
+        np.testing.assert_array_equal(got, want)
+    dw = grads_l[1]
+    assert np.shares_memory(nn._gemm_weight(dw), dw)  # the gradient comes GEMM-ready too
 
 
 def test_conv_shape_errors():
@@ -113,13 +113,15 @@ def test_conv_shape_errors():
 
 def test_adam_matches_textbook():
     # Shapes cover one block, several row blocks (the 2-D and the long 1-D
-    # one) and rows longer than a block.
-    shapes = {"w": (3, 2, 2, 2), "b": (7,),
+    # one) and rows longer than a block; "conv" and its gradients are in
+    # gemm_layout, "w" is a C-order 4-D weight.
+    shapes = {"w": (3, 2, 2, 2), "conv": (5, 3, 2, 2), "b": (7,),
               "fc": (nn.ADAM_BLOCK // 40, 100),
               "long": (nn.ADAM_BLOCK + 5,),
               "wide": (2, nn.ADAM_BLOCK + 3)}
     rng = np.random.default_rng(9)
     params = {name: rng.standard_normal(s) for name, s in shapes.items()}
+    params["conv"] = nn.gemm_layout(params["conv"])
     want = {name: p.copy() for name, p in params.items()}
     m = {name: np.zeros(s) for name, s in shapes.items()}
     v = {name: np.zeros(s) for name, s in shapes.items()}
@@ -128,6 +130,7 @@ def test_adam_matches_textbook():
     for t in range(1, 7):
         grads = {name: rng.standard_normal(s) * 10.0 ** rng.uniform(-6, 1)
                  for name, s in shapes.items()}
+        grads["conv"] = nn.gemm_layout(grads["conv"])
         nn.adam_update(params, grads, state)
         for name, g in grads.items():
             m[name] = b1 * m[name] + (1 - b1) * g
