@@ -91,12 +91,21 @@ def _param_shapes(cfg: EncoderConfig, input_side: int) -> dict[str, tuple[int, .
     }
 
 
+def _float64(p: np.ndarray) -> np.ndarray:
+    """p as float64, with p's write flag; p itself when it is float64."""
+    out = np.asarray(p, dtype=np.float64)
+    out.setflags(write=p.flags.writeable)
+    return out
+
+
 @dataclass(eq=False)
 class EncoderModel:
     """Configuration plus the parameter tensors of a trained or fresh
-    encoder.  ``params`` is the model's own dict, with the conv weights in
-    :func:`nn.gemm_layout`.  Training steps update it in place;
-    ``train()`` and ``load_model_full`` return it read-only."""
+    encoder.  ``params`` is the model's own dict of float64 arrays, with
+    the conv weights in :func:`nn.gemm_layout`; a float32 parameter, such
+    as a loaded one, is cast in that same one copy and keeps its write
+    flag.  Training steps update it in place; ``train()`` and
+    ``load_model_full`` return it read-only."""
 
     config: EncoderConfig
     input_side: int
@@ -114,8 +123,8 @@ class EncoderModel:
                 raise ValueError(f"parameter {name}: shape {got} != expected {shapes[name]}")
             if not np.all(np.isfinite(self.params[name])):
                 raise ValueError(f"parameter {name} contains non-finite values")
-        self.params = {name: nn.gemm_layout(p) if name in ("conv1_w", "conv2_w") else p
-                       for name, p in self.params.items()}
+        self.params = {name: nn.gemm_layout(p) if name in ("conv1_w", "conv2_w")
+                       else _float64(p) for name, p in self.params.items()}
 
 
 def init_model(cfg: EncoderConfig, input_side: int, seed: int) -> EncoderModel:

@@ -3,8 +3,13 @@ and answer online queries.
 
 The index is a flat exhaustive-scan table; KNN is exact.  Neighbor order
 is total: ascending distance, then ascending rp_id, then ascending entry
-position.  The default decision rule is majority RP vote with ties broken
-by smallest mean neighbor distance and finally lowest rp_id; the
+position.  Queries are scanned in blocks sized by the bytes of their
+difference buffer, and each block's top k comes from one partition,
+falling back to a full stable sort only where a distance tie straddles
+some row's k-th place, so the order never depends on the block size.
+
+The default decision rule is majority RP vote with ties broken by
+smallest mean neighbor distance and finally lowest rp_id; the
 alternative rule interpolates an inverse-distance-weighted centroid of
 the neighbor coordinates (the reported rp_id still follows the vote).
 
@@ -22,8 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .data import Fingerprint, FingerprintDataset
-from .encoder import (BLOCK_ROWS, EncoderConfig, EncoderModel, encode_batch, init_model,
-                      train_step)
+from .encoder import EncoderConfig, EncoderModel, encode_batch, init_model, train_step
 from .nn import AdamState
 from .preprocess import image_side, normalize_rows
 from .sampler import build_pmf_table, make_batch, rp_members
@@ -33,6 +37,8 @@ logger = logging.getLogger(__name__)
 DEFAULT_K = 3  # neighbours per query, for the library and the command-line flags
 RULES = ("vote", "centroid")  # the decision rules _decide implements
 DEFAULT_RULE = RULES[0]
+# Bytes of one KNN block's float64 difference buffer, about an L2 cache.
+KNN_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -194,18 +200,36 @@ def _decide(nb_rp: list[int], nb_dist: list[float], nb_x: list[float],
                       neighbor_rps=tuple(zip(nb_rp, nb_dist)))
 
 
+def _top_k(dists: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Columns and values of each row's k smallest entries of an (m, n)
+    table, in (value, column) order: the first k of each row's stable sort.
+
+    One partition finds each row's k-th value.  At least k entries of a
+    row are not above it, NaN or not; when exactly k of every row are,
+    those k, in column order and stable-sorted by value, are that first k.
+    A tie straddling some row's cut leaves only the full stable sort."""
+    kth = np.partition(dists, k - 1, axis=1)[:, k - 1:k]
+    r, c = np.nonzero(~(dists > kth))
+    if len(c) != k * len(dists):
+        cols = np.argsort(dists, axis=1, kind="stable")[:, :k]
+        return cols, np.take_along_axis(dists, cols, axis=1)
+    vals = dists[r, c]
+    order = np.lexsort((vals, r))  # stable: rows stay grouped, ties in column order
+    return c[order].reshape(-1, k), vals[order].reshape(-1, k)
+
+
 def _knn_rows(dists: np.ndarray, by_rp: np.ndarray, rp_ids: np.ndarray,
               xs: np.ndarray, ys: np.ndarray, k: int, rule: str) -> list[Prediction]:
     """Exact top-k and decision for each row of an (m, n) distance table.
 
     ``by_rp`` is the tie order, the table positions in (rp_id, position)
-    order; a stable sort of each row's distances in that order yields
-    neighbours in (distance, rp_id, position) order.
+    order; the first k of a stable sort of each row's distances in that
+    order are its neighbours in (distance, rp_id, position) order.
     """
-    nb = by_rp[np.argsort(dists[:, by_rp], axis=1, kind="stable")[:, :k]]
+    ranks, nb_dist = _top_k(dists[:, by_rp], k)
+    nb = by_rp[ranks]
     return [_decide(*cols, rule) for cols in zip(
-        rp_ids[nb].tolist(), np.take_along_axis(dists, nb, axis=1).tolist(),
-        xs[nb].tolist(), ys[nb].tolist())]
+        rp_ids[nb].tolist(), nb_dist.tolist(), xs[nb].tolist(), ys[nb].tolist())]
 
 
 def _knn_decide(dists: np.ndarray, rp_ids: np.ndarray, xs: np.ndarray,
@@ -220,16 +244,18 @@ def _knn_blocks(queries: np.ndarray, table: np.ndarray, by_rp: np.ndarray,
                 rp_ids: np.ndarray, xs: np.ndarray, ys: np.ndarray, k: int,
                 rule: str) -> list[Prediction]:
     """Exact KNN of every (m, d) query vector against the (n, d) ``table``,
-    BLOCK_ROWS queries at a time through one difference and one distance
-    buffer.  Distances are elementwise differences, so identical table
-    rows get identical distances."""
+    in blocks of as many queries as fit one (rows, n, d) difference buffer
+    into KNN_BLOCK_BYTES (one query at least), reusing that buffer and one
+    distance buffer.  Distances are elementwise differences, so identical
+    table rows get identical distances."""
     _check_query(len(table), k, rule)
-    b = min(len(queries), BLOCK_ROWS)
+    step = max(1, KNN_BLOCK_BYTES // (8 * table.size))
+    b = min(len(queries), step)
     diff = np.empty((b,) + table.shape)
     dists = np.empty((b, len(table)))
     out: list[Prediction] = []
-    for lo in range(0, len(queries), BLOCK_ROWS):
-        q = queries[lo:lo + BLOCK_ROWS]
+    for lo in range(0, len(queries), step):
+        q = queries[lo:lo + step]
         d, dd = diff[:len(q)], dists[:len(q)]
         np.subtract(table[None, :, :], q[:, None, :], out=d)
         np.sqrt(np.square(d, out=d).sum(axis=-1, out=dd), out=dd)

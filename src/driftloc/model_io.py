@@ -176,10 +176,12 @@ def load_model_full(path: str | Path) -> tuple[EncoderModel, EmbeddingIndex, dic
         dims = struct.unpack(f"<{rank}I", r.take(4 * rank))
         raw = r.take(4 * math.prod(dims))  # Python ints: no overflow
         try:
-            params[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).astype(np.float64)
+            # a read-only view of the file's float32 values: EncoderModel
+            # makes the one float64 copy, read-only too, so the model stays
+            # the one its index embeds
+            params[name] = np.frombuffer(raw, dtype="<f4").reshape(dims)
         except ValueError as exc:  # e.g. a zero dim beside dims too large to address
             raise ModelFormatError(f"parameter {name!r}: bad dims {dims}: {exc}") from None
-        params[name].setflags(write=False)  # the model stays the one its index embeds
     try:
         model = EncoderModel(config=cfg, input_side=input_side, params=params)
     except ValueError as exc:

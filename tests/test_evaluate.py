@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from driftloc import localizer
 from driftloc.data import (Fingerprint, FingerprintDataset, FloorPlan,
                            ReferencePoint, split_by_ci)
 from driftloc.encoder import EncoderConfig
@@ -96,10 +97,14 @@ def test_side_by_side_same_queries(trained):
 
 
 @pytest.mark.parametrize("rule", ["vote", "centroid"])
-def test_batched_harness_matches_per_scan_loop(trained, rule):
+def test_batched_harness_matches_per_scan_loop(trained, rule, monkeypatch):
     tr, te, model, index = trained
     test = FingerprintDataset(te.floorplan, te.fingerprints * 5)  # spans several query blocks
-    assert len(test) > 2 * 96
+    # KNN blocks of 96 embedding and 24 raw-RSSI queries, the last one partial
+    monkeypatch.setattr(localizer, "KNN_BLOCK_BYTES", 8 * len(tr) * 12 * 24)
+    for width in (index.embed_dim, tr.floorplan.n_aps):
+        rows = localizer.KNN_BLOCK_BYTES // (8 * len(tr) * width)
+        assert 1 < rows and len(test) > 2 * rows and len(test) % rows
     pairs = [
         (evaluate_over_time(model, index, test, 3, rule),
          _run_eval(lambda fp: predict(model, index, fp, 3, rule), test, "embedding-knn")),

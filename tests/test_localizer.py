@@ -3,9 +3,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from knn_oracle import oracle_baseline_predict, oracle_embedding_predict
+from knn_oracle import oracle_baseline_predict, oracle_decide, oracle_embedding_predict
 
-from driftloc import nn
+from driftloc import localizer, nn
 from driftloc.data import Fingerprint, ReferencePoint, split_by_ci
 from driftloc.encoder import BLOCK_ROWS, EncoderConfig, encode_batch, init_model, train_step
 from driftloc.errors import ModelFormatError
@@ -155,6 +155,28 @@ def test_conv_weights_are_gemm_ready(tmp_path, trained):
             assert np.shares_memory(nn._gemm_weight(w), w), name
 
 
+def test_load_casts_and_lays_out_each_conv_weight_in_one_copy(tmp_path, trained, monkeypatch):
+    # the loader hands over the file's float32 values and gemm_layout's
+    # one copy is also the float64 cast
+    model, index = trained
+    save_model(model, index, tmp_path / "m.stne")
+    calls = []
+    layout = nn.gemm_layout
+
+    def recording_layout(w):
+        out = layout(w)
+        calls.append((w.dtype, out))
+        return out
+
+    monkeypatch.setattr(nn, "gemm_layout", recording_layout)
+    loaded, _ = load_model(tmp_path / "m.stne")
+    assert [dtype for dtype, _ in calls] == [np.float32, np.float32]
+    assert calls[0][1] is loaded.params["conv1_w"] and calls[1][1] is loaded.params["conv2_w"]
+    for name, p in loaded.params.items():
+        assert p.dtype == np.float64 and not p.flags.writeable, name
+        np.testing.assert_array_equal(p, model.params[name])
+
+
 def test_trained_and_loaded_params_are_read_only(tmp_path, trained):
     model, index = trained
     save_model(model, index, tmp_path / "m.stne")
@@ -217,6 +239,61 @@ def test_tie_breaks_with_duplicate_entries():
     assert (pred.x, pred.y) == (3.0, 4.0)
     x, y, rp, _ = oracle_embedding_predict(index, q, 4, "vote")
     assert (x, y, rp) == (pred.x, pred.y, pred.rp_id)
+
+
+halves = st.integers(-4, 4).map(lambda v: v / 2)
+
+
+@st.composite
+def tied_knn_cases(draw):
+    """A table of few distinct rows quantized to halves, so distances tie
+    exactly, with repeated rows and rp_ids; queries spanning several
+    blocks of ``rows`` queries, and a budget that makes such blocks."""
+    d = draw(st.integers(1, 3))
+    vec = st.lists(halves, min_size=d, max_size=d)
+    pool = draw(st.lists(vec, min_size=1, max_size=4))
+    n = draw(st.integers(1, 12))
+    table = np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    rp_ids = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), np.int32)
+    xs, ys = (np.array(draw(st.lists(halves, min_size=n, max_size=n))) for _ in "xy")
+    m = draw(st.integers(1, 10))
+    queries = np.array(draw(st.lists(st.sampled_from(pool) | vec, min_size=m, max_size=m)))
+    rows = draw(st.integers(1, 4))
+    budget = rows * 8 * n * d + draw(st.integers(0, 8 * n * d - 1))
+    return table, rp_ids, xs, ys, queries, rows, budget
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=tied_knn_cases(), data=st.data(), rule=st.sampled_from(["vote", "centroid"]))
+def test_knn_blocks_exact_on_ties(case, data, rule):
+    # Every field of every prediction equals the oracle's, whatever the
+    # block size: ties at a row's k-th place must not reorder neighbours.
+    table, rp_ids, xs, ys, queries, rows, budget = case
+    m, (n, d) = len(queries), table.shape
+    k = data.draw(st.integers(1, n), label="k")
+    by_rp = np.argsort(rp_ids, kind="stable")
+    default = localizer.KNN_BLOCK_BYTES
+    runs = []
+    for bytes_, step in ((budget, rows), (1, 1), (default, default // (8 * n * d))):
+        blocks = []
+        knn_rows = localizer._knn_rows
+
+        def recording_rows(dists, *args):
+            blocks.append(len(dists))
+            return knn_rows(dists, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(localizer, "KNN_BLOCK_BYTES", bytes_)
+            mp.setattr(localizer, "_knn_rows", recording_rows)
+            runs.append(localizer._knn_blocks(queries, table, by_rp, rp_ids, xs, ys, k, rule))
+        assert blocks == [min(step, m - lo) for lo in range(0, m, step)]
+        assert blocks[0] == 1 or blocks[0] * 8 * n * d <= bytes_  # the difference buffer fits
+    assert runs[0] == runs[1] == runs[2]  # drawn, one-row and default blocks
+    for q, got in zip(queries, runs[0]):
+        dists = [float(np.sqrt(((row - q) ** 2).sum())) for row in table]
+        x, y, rp, nb = oracle_decide(dists, rp_ids.tolist(), xs.tolist(), ys.tolist(), k, rule)
+        assert (got.x, got.y, got.rp_id) == (x, y, rp)
+        assert got.neighbor_rps == tuple((r, dist) for r, dist, _, _ in nb)
 
 
 def test_all_missing_baseline_scan(sim_split):
