@@ -4,9 +4,9 @@ and answer online queries.
 The index is a flat exhaustive-scan table; KNN is exact.  Neighbor order
 is total: ascending distance, then ascending rp_id, then ascending entry
 position.  Queries are scanned in blocks sized by the bytes of their
-difference buffer, and each block's top k comes from one partition,
-falling back to a full stable sort only where a distance tie straddles
-some row's k-th place, so the order never depends on the block size.
+difference buffer, and each block's top k comes from one partition and
+a stable sort of the entries at or below each row's k-th distance, so
+the order never depends on the block size.
 
 The default decision rule is majority RP vote with ties broken by
 smallest mean neighbor distance and finally lowest rp_id; the
@@ -38,7 +38,7 @@ DEFAULT_K = 3  # neighbours per query, for the library and the command-line flag
 RULES = ("vote", "centroid")  # the decision rules _decide implements
 DEFAULT_RULE = RULES[0]
 # Bytes of one KNN block's float64 difference buffer, about an L2 cache.
-KNN_BLOCK_BYTES = 1 << 20
+_KNN_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -204,18 +204,15 @@ def _top_k(dists: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Columns and values of each row's k smallest entries of an (m, n)
     table, in (value, column) order: the first k of each row's stable sort.
 
-    One partition finds each row's k-th value.  At least k entries of a
-    row are not above it, NaN or not; when exactly k of every row are,
-    those k, in column order and stable-sorted by value, are that first k.
-    A tie straddling some row's cut leaves only the full stable sort."""
+    One partition finds each row's k-th value.  The entries not above it,
+    NaN or not, number at least k in every row and include that first k,
+    so each row's first k of them, stable-sorted by value, are it."""
     kth = np.partition(dists, k - 1, axis=1)[:, k - 1:k]
-    r, c = np.nonzero(~(dists > kth))
-    if len(c) != k * len(dists):
-        cols = np.argsort(dists, axis=1, kind="stable")[:, :k]
-        return cols, np.take_along_axis(dists, cols, axis=1)
+    r, c = np.nonzero(~(dists > kth))  # in row order
     vals = dists[r, c]
     order = np.lexsort((vals, r))  # stable: rows stay grouped, ties in column order
-    return c[order].reshape(-1, k), vals[order].reshape(-1, k)
+    first = order[np.searchsorted(r, np.arange(len(dists)))[:, None] + np.arange(k)]
+    return c[first], vals[first]
 
 
 def _knn_rows(dists: np.ndarray, by_rp: np.ndarray, rp_ids: np.ndarray,
@@ -245,11 +242,11 @@ def _knn_blocks(queries: np.ndarray, table: np.ndarray, by_rp: np.ndarray,
                 rule: str) -> list[Prediction]:
     """Exact KNN of every (m, d) query vector against the (n, d) ``table``,
     in blocks of as many queries as fit one (rows, n, d) difference buffer
-    into KNN_BLOCK_BYTES (one query at least), reusing that buffer and one
+    into _KNN_BLOCK_BYTES (one query at least), reusing that buffer and one
     distance buffer.  Distances are elementwise differences, so identical
     table rows get identical distances."""
     _check_query(len(table), k, rule)
-    step = max(1, KNN_BLOCK_BYTES // (8 * table.size))
+    step = max(1, _KNN_BLOCK_BYTES // (8 * table.size))
     b = min(len(queries), step)
     diff = np.empty((b,) + table.shape)
     dists = np.empty((b, len(table)))

@@ -94,11 +94,13 @@ def save_model(model: EncoderModel, index: EmbeddingIndex, path: str | Path,
 
 
 class _Reader:
-    def __init__(self, data: bytes):
+    """Reads fields off a buffer; each field is a view, not a copy."""
+
+    def __init__(self, data: memoryview):
         self.data = data
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.data):
             raise ModelFormatError("model file truncated")
         chunk = self.data[self.pos:self.pos + n]
@@ -109,10 +111,10 @@ class _Reader:
         return struct.unpack("<I", self.take(4))[0]
 
 
-def _parse_config(block: bytes) -> dict[str, str]:
+def _parse_config(block: memoryview) -> dict[str, str]:
     pairs: dict[str, str] = {}
     try:
-        text = block.decode("utf-8")
+        text = str(block, "utf-8")
     except UnicodeDecodeError as exc:
         raise ModelFormatError(f"config block is not UTF-8: {exc}") from None
     for line in text.splitlines():
@@ -131,13 +133,14 @@ def load_model_full(path: str | Path) -> tuple[EncoderModel, EmbeddingIndex, dic
     if len(data) < 12:
         raise ModelFormatError("file too short to be a model")
     stored = struct.unpack("<I", data[-4:])[0]
-    actual = zlib.crc32(data[:-4])
+    body = memoryview(data)[:-4]
+    actual = zlib.crc32(body)
     if stored != actual:
         raise ModelFormatError(
             f"checksum mismatch (stored {stored:#010x}, computed {actual:#010x}); "
             "file is corrupted"
         )
-    r = _Reader(data[:-4])
+    r = _Reader(body)
     if r.take(4) != MAGIC:
         raise ModelFormatError("bad magic bytes; not a model file")
     version = r.u32()
@@ -165,7 +168,7 @@ def load_model_full(path: str | Path) -> tuple[EncoderModel, EmbeddingIndex, dic
     params: dict[str, np.ndarray] = {}
     for _ in range(n_params):
         try:
-            name = r.take(r.u32()).decode("utf-8")
+            name = str(r.take(r.u32()), "utf-8")
         except UnicodeDecodeError as exc:
             raise ModelFormatError(f"parameter name is not UTF-8: {exc}") from None
         if name in params:
@@ -178,7 +181,7 @@ def load_model_full(path: str | Path) -> tuple[EncoderModel, EmbeddingIndex, dic
         try:
             # a read-only view of the file's float32 values: EncoderModel
             # makes the one float64 copy, read-only too, so the model stays
-            # the one its index embeds
+            # the one its index embeds and holds no view of the file
             params[name] = np.frombuffer(raw, dtype="<f4").reshape(dims)
         except ValueError as exc:  # e.g. a zero dim beside dims too large to address
             raise ModelFormatError(f"parameter {name!r}: bad dims {dims}: {exc}") from None
@@ -189,7 +192,8 @@ def load_model_full(path: str | Path) -> tuple[EncoderModel, EmbeddingIndex, dic
 
     n = r.u32()
     dtype = _index_dtype(cfg.embed_dim)
-    entries = np.frombuffer(r.take(n * dtype.itemsize), dtype=dtype)
+    # a copy, so that the index's columns do not pin the whole file
+    entries = np.frombuffer(r.take(n * dtype.itemsize), dtype=dtype).copy()
     if r.pos != len(r.data):
         raise ModelFormatError(f"{len(r.data) - r.pos} trailing bytes after index")
     try:

@@ -101,9 +101,9 @@ def test_batched_harness_matches_per_scan_loop(trained, rule, monkeypatch):
     tr, te, model, index = trained
     test = FingerprintDataset(te.floorplan, te.fingerprints * 5)  # spans several query blocks
     # KNN blocks of 96 embedding and 24 raw-RSSI queries, the last one partial
-    monkeypatch.setattr(localizer, "KNN_BLOCK_BYTES", 8 * len(tr) * 12 * 24)
+    monkeypatch.setattr(localizer, "_KNN_BLOCK_BYTES", 8 * len(tr) * 12 * 24)
     for width in (index.embed_dim, tr.floorplan.n_aps):
-        rows = localizer.KNN_BLOCK_BYTES // (8 * len(tr) * width)
+        rows = localizer._KNN_BLOCK_BYTES // (8 * len(tr) * width)
         assert 1 < rows and len(test) > 2 * rows and len(test) % rows
     pairs = [
         (evaluate_over_time(model, index, test, 3, rule),

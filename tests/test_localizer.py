@@ -272,7 +272,7 @@ def test_knn_blocks_exact_on_ties(case, data, rule):
     m, (n, d) = len(queries), table.shape
     k = data.draw(st.integers(1, n), label="k")
     by_rp = np.argsort(rp_ids, kind="stable")
-    default = localizer.KNN_BLOCK_BYTES
+    default = localizer._KNN_BLOCK_BYTES
     runs = []
     for bytes_, step in ((budget, rows), (1, 1), (default, default // (8 * n * d))):
         blocks = []
@@ -283,7 +283,7 @@ def test_knn_blocks_exact_on_ties(case, data, rule):
             return knn_rows(dists, *args)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(localizer, "KNN_BLOCK_BYTES", bytes_)
+            mp.setattr(localizer, "_KNN_BLOCK_BYTES", bytes_)
             mp.setattr(localizer, "_knn_rows", recording_rows)
             runs.append(localizer._knn_blocks(queries, table, by_rp, rp_ids, xs, ys, k, rule))
         assert blocks == [min(step, m - lo) for lo in range(0, m, step)]

@@ -71,6 +71,19 @@ def test_tiny_model_loads(tiny):
     assert len(index) == 3 and extra == {"ap_registry": "a,b,c"}
 
 
+def test_loaded_arrays_hold_no_view_of_the_file(tiny):
+    # the loader reads fields as views of the file's bytes; what it returns
+    # owns its memory, so a loaded model does not keep the file alive
+    data, path = tiny
+    path.write_bytes(data)
+    model, index, _ = load_model_full(path)
+    for a in (*model.params.values(), index.embeddings, index.rp_ids, index.xs,
+              index.ys, index.table, index.tie_order):
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        assert a.base is None
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_truncation_rejected(tiny, data):
