@@ -28,7 +28,7 @@ import numpy as np
 
 from .data import Fingerprint, FingerprintDataset
 from .encoder import EncoderConfig, EncoderModel, encode_batch, init_model, train_step
-from .nn import AdamState
+from . import nn
 from .preprocess import image_side, normalize_rows
 from .sampler import build_pmf_table, make_batch, rp_members
 
@@ -37,8 +37,6 @@ logger = logging.getLogger(__name__)
 DEFAULT_K = 3  # neighbours per query, for the library and the command-line flags
 RULES = ("vote", "centroid")  # the decision rules _decide implements
 DEFAULT_RULE = RULES[0]
-# Bytes of one KNN block's float64 difference buffer, about an L2 cache.
-_KNN_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -136,7 +134,7 @@ def train(train_set: FingerprintDataset, cfg: TrainConfig, seed: int,
 
     members = rp_members(train_set)
     pmf = build_pmf_table(train_set.floorplan, cfg.sigma_sel)
-    opt = AdamState(lr=cfg.learning_rate)
+    opt = nn.AdamState(lr=cfg.learning_rate)
 
     batches_per_epoch = max(1, math.ceil(len(train_set) / cfg.batch_size))
     for epoch in range(cfg.epochs):
@@ -242,11 +240,11 @@ def _knn_blocks(queries: np.ndarray, table: np.ndarray, by_rp: np.ndarray,
                 rule: str) -> list[Prediction]:
     """Exact KNN of every (m, d) query vector against the (n, d) ``table``,
     in blocks of as many queries as fit one (rows, n, d) difference buffer
-    into _KNN_BLOCK_BYTES (one query at least), reusing that buffer and one
+    into nn._BLOCK_BYTES (one query at least), reusing that buffer and one
     distance buffer.  Distances are elementwise differences, so identical
     table rows get identical distances."""
     _check_query(len(table), k, rule)
-    step = max(1, _KNN_BLOCK_BYTES // (8 * table.size))
+    step = max(1, nn._BLOCK_BYTES // (8 * table.size))
     b = min(len(queries), step)
     diff = np.empty((b,) + table.shape)
     dists = np.empty((b, len(table)))

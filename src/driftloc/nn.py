@@ -3,12 +3,19 @@
 Plain numpy float64 throughout.  Each layer is a forward function
 returning (output, cache) and a matching backward function taking
 (cache, grad_out).  Convolutions are valid (no padding), stride 1, and
-take (N, C, H, W) arrays of any memory layout.  Inside, each is one
-im2col GEMM (Chellapilla et al., 2006): the forward multiplies the
-(N*Ho*Wo, k*k*C) patch matrix, gathered from channels-last shifted
-slices, by the weights' (k*k*C, F) GEMM matrix; the backward forms the
-weight gradient as one patch-matrix GEMM and adds the input gradient as
-k*k per-shift GEMMs into a channels-last buffer.
+take (N, C, H, W) arrays of any memory layout.  Inside, each is an
+im2col GEMM (Chellapilla et al., 2006).  The forward goes one chunk of
+images at a time, as many as fit their (rows*Ho*Wo, k*k*C) patch block,
+gathered from channels-last shifted slices, into _BLOCK_BYTES (one image
+at least), so the block stays in cache (Goto & van de Geijn, 2008).  It
+reuses one patch buffer and multiplies each block by the weights'
+(k*k*C, F) GEMM matrix into its rows of the one output.  BLAS picks its
+kernel by the product's size, so for some shapes an output's last bits
+depend on the chunk's row count; the default office-like encoder's
+convs give the same bits at every budget the tests try.  The backward
+still gathers the whole (N*Ho*Wo, k*k*C) patch matrix: it forms the
+weight gradient, a sum over every patch row, as one GEMM, and adds the
+input gradient as k*k per-shift GEMMs into a channels-last buffer.
 
 conv2d_forward returns its GEMM output without a copy: an (N, F, Ho, Wo)
 view of channels-last memory, so ``out.transpose(0, 2, 3, 1)`` is
@@ -32,6 +39,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# Bytes of one cache-sized working block, about one core's L2: a conv
+# forward's patch block here, a KNN query block's difference buffer in
+# localizer.
+_BLOCK_BYTES = 1 << 20
+
 
 def _check_conv(x: np.ndarray, w: np.ndarray) -> tuple[int, int, int]:
     """(k, Ho, Wo) of a valid stride-1 convolution of x by w."""
@@ -45,11 +57,14 @@ def _check_conv(x: np.ndarray, w: np.ndarray) -> tuple[int, int, int]:
     return k, ho, wo
 
 
-def _im2col(x: np.ndarray, k: int, ho: int, wo: int) -> np.ndarray:
-    """(N*Ho*Wo, k*k*C) patch matrix of x, columns in (dy, dx, c) order."""
+def _im2col(x: np.ndarray, k: int, ho: int, wo: int,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """(N*Ho*Wo, k*k*C) patch matrix of x, columns in (dy, dx, c) order,
+    written into ``out``, a flat float64 array of that size, when given."""
     n, c = x.shape[:2]
     xh = x.transpose(0, 2, 3, 1)  # channels-last view
-    cols = np.empty((n, ho, wo, k, k, c), dtype=np.float64)
+    shape = (n, ho, wo, k, k, c)
+    cols = np.empty(shape) if out is None else out.reshape(shape)
     for dy in range(k):
         for dx in range(k):
             cols[:, :, :, dy, dx, :] = xh[:, dy:dy + ho, dx:dx + wo, :]
@@ -76,9 +91,18 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     a view of channels-last memory."""
     k, ho, wo = _check_conv(x, w)
     n, f = len(x), w.shape[0]
-    y = _im2col(x, k, ho, wo) @ _gemm_weight(w)  # (N*Ho*Wo, k*k*C) x (k*k*C, F)
-    y += b
-    return y.reshape(n, ho, wo, f).transpose(0, 3, 1, 2), (x, w)
+    wm = _gemm_weight(w)
+    per_image = ho * wo * len(wm)  # patch entries of one image
+    step = max(1, _BLOCK_BYTES // (8 * per_image))
+    y = np.empty((n, ho, wo, f))
+    buf = np.empty(min(n, step) * per_image)
+    for lo in range(0, n, step):
+        xs = x[lo:lo + step]
+        cols = _im2col(xs, k, ho, wo, buf[:len(xs) * per_image])
+        ys = y[lo:lo + len(xs)].reshape(len(cols), f)
+        np.matmul(cols, wm, out=ys)  # (rows*Ho*Wo, k*k*C) x (k*k*C, F)
+        ys += b
+    return y.transpose(0, 3, 1, 2), (x, w)
 
 
 def conv2d_backward(cache, gout: np.ndarray):

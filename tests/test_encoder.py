@@ -262,6 +262,23 @@ def test_train_step_peak_memory():
     assert peak <= 30e6, f"train_step peak {peak / 1e6:.1f} MB"
 
 
+def test_encode_batch_peak_memory():
+    # one block: conv2 gathers its patches in chunks of about nn._BLOCK_BYTES,
+    # not as one 7 MB patch matrix
+    ds, _ = generate(preset("office-like", 0))
+    tr, _ = split_by_ci(ds, 0, 6, 0)
+    rows = normalize_rows(tr.rssi)[:BLOCK_ROWS]
+    model = init_model(EncoderConfig(), image_side(rows.shape[1]), 21)
+    encode_batch(model, rows)
+    tracemalloc.start()
+    try:
+        encode_batch(model, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9e6, f"encode_batch peak {peak / 1e6:.1f} MB"
+
+
 # --- input width and padding ------------------------------------------------
 
 def test_noise_never_reaches_padding(monkeypatch):

@@ -272,7 +272,7 @@ def test_knn_blocks_exact_on_ties(case, data, rule):
     m, (n, d) = len(queries), table.shape
     k = data.draw(st.integers(1, n), label="k")
     by_rp = np.argsort(rp_ids, kind="stable")
-    default = localizer._KNN_BLOCK_BYTES
+    default = nn._BLOCK_BYTES
     runs = []
     for bytes_, step in ((budget, rows), (1, 1), (default, default // (8 * n * d))):
         blocks = []
@@ -283,7 +283,7 @@ def test_knn_blocks_exact_on_ties(case, data, rule):
             return knn_rows(dists, *args)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(localizer, "_KNN_BLOCK_BYTES", bytes_)
+            mp.setattr(nn, "_BLOCK_BYTES", bytes_)
             mp.setattr(localizer, "_knn_rows", recording_rows)
             runs.append(localizer._knn_blocks(queries, table, by_rp, rp_ids, xs, ys, k, rule))
         assert blocks == [min(step, m - lo) for lo in range(0, m, step)]
@@ -404,6 +404,35 @@ def test_same_seed_byte_identical_files(tmp_path, sim_split):
         model, index = train(tr, small_train_config(), seed=seed)
         save_model(model, index, p)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("encoder, exact", [
+    (EncoderConfig(), True),
+    (EncoderConfig(conv1_filters=7, conv2_filters=19, filter_size=3), False),
+])
+def test_model_does_not_depend_on_conv_chunking(tmp_path, monkeypatch, encoder, exact):
+    # one-image conv chunks against the default budget
+    ds, _ = generate(preset("office-like", 21))
+    tr, te = split_by_ci(ds, 0, 6, 21)
+    runs = []
+    for budget in (1, nn._BLOCK_BYTES):
+        monkeypatch.setattr(nn, "_BLOCK_BYTES", budget)
+        model, index = train(tr, TrainConfig(encoder=encoder, epochs=1), seed=21)
+        path = tmp_path / f"{budget}.stne"
+        save_model(model, index, path)
+        runs.append((path.read_bytes(), predict_batch(model, index, te.rssi[:300], rule="centroid")))
+    (bytes_a, preds_a), (bytes_b, preds_b) = runs
+    if exact:
+        assert bytes_a == bytes_b and preds_a == preds_b
+    else:
+        # conv2's (K, F) = (63, 19) GEMM takes a different BLAS kernel for one
+        # image's 16 rows than for 96 images: the outputs agree to rounding
+        for a, b in zip(preds_a, preds_b):
+            assert a.rp_id == b.rp_id
+            assert [r for r, _ in a.neighbor_rps] == [r for r, _ in b.neighbor_rps]
+            np.testing.assert_allclose([d for _, d in a.neighbor_rps],
+                                       [d for _, d in b.neighbor_rps], rtol=0, atol=1e-12)
+            assert (a.x, a.y) == pytest.approx((b.x, b.y), rel=0, abs=1e-12)
 
 
 def test_corruption_detected(tmp_path, trained):

@@ -99,6 +99,47 @@ def test_gemm_layout_is_bit_neutral(n, c, h, wid, f, k):
     assert np.shares_memory(nn._gemm_weight(dw), dw)  # the gradient comes GEMM-ready too
 
 
+DEFAULT_CONVS = [(96, 1, 8, 8, 64, 2), (96, 64, 7, 7, 128, 2)]  # office-like conv1, conv2
+
+
+@pytest.mark.parametrize("n, c, h, wid, f, k", CONV_CASES + DEFAULT_CONVS)
+def test_conv_forward_chunks_fit_the_budget(n, c, h, wid, f, k, monkeypatch):
+    rng = np.random.default_rng(n * 100 + c * 10 + k + 11)
+    x = rng.standard_normal((n, c, h, wid))
+    w = nn.gemm_layout(rng.standard_normal((f, c, k, k)))
+    b = rng.standard_normal(f)
+    per_image = 8 * (h - k + 1) * (wid - k + 1) * k * k * c  # one image's patch bytes
+    blocks = []
+    im2col = nn._im2col
+
+    def recording_im2col(xs, *args):
+        cols = im2col(xs, *args)
+        blocks.append((len(xs), cols.nbytes))
+        return cols
+
+    monkeypatch.setattr(nn, "_im2col", recording_im2col)
+    outs = []
+    # one-image chunks, a partial last chunk (for n > 2), one chunk
+    for budget in (1, per_image * (n // 2 + 1), per_image * n):
+        monkeypatch.setattr(nn, "_BLOCK_BYTES", budget)
+        blocks.clear()
+        outs.append(nn.conv2d_forward(x, w, b)[0])
+        step = max(1, budget // per_image)
+        assert [r for r, _ in blocks] == [min(step, n - lo) for lo in range(0, n, step)]
+        assert all(nbytes <= max(budget, per_image) for _, nbytes in blocks)
+    assert all(out.transpose(0, 2, 3, 1).flags.c_contiguous for out in outs)
+    if (n, c, h, wid, f, k) in DEFAULT_CONVS:
+        # the default model's bits do not depend on the chunking
+        for out in outs[:2]:
+            np.testing.assert_array_equal(out, outs[2])
+    else:
+        # a GEMM's last bits may depend on its row count, since BLAS picks
+        # its kernel by the product's size
+        want = naive_conv_forward(x, w, b)
+        for out in outs:
+            np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
+
+
 def test_conv_shape_errors():
     x = np.zeros((2, 3, 4, 5))
     with pytest.raises(ValueError, match="incompatible"):
