@@ -175,17 +175,19 @@ def _forward(model: EncoderModel, rows: np.ndarray, train: bool,
 
 
 def _infer(model: EncoderModel, rows: np.ndarray) -> np.ndarray:
-    """(N, w) rows -> unit embeddings (N, d), the inference forward: ReLU
-    in place on each layer's fresh output, no dropout, and each layer's
-    cache and input dropped as soon as the layer returns.  Bit-equal to
-    ``_forward(model, rows, train=False, rng=None)[0]``."""
+    """(N, w) rows -> unit embeddings (N, d), the inference forward: no
+    dropout, and each layer's cache and input dropped as soon as the layer
+    returns.  ReLU runs in place on each layer's fresh output but conv2's,
+    which it writes straight into the C-contiguous NCHW fc1 input: the
+    flatten of conv2's channels-last output takes no second pass.
+    Bit-equal to ``_forward(model, rows, train=False, rng=None)[0]``."""
     s = model.input_side
     p = model.params
     h = pad_square(rows).reshape(len(rows), 1, s, s)
     h = nn.conv2d_forward(h, p["conv1_w"], p["conv1_b"])[0]
     np.maximum(h, 0.0, out=h)
     h = nn.conv2d_forward(h, p["conv2_w"], p["conv2_b"])[0]
-    np.maximum(h, 0.0, out=h)
+    h = np.maximum(h, 0.0, out=np.empty(h.shape))
     h = nn.dense_forward(h.reshape(len(h), -1), p["fc1_w"], p["fc1_b"])[0]
     np.maximum(h, 0.0, out=h)
     h = nn.dense_forward(h, p["fc2_w"], p["fc2_b"])[0]

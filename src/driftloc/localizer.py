@@ -3,10 +3,14 @@ and answer online queries.
 
 The index is a flat exhaustive-scan table; KNN is exact.  Neighbor order
 is total: ascending distance, then ascending rp_id, then ascending entry
-position.  Queries are scanned in blocks sized by the bytes of their
-difference buffer, and each block's top k comes from one partition and
-a stable sort of the entries at or below each row's k-th distance, so
-the order never depends on the block size.
+position.  A KNN table is stored once in that tie order, column-major:
+a (d, n) float64 array whose row j holds every entry's j-th value.  A
+block of queries gets its (rows, n) distances from ops over whole
+(rows, n) tables, up to 8 vector components at a time, summed in numpy's
+pairwise order, so each distance has the bits of numpy's row sum.  Blocks are sized by the kernel's
+scratch bytes, and each block's top k comes from one partition and a
+stable sort of the entries at or below each row's k-th distance, so the
+order never depends on the block size.
 
 The default decision rule is majority RP vote with ties broken by
 smallest mean neighbor distance and finally lowest rp_id; the
@@ -22,7 +26,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -61,21 +65,40 @@ class TrainConfig:
             raise ValueError("sigma_sel must be finite and > 0")
 
 
+class _TieTable(NamedTuple):
+    """A KNN table with its entries in tie order, (rp_id, position)."""
+
+    columns: np.ndarray  # (d, n) float64: row j holds every entry's j-th value
+    rp_ids: np.ndarray   # (n,) each entry's rp_id and coordinates, same order
+    xs: np.ndarray
+    ys: np.ndarray
+
+
+def _tie_table(vectors: np.ndarray, rp_ids: np.ndarray, xs: np.ndarray,
+               ys: np.ndarray) -> _TieTable:
+    """The (n, d) ``vectors`` and their columns as a read-only _TieTable."""
+    order = np.argsort(rp_ids, kind="stable")
+    table = _TieTable(np.asarray(vectors.T.take(order, axis=1), dtype=np.float64),
+                      rp_ids[order], xs[order], ys[order])
+    for arr in table:
+        arr.setflags(write=False)
+    return table
+
+
 @dataclass(frozen=True, eq=False)
 class EmbeddingIndex:
     """(embedding, rp_id, x, y) rows queried by exhaustive KNN.
 
     Stored at float32 precision so that serialization is lossless.  The
-    query side, built once: ``table``, the embeddings as float64, and
-    ``tie_order``, the entry positions in (rp_id, position) order.
+    query side, built once, is ``knn``: the embeddings as a float64 (d, n)
+    column table, and the rp_ids and coordinates, all in tie order.
     """
 
     embeddings: np.ndarray  # (n, d) float32, unit rows
     rp_ids: np.ndarray      # (n,) int32
     xs: np.ndarray          # (n,) float32
     ys: np.ndarray          # (n,) float32
-    table: np.ndarray = field(init=False, repr=False)       # (n, d) float64
-    tie_order: np.ndarray = field(init=False, repr=False)   # (n,) int64
+    knn: _TieTable = field(init=False, repr=False)
 
     def __post_init__(self):
         emb = np.asarray(self.embeddings, dtype=np.float32)
@@ -94,11 +117,10 @@ class EmbeddingIndex:
         norms = np.linalg.norm(emb.astype(np.float64), axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-5):
             raise ValueError("index embeddings must be unit-norm")
-        for arr, name in ((emb, "embeddings"), (rp, "rp_ids"), (xs, "xs"), (ys, "ys"),
-                          (emb.astype(np.float64), "table"),
-                          (np.argsort(rp, kind="stable"), "tie_order")):
+        for arr, name in ((emb, "embeddings"), (rp, "rp_ids"), (xs, "xs"), (ys, "ys")):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "knn", _tie_table(emb, rp, xs, ys))
 
     def __len__(self) -> int:
         return self.embeddings.shape[0]
@@ -213,16 +235,12 @@ def _top_k(dists: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return c[first], vals[first]
 
 
-def _knn_rows(dists: np.ndarray, by_rp: np.ndarray, rp_ids: np.ndarray,
-              xs: np.ndarray, ys: np.ndarray, k: int, rule: str) -> list[Prediction]:
-    """Exact top-k and decision for each row of an (m, n) distance table.
-
-    ``by_rp`` is the tie order, the table positions in (rp_id, position)
-    order; the first k of a stable sort of each row's distances in that
-    order are its neighbours in (distance, rp_id, position) order.
-    """
-    ranks, nb_dist = _top_k(dists[:, by_rp], k)
-    nb = by_rp[ranks]
+def _knn_rows(dists: np.ndarray, rp_ids: np.ndarray, xs: np.ndarray, ys: np.ndarray,
+              k: int, rule: str) -> list[Prediction]:
+    """Exact top-k and decision for each row of an (m, n) distance table
+    whose columns are in tie order: the first k of a stable sort of each
+    row are its neighbours in (distance, rp_id, position) order."""
+    nb, nb_dist = _top_k(dists, k)
     return [_decide(*cols, rule) for cols in zip(
         rp_ids[nb].tolist(), nb_dist.tolist(), xs[nb].tolist(), ys[nb].tolist())]
 
@@ -231,30 +249,88 @@ def _knn_decide(dists: np.ndarray, rp_ids: np.ndarray, xs: np.ndarray,
                 ys: np.ndarray, k: int, rule: str) -> Prediction:
     """Decision for one query from its distances to every table row."""
     _check_query(dists.shape[0], k, rule)
-    return _knn_rows(dists[None, :], np.argsort(rp_ids, kind="stable"),
-                     rp_ids, xs, ys, k, rule)[0]
+    order = np.argsort(rp_ids, kind="stable")
+    return _knn_rows(dists[None, order], rp_ids[order], xs[order], ys[order], k, rule)[0]
 
 
-def _knn_blocks(queries: np.ndarray, table: np.ndarray, by_rp: np.ndarray,
-                rp_ids: np.ndarray, xs: np.ndarray, ys: np.ndarray, k: int,
-                rule: str) -> list[Prediction]:
-    """Exact KNN of every (m, d) query vector against the (n, d) ``table``,
-    in blocks of as many queries as fit one (rows, n, d) difference buffer
-    into nn._BLOCK_BYTES (one query at least), reusing that buffer and one
-    distance buffer.  Distances are elementwise differences, so identical
-    table rows get identical distances."""
-    _check_query(len(table), k, rule)
-    step = max(1, nn._BLOCK_BYTES // (8 * table.size))
-    b = min(len(queries), step)
-    diff = np.empty((b,) + table.shape)
-    dists = np.empty((b, len(table)))
-    out: list[Prediction] = []
+_PAIRWISE_BLOCK = 128  # numpy's pairwise sum splits longer rows in two
+
+
+def _slots(d: int) -> int:
+    """(rows, n) buffers that _square_sums holds for a sum of d terms."""
+    if d > _PAIRWISE_BLOCK:
+        half = d // 2 - d // 2 % 8
+        return max(_slots(half), 1 + _slots(d - half))
+    return min(d, 16)
+
+
+def _square_sums(columns: np.ndarray, q: np.ndarray, lo: int, hi: int,
+                 bufs: np.ndarray) -> np.ndarray:
+    """Sum over j in [lo, hi) of (columns[j] - q[:, j])**2, an (m, n)
+    table, into ``bufs[0]``, with ``bufs``, _slots(hi - lo) (m, n) buffers,
+    as scratch.  The terms are added in the order of numpy's pairwise sum
+    of a contiguous row: fewer than 8 in order; up to 128 as 8 running sums
+    over strides of 8, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
+    then the leftover terms in order; more as two halves, the first a
+    multiple of 8, added.  Each op covers up to 8 whole (m, n) tables."""
+    n, out = hi - lo, bufs[0]
+    if n > _PAIRWISE_BLOCK:
+        half = n // 2 - n // 2 % 8
+        _square_sums(columns, q, lo, lo + half, bufs)
+        return np.add(out, _square_sums(columns, q, lo + half, hi, bufs[1:]), out=out)
+
+    def squares(a: int, b: int, buf: np.ndarray) -> np.ndarray:
+        buf = buf[:b - a]
+        np.subtract(columns[a:b, None, :], q.T[a:b, :, None], out=buf)
+        return np.square(buf, out=buf)
+
+    if n < 8:
+        for t in squares(lo, hi, bufs)[1:]:
+            out += t
+        return out
+    lanes, tmp = squares(lo, lo + 8, bufs), bufs[8:]
+    hi8 = hi - n % 8
+    for j in range(lo + 8, hi8, 8):
+        lanes += squares(j, j + 8, tmp)
+    lanes[0::2] += lanes[1::2]
+    lanes[0::4] += lanes[2::4]
+    out += lanes[4]
+    for t in squares(hi8, hi, tmp):
+        out += t
+    return out
+
+
+def _dist_blocks(queries: np.ndarray, columns: np.ndarray) -> Iterator[np.ndarray]:
+    """Euclidean distances of every (m, d) query vector to the entries of
+    the (d, n) ``columns``, as (rows, n) blocks in query order.
+
+    A block takes as many queries as fit the kernel's _slots(d) (rows, n)
+    buffers into nn._BLOCK_BYTES (one query at least); the buffers are
+    reused, so each block is valid until the next one.  Each op runs long
+    loops over whole (rows, n) tables, not one d-long loop per (query,
+    entry) pair, and _square_sums adds the d squared differences in
+    numpy's pairwise order, so every distance equals
+    ``np.sqrt(np.square(table - q).sum(-1))`` bit for bit.  That depends
+    on numpy's reduction order, which the tests pin."""
+    d, n = columns.shape
+    slots = _slots(d)
+    step = max(1, nn._BLOCK_BYTES // (8 * n * slots))
+    scratch = np.empty((slots, min(len(queries), step), n))
     for lo in range(0, len(queries), step):
         q = queries[lo:lo + step]
-        d, dd = diff[:len(q)], dists[:len(q)]
-        np.subtract(table[None, :, :], q[:, None, :], out=d)
-        np.sqrt(np.square(d, out=d).sum(axis=-1, out=dd), out=dd)
-        out += _knn_rows(dd, by_rp, rp_ids, xs, ys, k, rule)
+        bufs = scratch[:, :len(q)]
+        yield np.sqrt(_square_sums(columns, q, 0, d, bufs), out=bufs[0])
+
+
+def _knn_blocks(queries: np.ndarray, table: _TieTable, k: int,
+                rule: str) -> list[Prediction]:
+    """Exact KNN of every (m, d) query vector against a tie-ordered table,
+    one _dist_blocks block at a time.  Distances are elementwise, so
+    identical entries get identical distances."""
+    _check_query(table.columns.shape[1], k, rule)
+    out: list[Prediction] = []
+    for dists in _dist_blocks(queries, table.columns):
+        out += _knn_rows(dists, table.rp_ids, table.xs, table.ys, k, rule)
     return out
 
 
@@ -266,8 +342,7 @@ def predict_batch(model: EncoderModel, index: EmbeddingIndex, rssi_rows: np.ndar
         raise ValueError("model and index disagree on embedding length")
     rows = normalize_rows(rssi_rows)
     queries = encode_batch(model, rows) if len(rows) else np.empty((0, index.embed_dim))
-    return _knn_blocks(queries, index.table, index.tie_order, index.rp_ids,
-                       index.xs, index.ys, k, rule)
+    return _knn_blocks(queries, index.knn, k, rule)
 
 
 def predict(model: EncoderModel, index: EmbeddingIndex, scan: Fingerprint,
@@ -286,7 +361,7 @@ def baseline_predict_batch(train_set: FingerprintDataset, rssi_rows: np.ndarray,
     rows = normalize_rows(rssi_rows)
     if rows.shape[1] != train_set.floorplan.n_aps:
         raise ValueError("scan is not aligned to the training registry")
-    return _knn_blocks(rows, normalize_rows(train_set.rssi),
-                       np.argsort(train_set.rp_ids, kind="stable"), train_set.rp_ids,
-                       train_set.xy[:, 0], train_set.xy[:, 1], k, rule)
+    table = _tie_table(normalize_rows(train_set.rssi), train_set.rp_ids,
+                       train_set.xy[:, 0], train_set.xy[:, 1])
+    return _knn_blocks(rows, table, k, rule)
 

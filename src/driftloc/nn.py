@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # Bytes of one cache-sized working block, about one core's L2: a conv
-# forward's patch block here, a KNN query block's difference buffer in
+# forward's patch block here, a KNN query block's distance scratch in
 # localizer.
 _BLOCK_BYTES = 1 << 20
 

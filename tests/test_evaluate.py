@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from driftloc import nn
+from driftloc import localizer, nn
 from driftloc.data import (Fingerprint, FingerprintDataset, FloorPlan,
                            ReferencePoint, split_by_ci)
 from driftloc.encoder import EncoderConfig
@@ -102,9 +102,9 @@ def test_batched_harness_matches_per_scan_loop(trained, rule, monkeypatch):
     test = FingerprintDataset(te.floorplan, te.fingerprints * 5)  # spans several query blocks
     # KNN blocks of 96 embedding and 24 raw-RSSI queries, the last one partial
     # (the shared budget also splits the convs into smaller chunks)
-    monkeypatch.setattr(nn, "_BLOCK_BYTES", 8 * len(tr) * 12 * 24)
+    monkeypatch.setattr(nn, "_BLOCK_BYTES", 8 * len(tr) * localizer._slots(tr.floorplan.n_aps) * 24)
     for width in (index.embed_dim, tr.floorplan.n_aps):
-        rows = nn._BLOCK_BYTES // (8 * len(tr) * width)
+        rows = nn._BLOCK_BYTES // (8 * len(tr) * localizer._slots(width))
         assert 1 < rows and len(test) > 2 * rows and len(test) % rows
     pairs = [
         (evaluate_over_time(model, index, test, 3, rule),

@@ -139,9 +139,14 @@ def test_predict_batch_of_no_rows(trained, sim_split):
 
 def test_index_tie_order_is_built_once(trained):
     _, index = trained
-    np.testing.assert_array_equal(index.tie_order, np.argsort(index.rp_ids, kind="stable"))
-    np.testing.assert_array_equal(index.table, index.embeddings.astype(np.float64))
-    assert not index.tie_order.flags.writeable and not index.table.flags.writeable
+    order = np.argsort(index.rp_ids, kind="stable")
+    columns, rp_ids, xs, ys = index.knn
+    np.testing.assert_array_equal(columns, index.embeddings[order].T.astype(np.float64))
+    assert columns.flags.c_contiguous and columns.dtype == np.float64
+    for got, col in ((rp_ids, index.rp_ids), (xs, index.xs), (ys, index.ys)):
+        np.testing.assert_array_equal(got, col[order])
+        assert got.dtype == col.dtype
+    assert not any(a.flags.writeable for a in index.knn)
 
 
 def test_conv_weights_are_gemm_ready(tmp_path, trained):
@@ -259,7 +264,8 @@ def tied_knn_cases(draw):
     m = draw(st.integers(1, 10))
     queries = np.array(draw(st.lists(st.sampled_from(pool) | vec, min_size=m, max_size=m)))
     rows = draw(st.integers(1, 4))
-    budget = rows * 8 * n * d + draw(st.integers(0, 8 * n * d - 1))
+    per_query = 8 * n * localizer._slots(d)  # scratch bytes of one query
+    budget = rows * per_query + draw(st.integers(0, per_query - 1))
     return table, rp_ids, xs, ys, queries, rows, budget
 
 
@@ -271,10 +277,11 @@ def test_knn_blocks_exact_on_ties(case, data, rule):
     table, rp_ids, xs, ys, queries, rows, budget = case
     m, (n, d) = len(queries), table.shape
     k = data.draw(st.integers(1, n), label="k")
-    by_rp = np.argsort(rp_ids, kind="stable")
+    tied = localizer._tie_table(table, rp_ids, xs, ys)
+    per_query = 8 * n * localizer._slots(d)
     default = nn._BLOCK_BYTES
     runs = []
-    for bytes_, step in ((budget, rows), (1, 1), (default, default // (8 * n * d))):
+    for bytes_, step in ((budget, rows), (1, 1), (default, default // per_query)):
         blocks = []
         knn_rows = localizer._knn_rows
 
@@ -285,15 +292,34 @@ def test_knn_blocks_exact_on_ties(case, data, rule):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(nn, "_BLOCK_BYTES", bytes_)
             mp.setattr(localizer, "_knn_rows", recording_rows)
-            runs.append(localizer._knn_blocks(queries, table, by_rp, rp_ids, xs, ys, k, rule))
+            runs.append(localizer._knn_blocks(queries, tied, k, rule))
         assert blocks == [min(step, m - lo) for lo in range(0, m, step)]
-        assert blocks[0] == 1 or blocks[0] * 8 * n * d <= bytes_  # the difference buffer fits
+        assert blocks[0] == 1 or blocks[0] * per_query <= bytes_  # the scratch fits
     assert runs[0] == runs[1] == runs[2]  # drawn, one-row and default blocks
     for q, got in zip(queries, runs[0]):
         dists = [float(np.sqrt(((row - q) ** 2).sum())) for row in table]
         x, y, rp, nb = oracle_decide(dists, rp_ids.tolist(), xs.tolist(), ys.tolist(), k, rule)
         assert (got.x, got.y, got.rp_id) == (x, y, rp)
         assert got.neighbor_rps == tuple((r, dist) for r, dist, _, _ in nb)
+
+
+@pytest.mark.parametrize("widths", [range(1, 8), range(8, 129), range(129, 301), (512, 1000)],
+                         ids=["sequential", "eight-sums", "recursive", "wide"])
+def test_column_kernel_keeps_numpys_summation_bits(widths, monkeypatch):
+    # The column kernel adds each query's d squared differences in the
+    # order of numpy's pairwise sum over a contiguous row.  If a numpy
+    # release changes that order, these distances stop being bit-equal.
+    rng = np.random.default_rng(16)
+    m, n = 5, 7
+    for d in widths:
+        table, queries = rng.normal(size=(n, d)), rng.normal(size=(m, d))
+        want = np.sqrt(np.square(table[None] - queries[:, None]).sum(-1))
+        per_query = 8 * n * localizer._slots(d)
+        for budget, step in ((1, 1), (2 * per_query, 2), (nn._BLOCK_BYTES, m)):
+            monkeypatch.setattr(nn, "_BLOCK_BYTES", budget)
+            blocks = [b.copy() for b in localizer._dist_blocks(queries, table.T.copy())]
+            assert [len(b) for b in blocks] == [min(step, m - lo) for lo in range(0, m, step)]
+            assert np.array_equal(np.concatenate(blocks), want), (d, budget)
 
 
 def test_all_missing_baseline_scan(sim_split):

@@ -78,7 +78,7 @@ def test_loaded_arrays_hold_no_view_of_the_file(tiny):
     path.write_bytes(data)
     model, index, _ = load_model_full(path)
     for a in (*model.params.values(), index.embeddings, index.rp_ids, index.xs,
-              index.ys, index.table, index.tie_order):
+              index.ys, *index.knn):
         while isinstance(a.base, np.ndarray):
             a = a.base
         assert a.base is None
