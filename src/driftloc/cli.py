@@ -42,7 +42,7 @@ _SIM_OVERRIDES = {
 def _add_sim(sub):
     p = sub.add_parser("simulate", help="generate a synthetic drift scenario")
     p.set_defaults(run=_cmd_simulate)
-    p.add_argument("--preset", required=True, choices=["office-like", "uji-like"])
+    p.add_argument("--preset", required=True, choices=list(sim.PRESETS))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="scenario", help="output directory")
     for name, kind in _SIM_OVERRIDES.items():
@@ -130,10 +130,7 @@ def _cmd_train(args) -> int:
     cfg = _train_config(args)
     logger.info("training on %d fingerprints across %d RPs",
                 len(train_set), len(dataset.floorplan.rps))
-    model, index = train(
-        train_set, cfg, train_seed,
-        progress=lambda e, m: logger.info("epoch %d: mean loss %.5f", e + 1, m),
-    )
+    model, index = train(train_set, cfg, train_seed)
     extra = {
         "ap_registry": _registry_string(dataset.floorplan),
         "train_ci": str(args.train_ci),
@@ -258,7 +255,7 @@ def random_check_triplet(side: int, rng: np.random.Generator) -> np.ndarray:
     return rng.random((3, side * side))
 
 
-def run_gradcheck(seed: int, side: int = 4, embed_dim: int = 3) -> float:
+def run_gradcheck(seed: int, side: int, embed_dim: int) -> float:
     """Build a small deterministic encoder, find a hinge-active random
     triplet, and return the max relative gradient error."""
     cfg = small_check_config(embed_dim=embed_dim)
@@ -268,7 +265,7 @@ def run_gradcheck(seed: int, side: int = 4, embed_dim: int = 3) -> float:
         t = random_check_triplet(side, rng)
         raw = triplet_loss(*encode_batch(model, t), cfg.margin_alpha)
         if raw > 1e-3:  # comfortably inside the active region
-            return gradient_check(model, t, cfg.margin_alpha)
+            return gradient_check(model, t)
     raise DriftlocError("could not find a hinge-active triplet")
 
 

@@ -12,7 +12,7 @@ same weights, so weight sharing holds by construction.
 Training math is float64; gradients are verifiable against central
 finite differences via :func:`gradient_check`.  Inference runs a separate
 cache-free forward (:func:`_infer`) that keeps no backward state and
-gives the same bits as the training forward without dropout.
+gives the same bits as the training forward without noise and dropout.
 """
 
 from __future__ import annotations
@@ -31,6 +31,9 @@ from .preprocess import image_side, pad_square
 # of one default training forward (3 x 32), so embedding a large set never
 # holds more activations than a training step does.
 BLOCK_ROWS = 96
+
+# gradient_check moves each parameter entry this far either way.
+FD_STEP = 1e-5
 
 PARAM_ORDER = ("conv1_w", "conv1_b", "conv2_w", "conv2_b",
                "fc1_w", "fc1_b", "fc2_w", "fc2_b")
@@ -148,22 +151,26 @@ def init_model(cfg: EncoderConfig, input_side: int, seed: int) -> EncoderModel:
     return EncoderModel(config=cfg, input_side=input_side, params=params)
 
 
-def _forward(model: EncoderModel, rows: np.ndarray, train: bool,
-             rng: np.random.Generator | None):
-    """(N, w) rows -> unit embeddings (N, d) plus backward caches.  Each
-    conv output is copied to C-contiguous memory first, so dropout draws
-    its mask in NCHW order; rebinding the name frees the kernel's output
-    before the next allocation."""
+def _forward(model: EncoderModel, rows: np.ndarray, rng: np.random.Generator | None):
+    """The training forward: (N, w) rows -> unit embeddings (N, d) plus
+    backward caches.  The config's input noise on every entry, then its
+    dropout after each conv, are drawn from ``rng`` in that order; ``rng``
+    may be None only when both are off.  Each conv output is copied to
+    NCHW memory: dropout draws its mask in logical order whatever the
+    layout, so the copies keep every bit, and a step runs faster with
+    them."""
+    cfg = model.config
+    if cfg.noise_sigma > 0.0:
+        rows = noise_flat(rows, cfg.noise_sigma, rng)
     s = model.input_side
     x = pad_square(rows).reshape(len(rows), 1, s, s)
     p = model.params
-    rate = model.config.dropout_rate if train else 0.0
     h1, c_conv1 = nn.conv2d_forward(x, p["conv1_w"], p["conv1_b"])
     h1 = np.ascontiguousarray(h1)
-    a1, c_act1 = nn.relu_dropout_forward(h1, rate, rng)
+    a1, c_act1 = nn.relu_dropout_forward(h1, cfg.dropout_rate, rng)
     h2, c_conv2 = nn.conv2d_forward(a1, p["conv2_w"], p["conv2_b"])
     h2 = np.ascontiguousarray(h2)
-    a2, c_act2 = nn.relu_dropout_forward(h2, rate, rng)
+    a2, c_act2 = nn.relu_dropout_forward(h2, cfg.dropout_rate, rng)
     flat = a2.reshape(a2.shape[0], -1)
     h3, c_fc1 = nn.dense_forward(flat, p["fc1_w"], p["fc1_b"])
     a3, c_act3 = nn.relu_dropout_forward(h3, 0.0, None)
@@ -180,7 +187,7 @@ def _infer(model: EncoderModel, rows: np.ndarray) -> np.ndarray:
     returns.  ReLU runs in place on each layer's fresh output but conv2's,
     which it writes straight into the C-contiguous NCHW fc1 input: the
     flatten of conv2's channels-last output takes no second pass.
-    Bit-equal to ``_forward(model, rows, train=False, rng=None)[0]``."""
+    Bit-equal to ``_forward(model, rows, None)[0]`` with noise and dropout off."""
     s = model.input_side
     p = model.params
     h = pad_square(rows).reshape(len(rows), 1, s, s)
@@ -223,16 +230,6 @@ def _input(model: EncoderModel, rows) -> np.ndarray:
     if not np.all((x >= 0.0) & (x <= 1.0)):
         raise ValueError("input values must lie in [0, 1]")
     return x
-
-
-def _train_forward(model: EncoderModel, rows: np.ndarray, rng: np.random.Generator):
-    """The stochastic forward of training: Gaussian input noise on every
-    entry of each row, then the forward with dropout, both drawn from
-    ``rng`` in that order."""
-    sigma = model.config.noise_sigma
-    if sigma > 0.0:
-        rows = noise_flat(rows, sigma, rng)
-    return _forward(model, rows, train=True, rng=rng)
 
 
 def encode_batch(model: EncoderModel, images) -> np.ndarray:
@@ -291,7 +288,7 @@ def train_step(model: EncoderModel, batch: np.ndarray, opt_state: nn.AdamState,
                          "train a model whose params are writable copies")
     cfg = model.config
 
-    e, caches = _train_forward(model, _input(model, batch.reshape(3 * b, -1)), rng)
+    e, caches = _forward(model, _input(model, batch.reshape(3 * b, -1)), rng)
     ea, ep, en = e[:b], e[b:2 * b], e[2 * b:]
 
     raw, losses = _batch_losses(ea, ep, en, cfg.margin_alpha)
@@ -319,11 +316,10 @@ def _raw_loss(e: np.ndarray, alpha: float) -> float:
     return float(raw[0])
 
 
-def gradient_check(model: EncoderModel, triplet: np.ndarray, alpha: float,
-                   step: float = 1e-5) -> float:
+def gradient_check(model: EncoderModel, triplet: np.ndarray) -> float:
     """Max relative error between backprop and central finite differences
-    over every parameter entry of the full triplet loss of a (3, w)
-    array of anchor, positive and negative rows.
+    over every parameter entry of the full triplet loss, at the config's
+    margin, of a (3, w) array of anchor, positive and negative rows.
 
     Requires a deterministic model (dropout and input noise disabled) and
     an active hinge; both are reported distinctly otherwise.  The
@@ -341,8 +337,8 @@ def gradient_check(model: EncoderModel, triplet: np.ndarray, alpha: float,
         raise ValueError(f"a triplet has 3 rows, got {len(x)}")
     model = replace(model, params={name: p.copy() for name, p in model.params.items()})
 
-    e, caches = _forward(model, x, train=False, rng=None)
-    raw = _raw_loss(e, alpha)
+    e, caches = _forward(model, x, None)
+    raw = _raw_loss(e, cfg.margin_alpha)
     if raw <= 0.0:
         raise HingeInactiveError(
             f"raw loss {raw:.6g} <= 0: the hinge is inactive and the check is vacuous"
@@ -355,12 +351,12 @@ def gradient_check(model: EncoderModel, triplet: np.ndarray, alpha: float,
         a = analytic[name]
         for i in np.ndindex(p.shape):  # by index: a conv weight is not C-contiguous
             orig = p[i]
-            p[i] = orig + step
-            lo_hi = _raw_loss(_infer(model, x), alpha)
-            p[i] = orig - step
-            lo_lo = _raw_loss(_infer(model, x), alpha)
+            p[i] = orig + FD_STEP
+            lo_hi = _raw_loss(_infer(model, x), cfg.margin_alpha)
+            p[i] = orig - FD_STEP
+            lo_lo = _raw_loss(_infer(model, x), cfg.margin_alpha)
             p[i] = orig
-            numeric = (lo_hi - lo_lo) / (2.0 * step)
+            numeric = (lo_hi - lo_lo) / (2.0 * FD_STEP)
             ai = a[i]
             # guard keeps finite-difference noise on near-zero entries from
             # masquerading as relative error

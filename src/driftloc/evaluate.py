@@ -109,8 +109,8 @@ class SweepResult:
 
 
 def fpr_sweep(dataset: FingerprintDataset, fprs: Sequence[int], cfg: TrainConfig,
-              repeats: int, seed: int, train_ci: int = 0, k: int = DEFAULT_K,
-              rule: str = DEFAULT_RULE) -> SweepResult:
+              repeats: int, seed: int, train_ci: int = 0,
+              k: int = DEFAULT_K) -> SweepResult:
     """Re-split (fresh seed per repeat), train, and evaluate for every FPR.
 
     Requires every RP to actually have max(fprs) fingerprints at the
@@ -140,7 +140,7 @@ def fpr_sweep(dataset: FingerprintDataset, fprs: Sequence[int], cfg: TrainConfig
             )
             tr, te = split_by_ci(dataset, train_ci, fpr, split_seed)
             model, index = train(tr, cfg, train_seed)
-            report = evaluate_over_time(model, index, te, k, rule)
+            report = evaluate_over_time(model, index, te, k)
             logger.debug("fpr=%d repeat=%d overall=%.3f m", fpr, rep,
                          report.overall_mean_error)
             overall[fpr] += report.overall_mean_error

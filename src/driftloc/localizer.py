@@ -26,7 +26,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -138,9 +138,8 @@ class Prediction:
     neighbor_rps: tuple[tuple[int, float], ...]  # (rp_id, distance), consultation order
 
 
-def train(train_set: FingerprintDataset, cfg: TrainConfig, seed: int,
-          progress: Callable[[int, float], None] | None = None
-          ) -> tuple[EncoderModel, EmbeddingIndex]:
+def train(train_set: FingerprintDataset, cfg: TrainConfig,
+          seed: int) -> tuple[EncoderModel, EmbeddingIndex]:
     """Offline phase: preprocess, sample triplets, train the encoder, then
     embed every training fingerprint (inference mode, no augmentation)
     into the index.  Deterministic per seed."""
@@ -168,8 +167,6 @@ def train(train_set: FingerprintDataset, cfg: TrainConfig, seed: int,
             total += loss
         mean = total / batches_per_epoch
         logger.debug("epoch %d/%d mean triplet loss %.5f", epoch + 1, cfg.epochs, mean)
-        if progress is not None:
-            progress(epoch, mean)
 
     # Finalize at serialized precision so save/load cannot change
     # predictions, read-only so the model stays the one its index embeds.

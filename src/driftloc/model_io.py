@@ -117,7 +117,7 @@ def _parse_config(block: memoryview) -> dict[str, str]:
         text = str(block, "utf-8")
     except UnicodeDecodeError as exc:
         raise ModelFormatError(f"config block is not UTF-8: {exc}") from None
-    for line in text.splitlines():
+    for line in text.split("\n"):  # the writer's separator, and no other
         if not line:
             continue
         if "=" not in line:

@@ -40,8 +40,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # Bytes of one cache-sized working block, about one core's L2: a conv
-# forward's patch block here, a KNN query block's distance scratch in
-# localizer.
+# forward's patch block and Adam's two float64 scratch buffers here, a KNN
+# query block's distance scratch in localizer.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -121,6 +121,8 @@ def conv2d_backward(cache, gout: np.ndarray):
             np.matmul(g, np.ascontiguousarray(w[:, :, dy, dx]), out=shift)
             dxh[:, dy:dy + ho, dx:dx + wo, :] += shift.reshape(n, ho, wo, c)
     db = gout.sum(axis=(0, 2, 3))
+    # copied to NCHW: the layer below takes dx as gout, and its db sum adds
+    # in memory order, so a channels-last view would change its bits
     return np.ascontiguousarray(dxh.transpose(0, 3, 1, 2)), dw, db
 
 
@@ -178,8 +180,9 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 # Adam walks each parameter in blocks of about this many entries, so the
-# dozen elementwise passes of one block run in cache.
-ADAM_BLOCK = 1 << 16
+# dozen elementwise passes of one block run in cache: its two float64
+# scratch buffers fill one _BLOCK_BYTES.
+ADAM_BLOCK = _BLOCK_BYTES // 16
 
 
 @dataclass

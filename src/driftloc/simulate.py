@@ -21,8 +21,9 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -144,31 +145,34 @@ def generate(cfg: SimConfig) -> tuple[FingerprintDataset, GroundTruth]:
     return dataset, truth
 
 
+# Named desk-scale scenarios at seed 0, read by preset() and by the CLI's
+# ``simulate --preset``.  office-like: a 48 m corridor surveyed every meter,
+# 16 CIs with 6 fingerprints per RP, 20% of APs silenced from CI 11 onward.
+# uji-like: an open-area RP grid over 15 periods, 9 fingerprints per RP, a
+# 50% AP loss at period 11.  Both use strong path loss (each RP hears a
+# local AP neighborhood, as in real buildings) and a busy radio environment:
+# heavy per-scan shadowing plus session-to-session transients on a slow walk.
+# The table and its schedules are read-only; preset() hands out copies.
+PRESETS = MappingProxyType({
+    "office-like": SimConfig(width=48.0, height=0.5, rp_spacing=1.0, n_aps=50,
+                             n_cis=16, fpr=6, tx_power_dbm=-30.0,
+                             path_loss_exponent=5.0, shadow_sigma_db=4.0,
+                             drift_sigma_db=1.0, hourly_sigma_db=5.0,
+                             removal_schedule=MappingProxyType({11: 0.20})),
+    "uji-like": SimConfig(width=24.0, height=24.0, rp_spacing=3.0, n_aps=64,
+                          n_cis=15, fpr=9, tx_power_dbm=-30.0,
+                          path_loss_exponent=5.0, shadow_sigma_db=3.0,
+                          drift_sigma_db=1.5, hourly_sigma_db=3.5,
+                          removal_schedule=MappingProxyType({11: 0.50})),
+})
+
+
 def preset(name: str, seed: int = 0) -> SimConfig:
-    """Named desk-scale scenarios.
-
-    office-like: a 48 m corridor surveyed every meter, 16 CIs with 6
-    fingerprints per RP, and 20% of APs silenced from CI 11 onward.
-    uji-like: an open-area RP grid over 15 periods, 9 fingerprints per
-    RP, and a 50% AP loss at period 11.
-
-    Both use strong path loss (each RP hears a local AP neighborhood, as
-    in real buildings) and a busy radio environment: heavy per-scan
-    shadowing plus session-to-session transients on top of a slow walk.
-    """
-    if name == "office-like":
-        return SimConfig(width=48.0, height=0.5, rp_spacing=1.0, n_aps=50,
-                         n_cis=16, fpr=6, tx_power_dbm=-30.0,
-                         path_loss_exponent=5.0, shadow_sigma_db=4.0,
-                         drift_sigma_db=1.0, hourly_sigma_db=5.0,
-                         removal_schedule={11: 0.20}, seed=seed)
-    if name == "uji-like":
-        return SimConfig(width=24.0, height=24.0, rp_spacing=3.0, n_aps=64,
-                         n_cis=15, fpr=9, tx_power_dbm=-30.0,
-                         path_loss_exponent=5.0, shadow_sigma_db=3.0,
-                         drift_sigma_db=1.5, hourly_sigma_db=3.5,
-                         removal_schedule={11: 0.50}, seed=seed)
-    raise ValueError(f"unknown preset {name!r} (have: office-like, uji-like)")
+    """PRESETS[name] at ``seed``, with its own removal schedule dict."""
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r} (have: {', '.join(PRESETS)})")
+    cfg = PRESETS[name]
+    return replace(cfg, removal_schedule=dict(cfg.removal_schedule), seed=seed)
 
 
 def write_scenario(dataset: FingerprintDataset, truth: GroundTruth,

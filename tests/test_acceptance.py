@@ -18,7 +18,7 @@ from knn_oracle import oracle_baseline_predict, oracle_embedding_predict
 from driftloc.augment import apply_ap_dropout, draw_turnoff_fraction
 from driftloc.cli import run_gradcheck
 from driftloc.data import split_by_ci
-from driftloc.encoder import (EncoderConfig, _train_forward, encode_batch,
+from driftloc.encoder import (EncoderConfig, _forward, encode_batch,
                               init_model, train_step, triplet_loss)
 from driftloc.errors import ModelFormatError
 from driftloc.evaluate import (evaluate_baseline_over_time, evaluate_over_time,
@@ -68,7 +68,7 @@ def test_criterion_2_unit_norm():
     for i in range(1000):
         img = rng.random(25)
         if i % 5 == 0:  # the stochastic forward of training
-            e = _train_forward(model, img[None], rng)[0][0]
+            e = _forward(model, img[None], rng)[0][0]
         else:
             e = encode_batch(model, [img])[0]
         assert abs(np.linalg.norm(e) - 1.0) <= 1e-9

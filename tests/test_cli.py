@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import csv
 import io
+import logging
 
 import pytest
 from hypothesis import given, settings
@@ -261,6 +262,18 @@ def test_gradcheck_passes(capsys):
     code, out, _ = run(["gradcheck", "--seed", "3"], capsys)
     assert code == 0
     assert "max relative gradient error" in out
+
+
+@pytest.mark.parametrize("level, want", [(logging.DEBUG, 2), (logging.INFO, 0)])
+def test_train_logs_each_epoch_once_at_debug(scenario_dir, tmp_path, caplog, level, want):
+    # per-epoch loss is -vv detail: one DEBUG record per epoch, none at -v
+    caplog.set_level(level, logger="driftloc")
+    assert main(["train", "--floorplan", str(scenario_dir / "floorplan.csv"),
+                 "--fingerprints", str(scenario_dir / "fingerprints.csv"),
+                 "--fpr", "4", "--embed-dim", "3", "--epochs", "2", "--batch", "16",
+                 "--out", str(tmp_path / "m.stne")]) == 0
+    epochs = [r for r in caplog.records if "epoch" in r.getMessage()]
+    assert len(epochs) == want and all(r.levelno == logging.DEBUG for r in epochs)
 
 
 def test_sweep_fpr(scenario_dir, tmp_path, capsys):

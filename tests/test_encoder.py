@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from test_nn import reference_relu_dropout_backward, reference_relu_dropout_forw
 from driftloc import nn
 from driftloc.cli import random_check_triplet, run_gradcheck
 from driftloc.data import split_by_ci
-from driftloc.encoder import (BLOCK_ROWS, EncoderConfig, EncoderModel, _forward, _train_forward,
+from driftloc.encoder import (BLOCK_ROWS, EncoderConfig, EncoderModel, _forward,
                               encode_batch, gradient_check, init_model, small_check_config,
                               train_step, triplet_loss)
 from driftloc.errors import HingeInactiveError, StochasticModelError
@@ -69,7 +70,7 @@ def test_train_mode_unit_norm():
     rng = np.random.default_rng(2)
     model = small_model(dropout_rate=0.25, noise_sigma=0.1)
     for _ in range(20):
-        e = _train_forward(model, rand_image(4, rng)[None], rng)[0][0]
+        e = _forward(model, rand_image(4, rng)[None], rng)[0][0]
         assert abs(np.linalg.norm(e) - 1.0) <= 1e-9
 
 
@@ -320,11 +321,14 @@ def test_encode_batch_runs_in_blocks(monkeypatch):
 @pytest.mark.parametrize("width", [5, 9, 50])
 @pytest.mark.parametrize("m", [1, 96, 97, 250])
 def test_encode_batch_matches_training_forward(width, m):
-    # the cache-free inference forward gives the training forward's bits,
-    # block by block, with writable weights and with read-only ones
+    # the cache-free inference forward gives the bits of the training
+    # forward with noise and dropout off, block by block, with writable
+    # weights and with read-only ones; the model keeps the default config,
+    # which turns both on, so inference must ignore them
     rows = np.random.default_rng(width * 1000 + m).random((m, width))
     model = init_model(EncoderConfig(), image_side(width), seed=m)
-    want = np.concatenate([_forward(model, rows[lo:lo + BLOCK_ROWS], train=False, rng=None)[0]
+    quiet = replace(model, config=replace(model.config, dropout_rate=0.0, noise_sigma=0.0))
+    want = np.concatenate([_forward(quiet, rows[lo:lo + BLOCK_ROWS], None)[0]
                            for lo in range(0, m, BLOCK_ROWS)])
     np.testing.assert_array_equal(encode_batch(model, rows), want)
     for p in model.params.values():
@@ -380,9 +384,9 @@ def test_gradient_check_reaches_every_conv_weight_layout():
     t = random_check_triplet(4, rng)
     while triplet_loss(*encode_batch(laid, t), cfg.margin_alpha) <= 1e-3:
         t = random_check_triplet(4, rng)
-    err = gradient_check(laid, t, cfg.margin_alpha)
+    err = gradient_check(laid, t)
     assert err <= 1e-4
-    assert gradient_check(c_order, t, cfg.margin_alpha) == err
+    assert gradient_check(c_order, t) == err
 
 
 def test_model_lays_out_its_own_param_dict():
@@ -400,18 +404,18 @@ def test_gradient_check_refuses_stochastic_model():
     model = small_model(dropout_rate=0.25)
     t = random_check_triplet(4, rng)
     with pytest.raises(StochasticModelError):
-        gradient_check(model, t, 0.2)
+        gradient_check(model, t)
     model2 = small_model(noise_sigma=0.1)
     with pytest.raises(StochasticModelError):
-        gradient_check(model2, t, 0.2)
+        gradient_check(model2, t)
 
 
 def test_gradient_check_reports_inactive_hinge():
     rng = np.random.default_rng(14)
-    model = small_model()
+    model = small_model(margin_alpha=0.0)
     img = rand_image(4, rng)
     other = rand_image(4, rng)
     # identical anchor/positive with alpha=0 keeps the hinge inactive
     t = np.stack([img, img, other])
     with pytest.raises(HingeInactiveError):
-        gradient_check(model, t, 0.0)
+        gradient_check(model, t)

@@ -71,6 +71,21 @@ def test_tiny_model_loads(tiny):
     assert len(index) == 3 and extra == {"ap_registry": "a,b,c"}
 
 
+@pytest.mark.parametrize("char", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                  "\x85", "\u2028", "\u2029"])
+def test_extra_value_with_other_line_breaks_round_trips(tmp_path, char):
+    # str.splitlines() breaks on each of these; the writer forbids only
+    # "\n", its own separator, so the reader must split on "\n" alone
+    cfg = EncoderConfig(conv1_filters=2, conv2_filters=2, fc_units=3, embed_dim=2)
+    index = EmbeddingIndex(embeddings=np.eye(2, dtype=np.float32), rp_ids=np.array([0, 1]),
+                           xs=np.zeros(2), ys=np.zeros(2))
+    extra = {"ap_registry": f"ap_00{char}0,001", "note": f"a{char}b=c"}
+    path = tmp_path / "m.stne"
+    save_model(init_model(cfg, 3, seed=0), index, path, extra=extra)
+    model, _, got = load_model_full(path)
+    assert got == extra and model.config == cfg
+
+
 def test_loaded_arrays_hold_no_view_of_the_file(tiny):
     # the loader reads fields as views of the file's bytes; what it returns
     # owns its memory, so a loaded model does not keep the file alive

@@ -61,14 +61,16 @@ def test_conv_matches_nested_loops(n, c, h, wid, f, k):
     assert out.transpose(0, 2, 3, 1).flags.c_contiguous and out.dtype == np.float64
     np.testing.assert_allclose(out, naive_conv_forward(x, w, b), rtol=0, atol=1e-12)
     # a channels-last view, as conv2 receives conv1's output at inference
-    x_cl = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
-    np.testing.assert_allclose(nn.conv2d_forward(x_cl, w, b)[0], naive_conv_forward(x, w, b),
+    np.testing.assert_allclose(nn.conv2d_forward(channels_last(x), w, b)[0], naive_conv_forward(x, w, b),
                                rtol=0, atol=1e-12)
 
     gout = rng.standard_normal(out.shape)
     gx, gw, gb = nn.conv2d_backward(cache, gout)
     want_gx, want_gw, want_gb = naive_conv_backward(x, w, gout)
     assert gx.shape == x.shape and gw.shape == w.shape and gb.shape == (f,)
+    # gx is NCHW memory: the layer below sums it as its gout for its bias
+    # gradient, and that sum adds in memory order, so the layout sets its bits
+    assert gx.flags.c_contiguous
     np.testing.assert_allclose(gx, want_gx, rtol=0, atol=1e-12)
     np.testing.assert_allclose(gw, want_gw, rtol=0, atol=1e-12)
     np.testing.assert_allclose(gb, want_gb, rtol=0, atol=1e-12)
@@ -210,29 +212,37 @@ def with_signed_zeros(a):
     return a
 
 
+def channels_last(a):
+    """a's (N, C, H, W) values as a view of channels-last memory, the
+    layout conv2d_forward returns."""
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
 # conv1 and conv2 outputs of an office-like model: 64 filters at 7 x 7, 128 at 6 x 6
 @pytest.mark.parametrize("shape", [(6, 64, 7, 7), (6, 128, 6, 6)])
 @pytest.mark.parametrize("rate", [0.0, 0.25, 0.5])
 def test_relu_dropout_matches_reference(shape, rate):
+    # dropout draws its mask in the array's logical order, so an NCHW input
+    # and a channels-last view of the same values give the same bits
     data = np.random.default_rng(31)
     x = with_signed_zeros(data.standard_normal(shape))
     gout = with_signed_zeros(data.standard_normal(shape))
-    rng, ref_rng = np.random.default_rng(32), np.random.default_rng(32)
+    for layout in (np.copy, channels_last):
+        rng, ref_rng = np.random.default_rng(32), np.random.default_rng(32)
+        want, ref_cache = reference_relu_dropout_forward(x, rate, ref_rng)
+        x_in = layout(x)
+        out, cache = nn.relu_dropout_forward(x_in, rate, rng)
+        assert out is x_in
+        np.testing.assert_array_equal(out, want)
+        np.testing.assert_array_equal(np.signbit(out), np.signbit(want))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
-    want, ref_cache = reference_relu_dropout_forward(x, rate, ref_rng)
-    x_in = x.copy()
-    out, cache = nn.relu_dropout_forward(x_in, rate, rng)
-    assert out is x_in
-    np.testing.assert_array_equal(out, want)
-    np.testing.assert_array_equal(np.signbit(out), np.signbit(want))
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
-
-    want_g = reference_relu_dropout_backward(ref_cache, gout)
-    g_in = gout.copy()
-    got_g = nn.relu_dropout_backward(cache, g_in)
-    assert got_g is g_in
-    np.testing.assert_array_equal(got_g, want_g)
-    np.testing.assert_array_equal(np.signbit(got_g), np.signbit(want_g))
+        want_g = reference_relu_dropout_backward(ref_cache, gout)
+        g_in = layout(gout)
+        got_g = nn.relu_dropout_backward(cache, g_in)
+        assert got_g is g_in
+        np.testing.assert_array_equal(got_g, want_g)
+        np.testing.assert_array_equal(np.signbit(got_g), np.signbit(want_g))
 
 
 @pytest.mark.parametrize("rate", [-0.1, 1.0, float("nan")])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from driftloc.data import load_dataset
-from driftloc.simulate import SimConfig, generate, preset, write_scenario
+from driftloc.simulate import PRESETS, SimConfig, generate, preset, write_scenario
 
 
 def base_config(**kw):
@@ -162,6 +162,19 @@ def test_presets():
     assert uji.fpr == 9
     with pytest.raises(ValueError, match="unknown preset"):
         preset("mall-like")
+
+
+def test_preset_table_cannot_be_changed_through_its_readers():
+    # PRESETS is public, so neither the table nor a schedule in it may
+    # change under a caller; preset() hands out a schedule of its own
+    with pytest.raises(TypeError):
+        PRESETS["mall-like"] = preset("office-like")
+    with pytest.raises(TypeError):
+        PRESETS["office-like"].removal_schedule[3] = 0.5
+    mine = preset("office-like")
+    mine.removal_schedule[3] = 0.5
+    assert dict(PRESETS["office-like"].removal_schedule) == {11: 0.20}
+    assert preset("office-like").removal_schedule == {11: 0.20}
 
 
 def test_office_preset_is_a_48m_single_row_path():
