@@ -12,6 +12,7 @@ import csv
 import logging
 import sys
 from dataclasses import replace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -31,12 +32,10 @@ logger = logging.getLogger(__name__)
 GRADCHECK_THRESHOLD = 1e-4
 
 
-# SimConfig fields that `simulate` can override, each as --<name-with-dashes>.
-_SIM_OVERRIDES = {
-    "width": float, "height": float, "rp_spacing": float, "n_aps": int,
-    "n_cis": int, "fpr": int, "tx_power_dbm": float, "path_loss_exponent": float,
-    "shadow_sigma_db": float, "drift_sigma_db": float, "hourly_sigma_db": float,
-}
+# SimConfig's number fields but seed, which has its own flag: `simulate`
+# can override each as --<name-with-dashes>.
+_SIM_OVERRIDES = {name: kind for name, kind in get_type_hints(sim.SimConfig).items()
+                  if kind in (int, float) and name != "seed"}
 
 
 def _add_sim(sub):
@@ -102,7 +101,7 @@ def _add_train_flags(p):
 
 def _registry_string(fp: FloorPlan) -> str:
     for ap in fp.ap_registry:
-        if "," in ap or "=" in ap or "\n" in ap:
+        if "," in ap or "\n" in ap:
             raise ValueError(f"AP id {ap!r} contains characters reserved by the model file")
     return ",".join(fp.ap_registry)
 
@@ -128,9 +127,6 @@ def _cmd_train(args) -> int:
     )
     train_set, _ = split_by_ci(dataset, args.train_ci, args.fpr, split_seed)
     cfg = _train_config(args)
-    logger.info("training on %d fingerprints across %d RPs",
-                len(train_set), len(dataset.floorplan.rps))
-    model, index = train(train_set, cfg, train_seed)
     extra = {
         "ap_registry": _registry_string(dataset.floorplan),
         "train_ci": str(args.train_ci),
@@ -138,6 +134,9 @@ def _cmd_train(args) -> int:
         "split_seed": str(split_seed),
         "cli_seed": str(args.seed),
     }
+    logger.info("training on %d fingerprints across %d RPs",
+                len(train_set), len(dataset.floorplan.rps))
+    model, index = train(train_set, cfg, train_seed)
     save_model(model, index, args.out, extra=extra)
     print(f"saved model with {len(index)} index entries to {args.out}")
     return 0

@@ -68,19 +68,14 @@ class EncoderConfig:
             raise ValueError("only stride 1 is supported")
 
 
-def min_input_side(cfg: EncoderConfig) -> int:
-    """Smallest image side the two valid convolutions can consume."""
-    return 2 * (cfg.filter_size - 1) + 1
-
-
 def _param_shapes(cfg: EncoderConfig, input_side: int) -> dict[str, tuple[int, ...]]:
-    if input_side < min_input_side(cfg):
-        raise ValueError(
-            f"input side {input_side} too small: two {cfg.filter_size}x{cfg.filter_size} "
-            f"valid convolutions need side >= {min_input_side(cfg)}"
-        )
     k = cfg.filter_size
-    side2 = input_side - 2 * (k - 1)
+    side2 = input_side - 2 * (k - 1)  # the side two valid convolutions leave
+    if side2 < 1:
+        raise ValueError(
+            f"input side {input_side} too small: two {k}x{k} "
+            f"valid convolutions need side >= {2 * (k - 1) + 1}"
+        )
     flat = cfg.conv2_filters * side2 * side2
     return {
         "conv1_w": (cfg.conv1_filters, 1, k, k),
@@ -132,22 +127,17 @@ class EncoderModel:
 
 def init_model(cfg: EncoderConfig, input_side: int, seed: int) -> EncoderModel:
     """Fresh parameters: He-style fan-in-scaled uniform weights, zero
-    biases; deterministic per seed."""
+    biases; deterministic per seed.  A conv weight (out, in, k, k) has
+    fan-in in*k*k, a dense weight (in, out) fan-in in."""
     rng = np.random.default_rng(seed)
-    shapes = _param_shapes(cfg, input_side)
-    fan_in = {
-        "conv1_w": cfg.filter_size ** 2,
-        "conv2_w": cfg.filter_size ** 2 * cfg.conv1_filters,
-        "fc1_w": shapes["fc1_w"][0],
-        "fc2_w": cfg.fc_units,
-    }
     params: dict[str, np.ndarray] = {}
-    for name in PARAM_ORDER:
+    for name, shape in _param_shapes(cfg, input_side).items():
         if name.endswith("_b"):
-            params[name] = np.zeros(shapes[name], dtype=np.float64)
+            params[name] = np.zeros(shape, dtype=np.float64)
         else:
-            limit = np.sqrt(6.0 / fan_in[name])
-            params[name] = rng.uniform(-limit, limit, size=shapes[name])
+            fan_in = math.prod(shape[1:]) if len(shape) == 4 else shape[0]
+            limit = np.sqrt(6.0 / fan_in)
+            params[name] = rng.uniform(-limit, limit, size=shape)
     return EncoderModel(config=cfg, input_side=input_side, params=params)
 
 
@@ -366,7 +356,7 @@ def gradient_check(model: EncoderModel, triplet: np.ndarray) -> float:
     return max_rel
 
 
-def small_check_config(embed_dim: int = 3) -> EncoderConfig:
+def small_check_config(embed_dim: int) -> EncoderConfig:
     """A deterministic, finite-difference-friendly encoder: tiny filter
     counts, no dropout, no input noise."""
     return EncoderConfig(conv1_filters=6, conv2_filters=8, fc_units=16,

@@ -113,14 +113,18 @@ def fpr_sweep(dataset: FingerprintDataset, fprs: Sequence[int], cfg: TrainConfig
               k: int = DEFAULT_K) -> SweepResult:
     """Re-split (fresh seed per repeat), train, and evaluate for every FPR.
 
-    Requires every RP to actually have max(fprs) fingerprints at the
-    training CI, so all sweep rows are comparable.
+    The fprs must be distinct.  Requires every RP to actually have
+    max(fprs) fingerprints at the training CI, so all sweep rows are
+    comparable.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     fprs = tuple(int(f) for f in fprs)
     if not fprs or any(f < 1 for f in fprs):
         raise ValueError("fprs must be positive integers")
+    repeated = sorted({f for f in fprs if fprs.count(f) > 1})
+    if repeated:
+        raise ValueError(f"fprs must be distinct; repeated: {repeated}")
     available = min(len(v) for v in dataset.by_rp(ci=train_ci).values())
     if max(fprs) > available:
         raise ValueError(

@@ -3,6 +3,7 @@ import contextlib
 import csv
 import io
 import logging
+from typing import get_type_hints
 
 import pytest
 from hypothesis import given, settings
@@ -60,6 +61,16 @@ def test_simulate_overrides_reach_simconfig(tmp_path, monkeypatch):
                      "--width", "6", "--n-cis", "2", "--removal", "1:0.2", *extra]) == 0
     assert [c.hourly_sigma_db for c in seen] == [5.0, 0.5]
     assert all(c.width == 6.0 and c.n_cis == 2 for c in seen)
+    # every number field but seed (its own flag) has a flag that reaches SimConfig
+    base = cli.sim.preset("office-like")
+    want = {name: getattr(base, name) + 1
+            for name, kind in get_type_hints(cli.sim.SimConfig).items()
+            if kind in (int, float) and name != "seed"}
+    assert {"width", "n_aps", "hourly_sigma_db"} <= want.keys()  # hints resolved
+    flags = [arg for name, value in want.items()
+             for arg in ("--" + name.replace("_", "-"), str(value))]
+    assert main(["simulate", "--preset", "office-like", "--out", str(tmp_path), *flags]) == 0
+    assert {name: getattr(seen[-1], name) for name in want} == want
 
 
 def test_train_then_eval(scenario_dir, model_path, tmp_path, capsys):
@@ -215,6 +226,51 @@ def test_train_non_finite_flags_fail_before_training(scenario_dir, tmp_path, cap
     assert code == 1
     assert err.startswith(f"error: {field} must")
     assert not out.exists()
+
+
+def _rename_first_ap(scenario_dir, tmp_path, ap_id):
+    """The scenario's fingerprint CSV with its first AP column renamed to
+    ap_<ap_id>, quoted where the id needs it."""
+    with open(scenario_dir / "fingerprints.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    header[2] = "ap_" + ap_id
+    path = tmp_path / "fingerprints.csv"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    return path
+
+
+@pytest.mark.parametrize("ap_id", ["0,00", "0\n00"])
+def test_train_reserved_ap_id_fails_before_training(scenario_dir, tmp_path, capsys,
+                                                   monkeypatch, ap_id):
+    # the model file joins AP ids with "," on one metadata line
+    monkeypatch.setattr(cli, "train", lambda *a, **kw: pytest.fail("training started"))
+    out = tmp_path / "m.stne"
+    code, _, err = run(["train", "--floorplan", str(scenario_dir / "floorplan.csv"),
+                        "--fingerprints", str(_rename_first_ap(scenario_dir, tmp_path, ap_id)),
+                        "--fpr", "4", "--out", str(out)], capsys)
+    assert code == 1
+    assert err == f"error: AP id {ap_id!r} contains characters reserved by the model file\n"
+    assert not out.exists()
+
+
+def test_ap_id_with_equals_sign_trains_evaluates_and_predicts(scenario_dir, tmp_path, capsys):
+    # the model file splits a metadata line at its first "=", so a value may hold one
+    fingerprints = _rename_first_ap(scenario_dir, tmp_path, "0=00")
+    model = tmp_path / "m.stne"
+    code, _, err = run(["train", "--floorplan", str(scenario_dir / "floorplan.csv"),
+                        "--fingerprints", str(fingerprints), "--fpr", "4",
+                        "--embed-dim", "3", "--epochs", "1", "--batch", "16",
+                        "--out", str(model)], capsys)
+    assert code == 0, err
+    assert load_model_full(model)[2]["ap_registry"].startswith("0=00,")
+    code, _, err = run(["eval", "--model", str(model), "--fingerprints", str(fingerprints),
+                        "--baseline", "--report", str(tmp_path / "report.csv")], capsys)
+    assert code == 0, err
+    code, out, err = run(["predict", "--model", str(model), "--scan", str(fingerprints)],
+                         capsys)
+    assert code == 0, err
+    assert len(out.splitlines()) == len(fingerprints.read_text().splitlines())
 
 
 def test_scan_non_finite_cell_reports_row(tmp_path):

@@ -43,11 +43,24 @@ def test_init_deterministic():
 
 
 def test_init_rejects_tiny_inputs():
-    cfg = small_check_config()
+    cfg = small_check_config(3)
     for side in (1, 2):  # two 2x2 valid convolutions need side >= 3
         with pytest.raises(ValueError, match="too small"):
             init_model(cfg, side, 0)
     init_model(cfg, 3, 0)  # smallest legal side
+
+
+def test_init_weights_fill_their_fan_in_bound():
+    # uniform in +-sqrt(6 / fan_in): fan_in is C*k*k for a conv weight
+    # (out, C, k, k) and the row count for a dense weight (in, out)
+    cfg = EncoderConfig(conv1_filters=7, conv2_filters=19, filter_size=3)
+    model = init_model(cfg, 6, 0)  # conv2 leaves a 2x2 image
+    fan_in = {"conv1_w": 1 * 3 * 3, "conv2_w": 7 * 3 * 3,
+              "fc1_w": 19 * 2 * 2, "fc2_w": cfg.fc_units}
+    for name, n in fan_in.items():
+        bound = np.sqrt(6.0 / n)
+        top = np.abs(model.params[name]).max()
+        assert 0.9 * bound <= top <= bound, name
 
 
 def test_embed_dim_sets_output_width():
@@ -374,7 +387,7 @@ def test_gradient_check_various_sides():
 def test_gradient_check_reaches_every_conv_weight_layout():
     # the check perturbs entries by index, so a C-order conv weight and a
     # gemm_layout one (not C-contiguous) give the same, passing error
-    cfg = small_check_config()
+    cfg = small_check_config(3)
     laid = init_model(cfg, 4, 2)
     c_order = init_model(cfg, 4, 2)
     for name in ("conv1_w", "conv2_w"):

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from driftloc import localizer, nn
+from driftloc import evaluate, localizer, nn
 from driftloc.data import (Fingerprint, FingerprintDataset, FloorPlan,
                            ReferencePoint, split_by_ci)
 from driftloc.encoder import EncoderConfig
@@ -155,6 +155,13 @@ def test_fpr_sweep_table_shape(scenario, tmp_path):
 def test_fpr_sweep_rejects_unavailable_fpr(scenario):
     with pytest.raises(ValueError, match="exceeds"):
         fpr_sweep(scenario, fprs=[99], cfg=small_cfg(), repeats=1, seed=0)
+
+
+def test_fpr_sweep_rejects_repeated_fpr_before_training(scenario, monkeypatch):
+    # a repeated FPR would add its errors twice but divide by repeats once
+    monkeypatch.setattr(evaluate, "train", lambda *a, **kw: pytest.fail("training started"))
+    with pytest.raises(ValueError, match=r"distinct; repeated: \[1\]"):
+        fpr_sweep(scenario, fprs=[1, 1], cfg=small_cfg(), repeats=1, seed=0)
 
 
 def test_fpr_sweep_deterministic(scenario):

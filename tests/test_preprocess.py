@@ -70,7 +70,7 @@ def test_image_invariants_enforced():
     flat = pixel_rows(np.array([[-150.0, 20.0, -50.0, 0.0, -100.0]]))[0]
     np.testing.assert_array_equal(flat, [0.0, 1.0, 0.5, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
     # the encoder refuses rows that break the range
-    model = init_model(small_check_config(), 3, 0)
+    model = init_model(small_check_config(3), 3, 0)
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         encode_batch(model, [np.r_[0.5, 2.0, np.zeros(7)]])
     for bad in (np.array([]), np.zeros((2, 2)), np.float64(-50.0)):

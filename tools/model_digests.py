@@ -1,15 +1,24 @@
-"""Print the SHA-256 prefix of the model file that each of a fixed set of
-training runs writes.
+"""Print digests that show whether a change keeps the model bytes, the
+predictions and the gradients.
 
 Run from the repository root, with no options:
 
     PYTHONPATH=src python3 tools/model_digests.py
 
-Each line is ``<name> <first 16 hex digits>``.  A change that must keep
-model bytes prints the same lines before and after it, on the same
-machine.  BLAS runs on one thread, because model bytes depend on the
-BLAS thread count.  The name does not start with ``test_``, so pytest
-does not collect this file.
+It prints three groups of lines, in this order:
+
+* ``<name> <16 hex>``: the SHA-256 prefix of the model file that each of
+  a fixed set of training runs writes;
+* ``<name>-predict <16 hex>``: the SHA-256 prefix of the ``(rp_id, x, y)``
+  of each row that ``predict_batch`` (k=3) returns over that run's test
+  split;
+* ``gradcheck <seed> <error>``: the repr of ``run_gradcheck(seed, 4, 3)``,
+  the gradient error ``driftloc gradcheck`` reports.
+
+A change that must keep these bits prints the same lines before and after
+it, on the same machine.  BLAS runs on one thread, because model bytes
+depend on the BLAS thread count.  The name does not start with ``test_``,
+so pytest does not collect this file.
 """
 
 import os
@@ -22,8 +31,9 @@ import hashlib  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-from driftloc import (EncoderConfig, TrainConfig, generate, preset,  # noqa: E402
-                      save_model, split_by_ci, train)
+from driftloc import (EncoderConfig, TrainConfig, generate,  # noqa: E402
+                      predict_batch, preset, save_model, split_by_ci, train)
+from driftloc.cli import run_gradcheck  # noqa: E402
 
 DATA_SEED, SPLIT_SEED, TRAIN_SEED = 42, 100, 200
 
@@ -37,19 +47,34 @@ RUNS = {
     "office-nodrop": ("office-like", EncoderConfig(dropout_rate=0.0, noise_sigma=0.0), 1),
 }
 
+GRADCHECK_SEEDS = (0, 3, 7)
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
 
 def main() -> None:
     splits = {}
+    predict_lines = []
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.stne"
         for name, (scenario, encoder, epochs) in RUNS.items():
             if scenario not in splits:
                 dataset, _ = generate(preset(scenario, seed=DATA_SEED))
-                splits[scenario] = split_by_ci(dataset, 0, 6, SPLIT_SEED)[0]
+                splits[scenario] = split_by_ci(dataset, 0, 6, SPLIT_SEED)
+            train_set, test_set = splits[scenario]
             cfg = TrainConfig(encoder=encoder, epochs=epochs)
-            model, index = train(splits[scenario], cfg, TRAIN_SEED)
+            model, index = train(train_set, cfg, TRAIN_SEED)
             save_model(model, index, path)
-            print(name, hashlib.sha256(path.read_bytes()).hexdigest()[:16], flush=True)
+            print(name, _digest(path.read_bytes()), flush=True)
+            preds = predict_batch(model, index, test_set.rssi, k=3)
+            rows = "".join(f"{p.rp_id} {p.x!r} {p.y!r}\n" for p in preds)
+            predict_lines.append(f"{name}-predict {_digest(rows.encode())}")
+    for line in predict_lines:
+        print(line, flush=True)
+    for seed in GRADCHECK_SEEDS:
+        print("gradcheck", seed, repr(float(run_gradcheck(seed, 4, 3))), flush=True)
 
 
 if __name__ == "__main__":
