@@ -60,11 +60,16 @@ def _parse_removal(text: str) -> dict[int, float]:
 
 
 def _cmd_simulate(args) -> int:
+    cfg = sim.preset(args.preset, seed=args.seed)
     overrides = {name: getattr(args, name) for name in _SIM_OVERRIDES
                  if getattr(args, name) is not None}
     if args.removal is not None:
         overrides["removal_schedule"] = _parse_removal(args.removal)
-    cfg = replace(sim.preset(args.preset, seed=args.seed), **overrides)
+    else:  # the preset's removals that fall inside a shortened scenario
+        n_cis = overrides.get("n_cis", cfg.n_cis)
+        overrides["removal_schedule"] = {ci: frac for ci, frac in cfg.removal_schedule.items()
+                                         if ci < n_cis}
+    cfg = replace(cfg, **overrides)
     dataset, truth = sim.generate(cfg)
     paths = sim.write_scenario(dataset, truth, args.out)
     print(f"wrote {paths['floorplan']}, {paths['fingerprints']}, {paths['ground_truth']}")
@@ -156,11 +161,10 @@ def _add_eval(sub):
     p.add_argument("--rule", choices=RULES, default=DEFAULT_RULE)
 
 
-def _floorplan_from_model(index, registry: tuple[str, ...]) -> FloorPlan:
+def _rps_from_model(index) -> list[ReferencePoint]:
     rp_ids, first = np.unique(index.rp_ids, return_index=True)
-    rps = [ReferencePoint(rp_id=rp, x=x, y=y) for rp, x, y in
-           zip(rp_ids.tolist(), index.xs[first].tolist(), index.ys[first].tolist())]
-    return FloorPlan(rps=rps, ap_registry=registry)
+    return [ReferencePoint(rp_id=rp, x=x, y=y) for rp, x, y in
+            zip(rp_ids.tolist(), index.xs[first].tolist(), index.ys[first].tolist())]
 
 
 def _model_registry(extra) -> tuple[str, ...]:
@@ -172,12 +176,9 @@ def _model_registry(extra) -> tuple[str, ...]:
 
 def _dataset_for_model(args, index, extra) -> FingerprintDataset:
     registry = _model_registry(extra)
-    if args.floorplan:
-        floorplan = FloorPlan(rps=load_floorplan(args.floorplan), ap_registry=registry)
-    else:
-        floorplan = _floorplan_from_model(index, registry)
-    dataset = load_fingerprints_csv(args.fingerprints, floorplan.rps)
-    if dataset.floorplan.ap_registry != floorplan.ap_registry:
+    rps = load_floorplan(args.floorplan) if args.floorplan else _rps_from_model(index)
+    dataset = load_fingerprints_csv(args.fingerprints, rps)
+    if dataset.floorplan.ap_registry != registry:
         raise DriftlocError(
             "fingerprint CSV registry does not match the model's training registry"
         )

@@ -44,7 +44,6 @@ class EncoderConfig:
     conv1_filters: int = 64
     conv2_filters: int = 128
     filter_size: int = 2
-    stride: int = 1
     fc_units: int = 100
     embed_dim: int = 5
     dropout_rate: float = 0.25
@@ -64,8 +63,6 @@ class EncoderConfig:
             raise ValueError("filter counts and filter_size must be >= 1")
         if self.fc_units < 1:
             raise ValueError("fc_units must be >= 1")
-        if self.stride != 1:
-            raise ValueError("only stride 1 is supported")
 
 
 def _param_shapes(cfg: EncoderConfig, input_side: int) -> dict[str, tuple[int, ...]]:
@@ -103,7 +100,7 @@ class EncoderModel:
     the conv weights in :func:`nn.gemm_layout`; a float32 parameter, such
     as a loaded one, is cast in that same one copy and keeps its write
     flag.  Training steps update it in place; ``train()`` and
-    ``load_model_full`` return it read-only."""
+    ``load_model_full`` build it from read-only float32 parameters."""
 
     config: EncoderConfig
     input_side: int

@@ -52,7 +52,7 @@ class TrainConfig:
     sigma_sel: float | None = None  # None -> 0.1 x floorplan bbox diagonal
     epochs: int = 50
     batch_size: int = 32
-    learning_rate: float = 1e-3
+    learning_rate: float = nn.AdamState.lr
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
@@ -168,12 +168,12 @@ def train(train_set: FingerprintDataset, cfg: TrainConfig,
         mean = total / batches_per_epoch
         logger.debug("epoch %d/%d mean triplet loss %.5f", epoch + 1, cfg.epochs, mean)
 
-    # Finalize at serialized precision so save/load cannot change
-    # predictions, read-only so the model stays the one its index embeds.
-    for name in model.params:
-        p = model.params[name].astype(np.float32).astype(np.float64)
+    # Finalize as load_model_full does, from read-only float32 parameters: a
+    # save/load round trip changes no bit, and the index embeds this model.
+    params = {name: p.astype(np.float32) for name, p in model.params.items()}
+    for p in params.values():
         p.setflags(write=False)
-        model.params[name] = p
+    model = EncoderModel(config=model.config, input_side=model.input_side, params=params)
 
     emb = encode_batch(model, rows).astype(np.float32)
     index = EmbeddingIndex(embeddings=emb, rp_ids=train_set.rp_ids,

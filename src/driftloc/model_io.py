@@ -32,7 +32,10 @@ from .localizer import EmbeddingIndex
 MAGIC = b"STNE"
 FORMAT_VERSION = 1
 
-_CONFIG_FIELDS = [f.name for f in dataclass_fields(EncoderConfig)]
+# The config block's fixed lines, in file order: EncoderConfig's fields, the
+# format's stride line (always 1) and the input side; extra lines follow them.
+_FIXED_FIELDS = ("conv1_filters", "conv2_filters", "filter_size", "stride", "fc_units",
+                 "embed_dim", "dropout_rate", "margin_alpha", "noise_sigma", "input_side")
 
 
 def _index_dtype(d: int) -> np.dtype:
@@ -46,12 +49,12 @@ def _fmt(v) -> str:
 
 
 def _config_lines(model: EncoderModel, extra: dict[str, str] | None) -> bytes:
-    items: list[tuple[str, str]] = []
-    for name in _CONFIG_FIELDS:
-        items.append((name, _fmt(getattr(model.config, name))))
-    items.append(("input_side", str(model.input_side)))
+    values = {f.name: _fmt(getattr(model.config, f.name))
+              for f in dataclass_fields(EncoderConfig)}
+    values.update(stride="1", input_side=str(model.input_side))
+    items = [(name, values[name]) for name in _FIXED_FIELDS]
     for key, val in (extra or {}).items():
-        if key in _CONFIG_FIELDS or key == "input_side":
+        if key in _FIXED_FIELDS:
             raise ValueError(f"extra metadata key {key!r} shadows a config field")
         items.append((key, str(val)))
     for key, val in items:
@@ -151,6 +154,8 @@ def load_model_full(path: str | Path) -> tuple[EncoderModel, EmbeddingIndex, dic
 
     pairs = _parse_config(r.take(r.u32()))
     try:
+        if int(pairs["stride"]) != 1:
+            raise ValueError(f"stride must be 1, not {pairs['stride']}")
         kwargs = {}
         for f in dataclass_fields(EncoderConfig):
             raw = pairs[f.name]
@@ -161,8 +166,7 @@ def load_model_full(path: str | Path) -> tuple[EncoderModel, EmbeddingIndex, dic
         raise ModelFormatError(f"config block missing field {exc}") from None
     except ValueError as exc:
         raise ModelFormatError(f"config block invalid: {exc}") from None
-    extra = {k: v for k, v in pairs.items()
-             if k not in _CONFIG_FIELDS and k != "input_side"}
+    extra = {k: v for k, v in pairs.items() if k not in _FIXED_FIELDS}
 
     n_params = r.u32()
     params: dict[str, np.ndarray] = {}

@@ -19,12 +19,6 @@ import numpy as np
 from .data import RSSI_MAX, RSSI_MISSING, Fingerprint
 
 
-def normalize_rssi(dbm: float) -> float:
-    """Map dBm to the unit interval: -100 -> 0 (weakest), 0 -> 1 (strongest);
-    :func:`normalize_rows` of one cell."""
-    return float(normalize_rows([[dbm]])[0, 0])
-
-
 def image_side(n: int) -> int:
     """Smallest s with s*s >= n."""
     if n < 1:

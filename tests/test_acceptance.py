@@ -27,8 +27,7 @@ from driftloc.localizer import (EmbeddingIndex, TrainConfig, _knn_decide,
                                 baseline_predict_batch, predict, train)
 from driftloc.model_io import load_model, save_model
 from driftloc.nn import AdamState
-from driftloc.preprocess import (image_from_rssi, image_side, normalize_rows, normalize_rssi,
-                                 to_image)
+from driftloc.preprocess import image_from_rssi, image_side, normalize_rows, to_image
 from driftloc.sampler import build_pmf_table, make_batch, rp_members, sample_triplet
 from driftloc.simulate import SimConfig, generate, preset
 
@@ -347,9 +346,9 @@ def test_criterion_10_determinism_and_persistence(tmp_path):
 
 @criterion(11, "normalization endpoints and square padding are exact")
 def test_criterion_11_preprocessing():
-    assert normalize_rssi(-100.0) == 0.0
-    assert normalize_rssi(0.0) == 1.0
-    assert normalize_rssi(-50.0) == 0.5
+    assert normalize_rows([[-100.0]])[0, 0] == 0.0
+    assert normalize_rows([[0.0]])[0, 0] == 1.0
+    assert normalize_rows([[-50.0]])[0, 0] == 0.5
 
     for n, side, pads in ((5, 3, 4), (9, 3, 0), (10, 4, 6)):
         flat = image_from_rssi(np.full(n, -50.0))
@@ -366,6 +365,7 @@ def test_criterion_11_preprocessing():
         assert flat.size == s * s
         assert (s - 1) ** 2 < n <= s * s
         img = flat.reshape(s, s)
+        cells = normalize_rows(rssi[:, None])[:, 0]  # each value as a one-cell row
         for i in range(n):
-            assert img[i // s, i % s] == normalize_rssi(rssi[i])
+            assert img[i // s, i % s] == cells[i]
         assert np.all(flat[n:] == 0.0)

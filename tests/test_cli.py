@@ -73,6 +73,24 @@ def test_simulate_overrides_reach_simconfig(tmp_path, monkeypatch):
     assert {name: getattr(seen[-1], name) for name in want} == want
 
 
+@pytest.mark.parametrize("n_cis, removed_at", [("3", set()), ("12", {11})])
+def test_simulate_keeps_preset_removals_inside_shortened_scenario(tmp_path, n_cis,
+                                                                    removed_at):
+    # office-like removes 20% of APs from CI 11 onward: a 3-CI scenario
+    # never reaches it, a 12-CI one does
+    assert main(["simulate", "--preset", "office-like", "--out", str(tmp_path),
+                 "--width", "6", "--n-cis", n_cis]) == 0
+    with open(tmp_path / "ground_truth.csv", newline="") as fh:
+        removed = [int(row["removed_at_ci"]) for row in csv.DictReader(fh)]
+    assert set(removed) - {-1} == removed_at
+
+
+def test_simulate_explicit_removal_past_last_ci_fails(tmp_path, capsys):
+    code, _, err = run(["simulate", "--preset", "office-like", "--out", str(tmp_path),
+                        "--width", "6", "--n-cis", "3", "--removal", "11:0.2"], capsys)
+    assert code == 1 and err == "error: removal schedule ci 11 outside [0, 3)\n"
+
+
 def test_train_then_eval(scenario_dir, model_path, tmp_path, capsys):
     report = tmp_path / "report.csv"
     code, out, err = run(["eval", "--model", str(model_path),

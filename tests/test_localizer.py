@@ -186,6 +186,13 @@ def test_trained_and_loaded_params_are_read_only(tmp_path, trained):
     model, index = trained
     save_model(model, index, tmp_path / "m.stne")
     loaded, _ = load_model(tmp_path / "m.stne")
+    # both come from the constructor, on read-only float32 parameters
+    assert model.params.keys() == loaded.params.keys()
+    for name, p in model.params.items():
+        q = loaded.params[name]
+        assert p.dtype == q.dtype == np.float64 and p.strides == q.strides, name
+        assert not p.flags.writeable and not q.flags.writeable, name
+        assert p.tobytes(order="A") == q.tobytes(order="A"), name
     batch = np.full((3, 2, loaded.input_side ** 2), 0.5)
     for m in (model, loaded):
         for name, p in m.params.items():

@@ -158,17 +158,57 @@ def test_hostile_parameter_fields(tiny, edit):
     _rejected(path, _with_crc(bytes(body)))
 
 
-@pytest.mark.parametrize("field, value", [("margin_alpha", "nan"), ("noise_sigma", "inf")])
-def test_non_finite_config_value_rejected(tiny, field, value):
-    # a CRC-valid file whose config block carries a non-finite value
-    raw, path = tiny
+def _config_block(data: bytes) -> str:
+    n = struct.unpack_from("<I", data, 8)[0]
+    return data[12:12 + n].decode()
+
+
+def _with_config_line(raw: bytes, field: str, value: str | None) -> bytes:
+    """raw, CRC-valid, with its `field=` line set to value, or dropped for None."""
     n = struct.unpack_from("<I", raw, 8)[0]
-    lines = raw[12:12 + n].decode().splitlines(keepends=True)
-    assert any(line.startswith(field + "=") for line in lines)
-    block = "".join(f"{field}={value}\n" if line.startswith(field + "=") else line
-                    for line in lines).encode()
-    path.write_bytes(_with_crc(raw[:8] + struct.pack("<I", len(block)) + block + raw[12 + n:-4]))
+    lines = _config_block(raw).splitlines(keepends=True)
+    assert sum(line.startswith(field + "=") for line in lines) == 1
+    block = "".join(line if not line.startswith(field + "=") else
+                    "" if value is None else f"{field}={value}\n" for line in lines).encode()
+    return _with_crc(raw[:8] + struct.pack("<I", len(block)) + block + raw[12 + n:-4])
+
+
+def test_default_config_block_is_pinned(tmp_path):
+    # the format's fixed lines, in order: EncoderConfig's fields with the
+    # stride line after filter_size, then the input side
+    index = EmbeddingIndex(embeddings=np.eye(5, dtype=np.float32)[:2], rp_ids=np.array([0, 1]),
+                           xs=np.zeros(2), ys=np.zeros(2))
+    path = tmp_path / "m.stne"
+    save_model(init_model(EncoderConfig(), 3, seed=0), index, path)
+    assert _config_block(path.read_bytes()) == (
+        "conv1_filters=64\nconv2_filters=128\nfilter_size=2\nstride=1\nfc_units=100\n"
+        "embed_dim=5\ndropout_rate=0.25\nmargin_alpha=0.2\nnoise_sigma=0.1\ninput_side=3\n")
+
+
+@pytest.mark.parametrize("key", ["stride", "input_side", "embed_dim"])
+def test_extra_key_cannot_shadow_a_fixed_line(tmp_path, key):
+    cfg = EncoderConfig(conv1_filters=2, conv2_filters=2, fc_units=3, embed_dim=2)
+    index = EmbeddingIndex(embeddings=np.eye(2, dtype=np.float32), rp_ids=np.array([0, 1]),
+                           xs=np.zeros(2), ys=np.zeros(2))
+    with pytest.raises(ValueError, match=f"{key!r} shadows"):
+        save_model(init_model(cfg, 3, seed=0), index, tmp_path / "m.stne", extra={key: "1"})
+
+
+@pytest.mark.parametrize("field, value", [("margin_alpha", "nan"), ("noise_sigma", "inf"),
+                                          ("stride", "2")])
+def test_non_finite_config_value_rejected(tiny, field, value):
+    # a CRC-valid file whose config block carries a non-finite value, or a
+    # stride the convolutions do not have
+    raw, path = tiny
+    path.write_bytes(_with_config_line(raw, field, value))
     with pytest.raises(ModelFormatError, match=f"config block invalid: {field}"):
+        load_model_full(path)
+
+
+def test_config_block_without_stride_line_rejected(tiny):
+    raw, path = tiny
+    path.write_bytes(_with_config_line(raw, "stride", None))
+    with pytest.raises(ModelFormatError, match="config block missing field 'stride'"):
         load_model_full(path)
 
 

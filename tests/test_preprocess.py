@@ -4,29 +4,29 @@ from hypothesis import given, strategies as st
 
 from driftloc.data import Fingerprint
 from driftloc.encoder import encode_batch, init_model, small_check_config
-from driftloc.preprocess import (image_from_rssi, image_side, normalize_rssi,
+from driftloc.preprocess import (image_from_rssi, image_side, normalize_rows,
                                  pixel_rows, to_image)
 
 
 @pytest.mark.parametrize("dbm,expected", [(-100.0, 0.0), (0.0, 1.0), (-50.0, 0.5)])
 def test_normalize_endpoints_and_midpoint(dbm, expected):
-    assert normalize_rssi(dbm) == expected
+    assert normalize_rows([[dbm]])[0, 0] == expected
 
 
 def test_normalize_clamps():
-    assert normalize_rssi(-150.0) == 0.0
-    assert normalize_rssi(20.0) == 1.0
+    assert normalize_rows([[-150.0]])[0, 0] == 0.0
+    assert normalize_rows([[20.0]])[0, 0] == 1.0
 
 
 def test_normalize_rejects_non_finite():
     with pytest.raises(ValueError):
-        normalize_rssi(float("inf"))
+        normalize_rows([[float("inf")]])
 
 
 @given(st.floats(-100, 0), st.floats(-100, 0))
 def test_normalize_monotone(a, b):
     if a <= b:
-        assert normalize_rssi(a) <= normalize_rssi(b)
+        assert normalize_rows([[a]])[0, 0] <= normalize_rows([[b]])[0, 0]
 
 
 @pytest.mark.parametrize("n,side,pads", [(5, 3, 4), (9, 3, 0), (10, 4, 6)])
@@ -61,8 +61,9 @@ def test_position_mapping(values):
     s = image_side(len(values))
     assert (s - 1) ** 2 < len(values) <= s * s
     img = image_from_rssi(rssi).reshape(s, s)
-    for i, v in enumerate(values):
-        assert img[i // s, i % s] == normalize_rssi(v)
+    cells = normalize_rows(rssi[:, None])[:, 0]  # each value as a one-cell row
+    for i in range(len(values)):
+        assert img[i // s, i % s] == cells[i]
 
 
 def test_image_invariants_enforced():

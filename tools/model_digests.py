@@ -5,7 +5,7 @@ Run from the repository root, with no options:
 
     PYTHONPATH=src python3 tools/model_digests.py
 
-It prints three groups of lines, in this order:
+It prints four groups of lines, in this order:
 
 * ``<name> <16 hex>``: the SHA-256 prefix of the model file that each of
   a fixed set of training runs writes;
@@ -13,7 +13,11 @@ It prints three groups of lines, in this order:
   of each row that ``predict_batch`` (k=3) returns over that run's test
   split;
 * ``gradcheck <seed> <error>``: the repr of ``run_gradcheck(seed, 4, 3)``,
-  the gradient error ``driftloc gradcheck`` reports.
+  the gradient error ``driftloc gradcheck`` reports;
+* ``cli-train <16 hex>``: the SHA-256 prefix of the model file that
+  ``driftloc train`` writes from the office-like scenario's CSV files, so
+  the metadata lines the command adds (AP registry, training CI, FPR and
+  seeds) are covered too.
 
 A change that must keep these bits prints the same lines before and after
 it, on the same machine.  BLAS runs on one thread, because model bytes
@@ -27,13 +31,16 @@ import os
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[var] = "1"
 
+import contextlib  # noqa: E402
 import hashlib  # noqa: E402
+import io  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 from driftloc import (EncoderConfig, TrainConfig, generate,  # noqa: E402
-                      predict_batch, preset, save_model, split_by_ci, train)
-from driftloc.cli import run_gradcheck  # noqa: E402
+                      predict_batch, preset, save_model, split_by_ci, train,
+                      write_scenario)
+from driftloc.cli import main as cli_main, run_gradcheck  # noqa: E402
 
 DATA_SEED, SPLIT_SEED, TRAIN_SEED = 42, 100, 200
 
@@ -48,6 +55,9 @@ RUNS = {
 }
 
 GRADCHECK_SEEDS = (0, 3, 7)
+
+# the flags of the `driftloc train` run, besides its input and output files
+CLI_TRAIN_FLAGS = ["--train-ci", "0", "--fpr", "6", "--epochs", "1", "--seed", "7"]
 
 
 def _digest(data: bytes) -> str:
@@ -75,6 +85,20 @@ def main() -> None:
         print(line, flush=True)
     for seed in GRADCHECK_SEEDS:
         print("gradcheck", seed, repr(float(run_gradcheck(seed, 4, 3))), flush=True)
+    print("cli-train", _cli_train_digest(), flush=True)
+
+
+def _cli_train_digest() -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = write_scenario(*generate(preset("office-like", seed=DATA_SEED)), tmp)
+        out = Path(tmp) / "model.stne"
+        argv = ["train", "--floorplan", str(paths["floorplan"]),
+                "--fingerprints", str(paths["fingerprints"]), *CLI_TRAIN_FLAGS,
+                "--out", str(out)]
+        with contextlib.redirect_stdout(io.StringIO()):  # its "saved model" line
+            if cli_main(argv) != 0:
+                raise SystemExit("driftloc train failed")
+        return _digest(out.read_bytes())
 
 
 if __name__ == "__main__":
