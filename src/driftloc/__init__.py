@@ -15,7 +15,7 @@ from .encoder import (EncoderConfig, EncoderModel, encode_batch, gradient_check,
                       init_model, train_step, triplet_loss)
 from .errors import (DatasetFormatError, DriftlocError, HingeInactiveError,
                      ModelFormatError, NonFiniteLossError, StochasticModelError)
-from .evaluate import (EvalReport, SweepResult, evaluate_baseline_over_time,
+from .evaluate import (EvalReport, evaluate_baseline_over_time,
                        evaluate_over_time, fpr_sweep)
 from .localizer import (EmbeddingIndex, Prediction, TrainConfig, predict,
                         predict_batch, train)
@@ -32,7 +32,7 @@ __all__ = [
     "EncoderConfig", "EncoderModel", "EvalReport", "Fingerprint",
     "FingerprintDataset", "FloorPlan", "GroundTruth", "HingeInactiveError",
     "ModelFormatError", "NonFiniteLossError", "Prediction", "ReferencePoint",
-    "SimConfig", "StochasticModelError", "SweepResult", "TrainConfig",
+    "SimConfig", "StochasticModelError", "TrainConfig",
     "apply_ap_dropout", "build_pmf_table", "default_sigma_sel",
     "draw_turnoff_fraction", "encode_batch", "evaluate_baseline_over_time",
     "evaluate_over_time", "fpr_sweep", "generate", "gradient_check",

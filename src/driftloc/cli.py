@@ -55,6 +55,8 @@ def _parse_removal(text: str) -> dict[int, float]:
         ci, _, frac = part.partition(":")
         if not frac:
             raise ValueError(f"bad removal entry {part!r}, want ci:frac")
+        if int(ci) in out:
+            raise ValueError(f"removal schedule gives ci {int(ci)} twice")
         out[int(ci)] = float(frac)
     return out
 
@@ -234,11 +236,11 @@ def _cmd_sweep(args) -> int:
     dataset = load_dataset(args.floorplan, args.fingerprints)
     fprs = [int(x) for x in args.fprs.split(",") if x]
     cfg = _train_config(args)
-    result = fpr_sweep(dataset, fprs, cfg, repeats=args.repeats, seed=args.seed,
-                       train_ci=args.train_ci, k=args.k)
-    write_sweep_csv(result, args.report)
-    for fpr in result.fprs:
-        print(f"fpr={fpr}: overall mean error {result.overall[fpr]:.3f} m")
+    reports = fpr_sweep(dataset, fprs, cfg, repeats=args.repeats, seed=args.seed,
+                        train_ci=args.train_ci, k=args.k)
+    write_sweep_csv(reports, args.report)
+    for fpr, report in reports.items():
+        print(f"fpr={fpr}: overall mean error {report.overall_mean_error:.3f} m")
     return 0
 
 

@@ -273,15 +273,22 @@ def load_floorplan(path: str | Path) -> tuple[ReferencePoint, ...]:
         if header != ["rp_id", "x_m", "y_m"]:
             raise DatasetFormatError(f"{path}: malformed floorplan header {header!r}, "
                                      "expected rp_id,x_m,y_m", row=1)
-        rps = []
+        rps, first_row = [], {}  # rp_id -> the row that defines it
         for lineno, cells in rows:
             rp_id = _parse(int, cells[0], lineno, "rp_id")
+            if rp_id in first_row:
+                raise DatasetFormatError(f"rp_id {rp_id} already defined at row "
+                                         f"{first_row[rp_id]}", row=lineno)
+            first_row[rp_id] = lineno
             x = _parse(float, cells[1], lineno, "x_m")
             y = _parse(float, cells[2], lineno, "y_m")
             try:
                 rps.append(ReferencePoint(rp_id, x, y))
             except ValueError as exc:
                 raise DatasetFormatError(str(exc), row=lineno) from None
+    if len(rps) < 2:
+        raise DatasetFormatError(f"{path}: floorplan needs at least 2 reference points, "
+                                 f"found {len(rps)}")
     return tuple(rps)
 
 

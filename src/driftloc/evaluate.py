@@ -96,22 +96,11 @@ def evaluate_baseline_over_time(train_set: FingerprintDataset,
     return _report(preds, test, BASELINE_METHOD)
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    """fpr x ci mean-error table plus the per-fpr overall mean, each
-    averaged over the sweep repeats."""
-
-    fprs: tuple[int, ...]
-    cis: tuple[int, ...]
-    mean_error: dict[tuple[int, int], float]   # (fpr, ci) -> meters
-    overall: dict[int, float]                  # fpr -> meters
-    repeats: int
-
-
 def fpr_sweep(dataset: FingerprintDataset, fprs: Sequence[int], cfg: TrainConfig,
               repeats: int, seed: int, train_ci: int = 0,
-              k: int = DEFAULT_K) -> SweepResult:
-    """Re-split (fresh seed per repeat), train, and evaluate for every FPR.
+              k: int = DEFAULT_K) -> dict[int, EvalReport]:
+    """Re-split (fresh seed per repeat), train, and evaluate for every FPR;
+    return each FPR's report averaged over its repeats, in ``fprs`` order.
 
     The fprs must be distinct.  Requires every RP to actually have
     max(fprs) fingerprints at the training CI, so all sweep rows are
@@ -132,12 +121,11 @@ def fpr_sweep(dataset: FingerprintDataset, fprs: Sequence[int], cfg: TrainConfig
             f"available per RP at ci {train_ci}"
         )
 
-    # Every repeat of one FPR tests the same CIs: what stays at train_ci
-    # does not depend on the split seed.
-    err: dict[tuple[int, int], float] = {}
-    overall: dict[int, float] = {f: 0.0 for f in fprs}
-    cis: set[int] = set()
+    # Every repeat of one FPR tests the same CIs with the same query
+    # counts: what stays at train_ci does not depend on the split seed.
+    out = {}
     for fpr in fprs:
+        reports = []
         for rep in range(repeats):
             split_seed, train_seed = (
                 int(s) for s in np.random.SeedSequence([seed, fpr, rep]).generate_state(2)
@@ -147,17 +135,15 @@ def fpr_sweep(dataset: FingerprintDataset, fprs: Sequence[int], cfg: TrainConfig
             report = evaluate_over_time(model, index, te, k)
             logger.debug("fpr=%d repeat=%d overall=%.3f m", fpr, rep,
                          report.overall_mean_error)
-            overall[fpr] += report.overall_mean_error
-            for ci, m in report.per_ci_mean_error.items():
-                cis.add(ci)
-                err[(fpr, ci)] = err.get((fpr, ci), 0.0) + m
-    return SweepResult(
-        fprs=fprs,
-        cis=tuple(sorted(cis)),
-        mean_error={key: total / repeats for key, total in err.items()},
-        overall={f: overall[f] / repeats for f in fprs},
-        repeats=repeats,
-    )
+            reports.append(report)
+        out[fpr] = EvalReport(
+            per_ci_mean_error={ci: sum(r.per_ci_mean_error[ci] for r in reports) / repeats
+                               for ci in reports[0].cis()},
+            overall_mean_error=sum(r.overall_mean_error for r in reports) / repeats,
+            n_queries_per_ci=reports[0].n_queries_per_ci,
+            method_label=reports[0].method_label,
+        )
+    return out
 
 
 def write_report_csv(reports: Sequence[EvalReport], path: str | Path) -> None:
@@ -172,14 +158,13 @@ def write_report_csv(reports: Sequence[EvalReport], path: str | Path) -> None:
                                  f"{report.per_ci_mean_error[ci]:.6f}"])
 
 
-def write_sweep_csv(result: SweepResult, path: str | Path) -> None:
+def write_sweep_csv(reports: dict[int, EvalReport], path: str | Path) -> None:
     """Rows: fpr,ci,mean_error_m plus one fpr,overall,mean_error_m row per
     FPR."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["fpr", "ci", "mean_error_m"])
-        for fpr in result.fprs:
-            for ci in result.cis:
-                if (fpr, ci) in result.mean_error:
-                    writer.writerow([fpr, ci, f"{result.mean_error[(fpr, ci)]:.6f}"])
-            writer.writerow([fpr, "overall", f"{result.overall[fpr]:.6f}"])
+        for fpr, report in reports.items():
+            for ci in report.cis():
+                writer.writerow([fpr, ci, f"{report.per_ci_mean_error[ci]:.6f}"])
+            writer.writerow([fpr, "overall", f"{report.overall_mean_error:.6f}"])

@@ -126,6 +126,8 @@ def _parse_config(block: memoryview) -> dict[str, str]:
         if "=" not in line:
             raise ModelFormatError(f"malformed config line {line!r}")
         key, _, val = line.partition("=")
+        if key in pairs:
+            raise ModelFormatError(f"config key {key!r} appears twice")
         pairs[key] = val
     return pairs
 

@@ -298,8 +298,8 @@ def test_criterion_9_fpr_plateau():
     # batch >= train size: every FPR variant gets the same optimizer steps
     tcfg = TrainConfig(encoder=EncoderConfig(embed_dim=5), epochs=25,
                        batch_size=96)
-    result = fpr_sweep(ds, [1, 2, 4, 6], tcfg, repeats=10, seed=13, k=3)
-    e = result.overall
+    reports = fpr_sweep(ds, [1, 2, 4, 6], tcfg, repeats=10, seed=13, k=3)
+    e = {fpr: report.overall_mean_error for fpr, report in reports.items()}
     assert e[1] > e[4], f"fpr=1 ({e[1]:.3f}) not worse than fpr=4 ({e[4]:.3f})"
     rel = abs(e[4] - e[6]) / e[4]
     assert rel <= 0.10, f"fpr 4 vs 6 differ by {rel:.1%}"

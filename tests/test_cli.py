@@ -91,6 +91,13 @@ def test_simulate_explicit_removal_past_last_ci_fails(tmp_path, capsys):
     assert code == 1 and err == "error: removal schedule ci 11 outside [0, 3)\n"
 
 
+def test_simulate_removal_ci_given_twice_fails(tmp_path, capsys):
+    code, _, err = run(["simulate", "--preset", "office-like", "--out", str(tmp_path),
+                        "--removal", "11:0.2,11:0.5"], capsys)
+    assert code == 1 and err == "error: removal schedule gives ci 11 twice\n"
+    assert not (tmp_path / "fingerprints.csv").exists()
+
+
 def test_train_then_eval(scenario_dir, model_path, tmp_path, capsys):
     report = tmp_path / "report.csv"
     code, out, err = run(["eval", "--model", str(model_path),

@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -72,6 +73,25 @@ def test_rp_id_beyond_int32_reports_row(tmp_path, tiny_files):
             load_dataset(fp, fps)
     ReferencePoint(2**31 - 1, 0.0, 0.0)
     ReferencePoint(-2**31, 0.0, 0.0)
+
+
+def test_repeated_floorplan_rp_id_reports_both_rows(tmp_path, tiny_files):
+    _, fps = tiny_files
+    fp = write(tmp_path / "fp.csv", "rp_id,x_m,y_m\n0,0.0,0.0\n1,5.0,0.0\n\n0,9.0,9.0\n")
+    with pytest.raises(DatasetFormatError,
+                       match="^row 5: rp_id 0 already defined at row 2$") as err:
+        load_dataset(fp, fps)
+    assert err.value.row == 5
+
+
+@pytest.mark.parametrize("body", ["", "0,0.0,0.0\n"])
+def test_floorplan_with_fewer_than_two_rps_names_file(tmp_path, tiny_files, body):
+    _, fps = tiny_files
+    fp = write(tmp_path / "fp.csv", "rp_id,x_m,y_m\n" + body)
+    n = body.count("\n")
+    with pytest.raises(DatasetFormatError,
+                       match=f"^{re.escape(str(fp))}: floorplan needs at least 2 reference points, found {n}$"):
+        load_dataset(fp, fps)
 
 
 def test_non_numeric_cell_reports_row(tmp_path, tiny_files):

@@ -136,20 +136,53 @@ def test_report_csv_schema(tmp_path, trained):
 
 
 def test_fpr_sweep_table_shape(scenario, tmp_path):
-    result = fpr_sweep(scenario, fprs=[1, 2], cfg=small_cfg(), repeats=2,
-                       seed=4, train_ci=0, k=1)
-    assert result.fprs == (1, 2)
-    assert result.repeats == 2
-    assert set(result.overall) == {1, 2}
-    for fpr in (1, 2):
-        for ci in result.cis:
-            assert (fpr, ci) in result.mean_error
+    reports = fpr_sweep(scenario, fprs=[1, 2], cfg=small_cfg(), repeats=2,
+                        seed=4, train_ci=0, k=1)
+    assert list(reports) == [1, 2]
+    assert reports[1].cis() == reports[2].cis()
     path = tmp_path / "sweep.csv"
-    write_sweep_csv(result, path)
+    write_sweep_csv(reports, path)
     rows = list(csv.reader(path.open()))
     assert rows[0] == ["fpr", "ci", "mean_error_m"]
     overall_rows = [r for r in rows[1:] if r[1] == "overall"]
     assert len(overall_rows) == 2
+
+
+def test_fpr_sweep_averages_per_repeat_reports(scenario):
+    # each FPR's report rebuilt from its repeats' own split, train and
+    # evaluate runs, summed in repeat order
+    cfg, seed, repeats = small_cfg(), 4, 2
+    reports = fpr_sweep(scenario, fprs=[2, 1], cfg=cfg, repeats=repeats, seed=seed, k=1)
+    assert list(reports) == [2, 1]
+    for fpr, got in reports.items():
+        runs = []
+        for rep in range(repeats):
+            split_seed, train_seed = (
+                int(s) for s in np.random.SeedSequence([seed, fpr, rep]).generate_state(2))
+            tr, te = split_by_ci(scenario, 0, fpr, split_seed)
+            runs.append(evaluate_over_time(*train(tr, cfg, train_seed), te, k=1))
+        assert got == EvalReport(
+            per_ci_mean_error={ci: (runs[0].per_ci_mean_error[ci]
+                                    + runs[1].per_ci_mean_error[ci]) / repeats
+                               for ci in runs[0].cis()},
+            overall_mean_error=(runs[0].overall_mean_error
+                                + runs[1].overall_mean_error) / repeats,
+            n_queries_per_ci=runs[0].n_queries_per_ci,
+            method_label="embedding-knn",
+        )
+
+
+def test_write_sweep_csv_text(tmp_path):
+    # FPR 6 has no CI-0 row: every RP's fingerprints there went to training
+    reports = {
+        1: EvalReport({0: 1.25, 2: 3.0}, 2.125, {0: 4, 2: 4}, "embedding-knn"),
+        6: EvalReport({2: 0.5}, 0.5, {2: 4}, "embedding-knn"),
+    }
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(reports, path)
+    assert path.read_bytes() == (
+        b"fpr,ci,mean_error_m\r\n1,0,1.250000\r\n1,2,3.000000\r\n1,overall,2.125000\r\n"
+        b"6,2,0.500000\r\n6,overall,0.500000\r\n")
 
 
 def test_fpr_sweep_rejects_unavailable_fpr(scenario):
@@ -167,8 +200,7 @@ def test_fpr_sweep_rejects_repeated_fpr_before_training(scenario, monkeypatch):
 def test_fpr_sweep_deterministic(scenario):
     r1 = fpr_sweep(scenario, fprs=[1], cfg=small_cfg(), repeats=1, seed=8, k=1)
     r2 = fpr_sweep(scenario, fprs=[1], cfg=small_cfg(), repeats=1, seed=8, k=1)
-    assert r1.overall == r2.overall
-    assert r1.mean_error == r2.mean_error
+    assert r1 == r2
 
 
 def test_eval_report_window_mean():

@@ -212,6 +212,19 @@ def test_config_block_without_stride_line_rejected(tiny):
         load_model_full(path)
 
 
+@pytest.mark.parametrize("line", ["embed_dim=2", "ap_registry=x,y,z"])
+def test_config_key_given_twice_rejected(tiny, line):
+    # a CRC-valid file whose config block ends with a second line for a
+    # fixed key or an extra key; neither copy may win
+    raw, path = tiny
+    n = struct.unpack_from("<I", raw, 8)[0]
+    block = (_config_block(raw) + line + "\n").encode()
+    path.write_bytes(_with_crc(raw[:8] + struct.pack("<I", len(block)) + block + raw[12 + n:-4]))
+    key = line.partition("=")[0]
+    with pytest.raises(ModelFormatError, match=f"config key '{key}' appears twice"):
+        load_model_full(path)
+
+
 @pytest.mark.parametrize("edit, message", [
     ("input side below the convolutions' minimum", "too small"),
     ("parameter outside the encoder's set", "unknown parameters"),

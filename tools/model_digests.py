@@ -5,7 +5,7 @@ Run from the repository root, with no options:
 
     PYTHONPATH=src python3 tools/model_digests.py
 
-It prints four groups of lines, in this order:
+It prints five groups of lines, in this order:
 
 * ``<name> <16 hex>``: the SHA-256 prefix of the model file that each of
   a fixed set of training runs writes;
@@ -17,7 +17,10 @@ It prints four groups of lines, in this order:
 * ``cli-train <16 hex>``: the SHA-256 prefix of the model file that
   ``driftloc train`` writes from the office-like scenario's CSV files, so
   the metadata lines the command adds (AP registry, training CI, FPR and
-  seeds) are covered too.
+  seeds) are covered too;
+* ``sweep-fpr <16 hex>``: the SHA-256 prefix of the report CSV and then
+  the standard output of ``driftloc sweep-fpr`` on the same files.  At
+  FPR 6 every CI-0 fingerprint goes to training, so one report lacks a CI.
 
 A change that must keep these bits prints the same lines before and after
 it, on the same machine.  BLAS runs on one thread, because model bytes
@@ -56,8 +59,10 @@ RUNS = {
 
 GRADCHECK_SEEDS = (0, 3, 7)
 
-# the flags of the `driftloc train` run, besides its input and output files
+# the flags of the `driftloc train` and `driftloc sweep-fpr` runs, besides
+# their input and output files
 CLI_TRAIN_FLAGS = ["--train-ci", "0", "--fpr", "6", "--epochs", "1", "--seed", "7"]
+CLI_SWEEP_FLAGS = ["--fprs", "1,2,6", "--repeats", "2", "--epochs", "1", "--seed", "7"]
 
 
 def _digest(data: bytes) -> str:
@@ -85,20 +90,32 @@ def main() -> None:
         print(line, flush=True)
     for seed in GRADCHECK_SEEDS:
         print("gradcheck", seed, repr(float(run_gradcheck(seed, 4, 3))), flush=True)
-    print("cli-train", _cli_train_digest(), flush=True)
+    cli_train, sweep_fpr = _cli_digests()
+    print("cli-train", cli_train, flush=True)
+    print("sweep-fpr", sweep_fpr, flush=True)
 
 
-def _cli_train_digest() -> str:
+def _cli_digests() -> tuple[str, str]:
+    """Digests of `driftloc train`'s model file and of `driftloc
+    sweep-fpr`'s report followed by its stdout."""
     with tempfile.TemporaryDirectory() as tmp:
         paths = write_scenario(*generate(preset("office-like", seed=DATA_SEED)), tmp)
-        out = Path(tmp) / "model.stne"
-        argv = ["train", "--floorplan", str(paths["floorplan"]),
-                "--fingerprints", str(paths["fingerprints"]), *CLI_TRAIN_FLAGS,
-                "--out", str(out)]
-        with contextlib.redirect_stdout(io.StringIO()):  # its "saved model" line
-            if cli_main(argv) != 0:
-                raise SystemExit("driftloc train failed")
-        return _digest(out.read_bytes())
+        data = ["--floorplan", str(paths["floorplan"]),
+                "--fingerprints", str(paths["fingerprints"])]
+        model, report = Path(tmp) / "model.stne", Path(tmp) / "sweep.csv"
+        _run_cli(["train", *data, *CLI_TRAIN_FLAGS, "--out", str(model)])
+        stdout = _run_cli(["sweep-fpr", *data, *CLI_SWEEP_FLAGS, "--report", str(report)])
+        return (_digest(model.read_bytes()),
+                _digest(report.read_bytes() + stdout.encode()))
+
+
+def _run_cli(argv: list[str]) -> str:
+    """`driftloc <argv>`'s standard output; a nonzero exit stops the tool."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        if cli_main(argv) != 0:
+            raise SystemExit(f"driftloc {argv[0]} failed")
+    return out.getvalue()
 
 
 if __name__ == "__main__":
