@@ -214,7 +214,7 @@ def _input(model: EncoderModel, rows) -> np.ndarray:
     x = np.asarray(rows, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] == 0 or image_side(x.shape[1]) != s:
         raise ValueError(f"rows of shape {x.shape} do not fit model input side {s}")
-    if not np.all((x >= 0.0) & (x <= 1.0)):
+    if not ((x >= 0.0) & (x <= 1.0)).all():
         raise ValueError("input values must lie in [0, 1]")
     return x
 
@@ -226,8 +226,10 @@ def encode_batch(model: EncoderModel, images) -> np.ndarray:
     if len(images) == 0:
         raise ValueError("empty image batch")
     x = _input(model, images)
-    return np.concatenate([_infer(model, x[lo:lo + BLOCK_ROWS])
-                           for lo in range(0, len(x), BLOCK_ROWS)])
+    out = np.empty((len(x), model.config.embed_dim))
+    for lo in range(0, len(x), BLOCK_ROWS):
+        out[lo:lo + BLOCK_ROWS] = _infer(model, x[lo:lo + BLOCK_ROWS])
+    return out
 
 
 def triplet_loss(ea: np.ndarray, ep: np.ndarray, en: np.ndarray, alpha: float) -> float:

@@ -225,8 +225,9 @@ def _top_k(dists: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     NaN or not, number at least k in every row and include that first k,
     so each row's first k of them, stable-sorted by value, are it."""
     kth = np.partition(dists, k - 1, axis=1)[:, k - 1:k]
-    r, c = np.nonzero(~(dists > kth))  # in row order
-    vals = dists[r, c]
+    keep = ~(dists > kth)
+    r, c = np.nonzero(keep)  # in row order
+    vals = dists[keep]
     order = np.lexsort((vals, r))  # stable: rows stay grouped, ties in column order
     first = order[np.searchsorted(r, np.arange(len(dists)))[:, None] + np.arange(k)]
     return c[first], vals[first]
@@ -258,7 +259,7 @@ def _slots(d: int) -> int:
     if d > _PAIRWISE_BLOCK:
         half = d // 2 - d // 2 % 8
         return max(_slots(half), 1 + _slots(d - half))
-    return min(d, 16)
+    return d + 1 if d < 8 else min(d, 16)  # below 8: the d squares and their sum
 
 
 def _square_sums(columns: np.ndarray, q: np.ndarray, lo: int, hi: int,
@@ -266,8 +267,9 @@ def _square_sums(columns: np.ndarray, q: np.ndarray, lo: int, hi: int,
     """Sum over j in [lo, hi) of (columns[j] - q[:, j])**2, an (m, n)
     table, into ``bufs[0]``, with ``bufs``, _slots(hi - lo) (m, n) buffers,
     as scratch.  The terms are added in the order of numpy's pairwise sum
-    of a contiguous row: fewer than 8 in order; up to 128 as 8 running sums
-    over strides of 8, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
+    of a contiguous row: fewer than 8 in order, as one reduce over the
+    outer axis of their squares in ``bufs[1:]``; up to 128 as 8 running
+    sums over strides of 8, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
     then the leftover terms in order; more as two halves, the first a
     multiple of 8, added.  Each op covers up to 8 whole (m, n) tables."""
     n, out = hi - lo, bufs[0]
@@ -282,9 +284,7 @@ def _square_sums(columns: np.ndarray, q: np.ndarray, lo: int, hi: int,
         return np.square(buf, out=buf)
 
     if n < 8:
-        for t in squares(lo, hi, bufs)[1:]:
-            out += t
-        return out
+        return np.add.reduce(squares(lo, hi, bufs[1:]), axis=0, out=out)
     lanes, tmp = squares(lo, lo + 8, bufs), bufs[8:]
     hi8 = hi - n % 8
     for j in range(lo + 8, hi8, 8):

@@ -6,16 +6,17 @@ returning (output, cache) and a matching backward function taking
 take (N, C, H, W) arrays of any memory layout.  Inside, each is an
 im2col GEMM (Chellapilla et al., 2006).  The forward goes one chunk of
 images at a time, as many as fit their (rows*Ho*Wo, k*k*C) patch block,
-gathered from channels-last shifted slices, into _BLOCK_BYTES (one image
-at least), so the block stays in cache (Goto & van de Geijn, 2008).  It
-reuses one patch buffer and multiplies each block by the weights'
-(k*k*C, F) GEMM matrix into its rows of the one output.  BLAS picks its
-kernel by the product's size, so for some shapes an output's last bits
-depend on the chunk's row count; the default office-like encoder's
-convs give the same bits at every budget the tests try.  The backward
-still gathers the whole (N*Ho*Wo, k*k*C) patch matrix: it forms the
-weight gradient, a sum over every patch row, as one GEMM, and adds the
-input gradient as k*k per-shift GEMMs into a channels-last buffer.
+gathered in one copy from a window view of the input's memory, into
+_BLOCK_BYTES (one image at least), so the block stays in cache (Goto &
+van de Geijn, 2008).  It reuses one patch buffer and multiplies each
+block by the weights' (k*k*C, F) GEMM matrix into its rows of the one
+output.  BLAS picks its kernel by the product's size, so for some shapes
+an output's last bits depend on the chunk's row count; the default
+office-like encoder's convs give the same bits at every budget the tests
+try.  The backward still gathers the whole (N*Ho*Wo, k*k*C) patch
+matrix: it forms the weight gradient, a sum over every patch row, as one
+GEMM, and adds the input gradient as k*k per-shift GEMMs into a
+channels-last buffer.
 
 conv2d_forward returns its GEMM output without a copy: an (N, F, Ho, Wo)
 view of channels-last memory, so ``out.transpose(0, 2, 3, 1)`` is
@@ -60,14 +61,19 @@ def _check_conv(x: np.ndarray, w: np.ndarray) -> tuple[int, int, int]:
 def _im2col(x: np.ndarray, k: int, ho: int, wo: int,
             out: np.ndarray | None = None) -> np.ndarray:
     """(N*Ho*Wo, k*k*C) patch matrix of x, columns in (dy, dx, c) order,
-    written into ``out``, a flat float64 array of that size, when given."""
+    written into ``out``, a flat float64 array of that size, when given:
+    one copy from a (N, Ho, Wo, k, k, C) window view of x's memory, read in
+    place when it is NCHW or channels-last and copied to channels-last
+    memory first otherwise."""
     n, c = x.shape[:2]
-    xh = x.transpose(0, 2, 3, 1)  # channels-last view
+    if not x.flags.c_contiguous:
+        x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    sn, sc, sh, sw = x.strides
+    mem = x if x.flags.c_contiguous else x.transpose(0, 2, 3, 1)  # C-contiguous
     shape = (n, ho, wo, k, k, c)
+    windows = np.ndarray(shape, x.dtype, mem, 0, (sn, sh, sw, sh, sw, sc))
     cols = np.empty(shape) if out is None else out.reshape(shape)
-    for dy in range(k):
-        for dx in range(k):
-            cols[:, :, :, dy, dx, :] = xh[:, dy:dy + ho, dx:dx + wo, :]
+    cols[...] = windows
     return cols.reshape(n * ho * wo, k * k * c)
 
 
@@ -164,7 +170,7 @@ def relu_dropout_backward(cache, gout: np.ndarray):
 def l2norm_forward(z: np.ndarray):
     """Row-wise projection onto the unit sphere: e = z / ||z||."""
     norms = np.sqrt((z * z).sum(axis=1, keepdims=True))
-    if np.any(norms < 1e-12):
+    if (norms < 1e-12).any():
         raise FloatingPointError("pre-normalization embedding collapsed to zero")
     e = z / norms
     return e, (e, norms)

@@ -32,9 +32,14 @@ def normalize_rows(rssi: np.ndarray) -> np.ndarray:
     rssi = np.asarray(rssi, dtype=np.float64)
     if rssi.ndim != 2 or rssi.shape[1] == 0:
         raise ValueError("rssi rows must form a 2-D array with at least one column")
-    if not np.all(np.isfinite(rssi)):
+    if not np.isfinite(rssi).all():
         raise ValueError("rssi values must be finite")
-    return np.clip((rssi - RSSI_MISSING) / (RSSI_MAX - RSSI_MISSING), 0.0, 1.0)
+    # np.clip's bits (max, then min) in place on one fresh array, without
+    # np.clip's Python-level wrapper; -100 dBm maps to +0.0, never -0.0
+    out = np.subtract(rssi, RSSI_MISSING)
+    out /= RSSI_MAX - RSSI_MISSING
+    np.maximum(out, 0.0, out=out)
+    return np.minimum(out, 1.0, out=out)
 
 
 def pad_square(rows: np.ndarray) -> np.ndarray:

@@ -349,6 +349,17 @@ def test_encode_batch_matches_training_forward(width, m):
     np.testing.assert_array_equal(encode_batch(model, rows), want)
 
 
+def test_encode_batch_returns_its_own_array():
+    # a second call must not write into the first call's result
+    model = small_model(side=4)
+    rows = np.random.default_rng(19).random((2, 97, 16))
+    first = encode_batch(model, rows[0])
+    kept = first.copy()
+    second = encode_batch(model, rows[1])
+    np.testing.assert_array_equal(first, kept)
+    assert not np.shares_memory(first, second)
+
+
 @pytest.mark.parametrize("n", [5, 9, 10, 50])
 def test_unpadded_rows_embed_like_pixel_rows(n):
     r = np.random.default_rng(n).uniform(-100.0, 0.0, size=(7, n))

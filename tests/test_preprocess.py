@@ -23,6 +23,13 @@ def test_normalize_rejects_non_finite():
         normalize_rows([[float("inf")]])
 
 
+@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40))
+def test_normalize_rows_has_np_clips_bytes(values):
+    # byte equality, so a -0.0 in place of +0.0 fails too
+    x = np.array([values + [-100.0, 0.0, -150.0, 20.0]])
+    assert normalize_rows(x).tobytes() == np.clip((x + 100) / 100, 0, 1).tobytes()
+
+
 @given(st.floats(-100, 0), st.floats(-100, 0))
 def test_normalize_monotone(a, b):
     if a <= b:

@@ -5,13 +5,19 @@ Run from the repository root, with no options:
 
     PYTHONPATH=src python3 tools/model_digests.py
 
-It prints five groups of lines, in this order:
+It prints an ``env`` line and then five groups of lines, in this order:
 
+* ``env ...``: the numpy version, the BLAS library and version, the BLAS
+  thread variables and numpy's CPU SIMD features, so that a run on another
+  machine can be told apart from changed bits;
 * ``<name> <16 hex>``: the SHA-256 prefix of the model file that each of
   a fixed set of training runs writes;
 * ``<name>-predict <16 hex>``: the SHA-256 prefix of the ``(rp_id, x, y)``
   of each row that ``predict_batch`` (k=3) returns over that run's test
-  split;
+  split, then ``single-predict <16 hex>``: the SHA-256 prefix of the
+  ``(rp_id, x, y, neighbor_rps)`` that ``predict`` (k=3) returns for each
+  of the first SINGLE_SCANS test scans of the uji-default-1ep run, one
+  scan at a time;
 * ``gradcheck <seed> <error>``: the repr of ``run_gradcheck(seed, 4, 3)``,
   the gradient error ``driftloc gradcheck`` reports;
 * ``cli-train <16 hex>``: the SHA-256 prefix of the model file that
@@ -31,7 +37,8 @@ so pytest does not collect this file.
 import os
 
 # the BLAS thread variables perfbench/run.py pins, set before numpy is imported
-for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for var in THREAD_VARS:
     os.environ[var] = "1"
 
 import contextlib  # noqa: E402
@@ -40,9 +47,11 @@ import io  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
+import numpy as np  # noqa: E402
+
 from driftloc import (EncoderConfig, TrainConfig, generate,  # noqa: E402
-                      predict_batch, preset, save_model, split_by_ci, train,
-                      write_scenario)
+                      predict, predict_batch, preset, save_model, split_by_ci,
+                      train, write_scenario)
 from driftloc.cli import main as cli_main, run_gradcheck  # noqa: E402
 
 DATA_SEED, SPLIT_SEED, TRAIN_SEED = 42, 100, 200
@@ -57,6 +66,9 @@ RUNS = {
     "office-nodrop": ("office-like", EncoderConfig(dropout_rate=0.0, noise_sigma=0.0), 1),
 }
 
+# the run whose first SINGLE_SCANS test scans the single-predict line covers
+SINGLE_RUN, SINGLE_SCANS = "uji-default-1ep", 200
+
 GRADCHECK_SEEDS = (0, 3, 7)
 
 # the flags of the `driftloc train` and `driftloc sweep-fpr` runs, besides
@@ -69,7 +81,20 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
+def _env_line() -> str:
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__ as features
+    except ImportError:
+        features = {}
+    threads = " ".join(f"{var}={os.environ[var]}" for var in THREAD_VARS)
+    simd = ",".join(sorted(name for name, on in features.items() if on)) or "?"
+    return (f"env numpy={np.__version__} blas={blas.get('name', '?')}-"
+            f"{blas.get('version', '?')} {threads} simd={simd}")
+
+
 def main() -> None:
+    print(_env_line(), flush=True)
     splits = {}
     predict_lines = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -86,6 +111,13 @@ def main() -> None:
             preds = predict_batch(model, index, test_set.rssi, k=3)
             rows = "".join(f"{p.rp_id} {p.x!r} {p.y!r}\n" for p in preds)
             predict_lines.append(f"{name}-predict {_digest(rows.encode())}")
+            if name == SINGLE_RUN:
+                preds = [predict(model, index, fp, 3)
+                         for fp in test_set.fingerprints[:SINGLE_SCANS]]
+                rows = "".join(f"{p.rp_id} {p.x!r} {p.y!r} {p.neighbor_rps!r}\n"
+                               for p in preds)
+                single = _digest(rows.encode())
+    predict_lines.append(f"single-predict {single}")
     for line in predict_lines:
         print(line, flush=True)
     for seed in GRADCHECK_SEEDS:
