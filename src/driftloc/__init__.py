@@ -20,7 +20,7 @@ from .evaluate import (EvalReport, evaluate_baseline_over_time,
 from .localizer import (EmbeddingIndex, Prediction, TrainConfig, predict,
                         predict_batch, train)
 from .model_io import load_model, save_model
-from .preprocess import pixel_rows, to_image
+from .preprocess import to_image
 from .sampler import (build_pmf_table, default_sigma_sel, make_batch,
                       rp_members, sample_triplet)
 from .simulate import GroundTruth, SimConfig, generate, preset, write_scenario
@@ -37,7 +37,7 @@ __all__ = [
     "draw_turnoff_fraction", "encode_batch", "evaluate_baseline_over_time",
     "evaluate_over_time", "fpr_sweep", "generate", "gradient_check",
     "init_model", "load_dataset", "load_model", "make_batch",
-    "pixel_rows", "predict", "predict_batch", "preset",
+    "predict", "predict_batch", "preset",
     "rp_members", "sample_triplet", "save_dataset", "save_model",
     "split_by_ci", "to_image", "train", "train_step", "triplet_loss",
     "write_scenario",

@@ -86,21 +86,15 @@ def _param_shapes(cfg: EncoderConfig, input_side: int) -> dict[str, tuple[int, .
     }
 
 
-def _float64(p: np.ndarray) -> np.ndarray:
-    """p as float64, with p's write flag; p itself when it is float64."""
-    out = np.asarray(p, dtype=np.float64)
-    out.setflags(write=p.flags.writeable)
-    return out
-
-
 @dataclass(eq=False)
 class EncoderModel:
     """Configuration plus the parameter tensors of a trained or fresh
     encoder.  ``params`` is the model's own dict of float64 arrays, with
     the conv weights in :func:`nn.gemm_layout`; a float32 parameter, such
-    as a loaded one, is cast in that same one copy and keeps its write
-    flag.  Training steps update it in place; ``train()`` and
-    ``load_model_full`` build it from read-only float32 parameters."""
+    as a loaded one, is cast in that same one copy.  Each keeps the write
+    flag of the array it is built from: training steps update it in place;
+    ``train()`` and ``load_model_full`` build it from read-only float32
+    parameters."""
 
     config: EncoderConfig
     input_side: int
@@ -112,14 +106,16 @@ class EncoderModel:
         if names != want:
             raise ValueError(f"missing parameters {sorted(want - names)}, "
                              f"unknown parameters {sorted(names - want)}")
+        params = {}
         for name in PARAM_ORDER:
-            got = self.params[name].shape
-            if got != shapes[name]:
-                raise ValueError(f"parameter {name}: shape {got} != expected {shapes[name]}")
-            if not np.all(np.isfinite(self.params[name])):
+            p = self.params[name]
+            if p.shape != shapes[name]:
+                raise ValueError(f"parameter {name}: shape {p.shape} != expected {shapes[name]}")
+            if not np.all(np.isfinite(p)):
                 raise ValueError(f"parameter {name} contains non-finite values")
-        self.params = {name: nn.gemm_layout(p) if name in ("conv1_w", "conv2_w")
-                       else _float64(p) for name, p in self.params.items()}
+            params[name] = nn.gemm_layout(p) if p.ndim == 4 else np.asarray(p, dtype=np.float64)
+            params[name].setflags(write=p.flags.writeable)
+        self.params = params
 
 
 def init_model(cfg: EncoderConfig, input_side: int, seed: int) -> EncoderModel:
@@ -221,10 +217,8 @@ def _input(model: EncoderModel, rows) -> np.ndarray:
 
 def encode_batch(model: EncoderModel, images) -> np.ndarray:
     """Embed an (m, w) array of rows, or a list of rows, at inference (no
-    noise, no dropout), BLOCK_ROWS rows at a time; output rows have unit
-    Euclidean norm."""
-    if len(images) == 0:
-        raise ValueError("empty image batch")
+    noise, no dropout), BLOCK_ROWS rows at a time, as an (m, embed_dim)
+    array, m = 0 included; output rows have unit Euclidean norm."""
     x = _input(model, images)
     out = np.empty((len(x), model.config.embed_dim))
     for lo in range(0, len(x), BLOCK_ROWS):

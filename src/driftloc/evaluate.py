@@ -19,7 +19,8 @@ import numpy as np
 from .data import Fingerprint, FingerprintDataset, split_by_ci
 from .encoder import EncoderModel
 from .localizer import (DEFAULT_K, DEFAULT_RULE, EmbeddingIndex, Prediction,
-                        TrainConfig, baseline_predict_batch, predict_batch, train)
+                        TrainConfig, _check_query, baseline_predict_batch,
+                        predict_batch, train)
 # Unused here; perfbench/spans.py traces the per-scan entry point under
 # this module's name.
 from .localizer import predict  # noqa: F401
@@ -104,7 +105,8 @@ def fpr_sweep(dataset: FingerprintDataset, fprs: Sequence[int], cfg: TrainConfig
 
     The fprs must be distinct.  Requires every RP to actually have
     max(fprs) fingerprints at the training CI, so all sweep rows are
-    comparable.
+    comparable, and k to fit the smallest index, min(fprs) entries per
+    RP: both are checked before any training.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -120,6 +122,7 @@ def fpr_sweep(dataset: FingerprintDataset, fprs: Sequence[int], cfg: TrainConfig
             f"max fpr {max(fprs)} exceeds the {available} fingerprints "
             f"available per RP at ci {train_ci}"
         )
+    _check_query(len(dataset.floorplan.rps) * min(fprs), k, DEFAULT_RULE)
 
     # Every repeat of one FPR tests the same CIs with the same query
     # counts: what stays at train_ci does not depend on the split seed.

@@ -143,8 +143,6 @@ def train(train_set: FingerprintDataset, cfg: TrainConfig,
     """Offline phase: preprocess, sample triplets, train the encoder, then
     embed every training fingerprint (inference mode, no augmentation)
     into the index.  Deterministic per seed."""
-    if len(train_set) == 0:
-        raise ValueError("empty training set")
     rows = normalize_rows(train_set.rssi)
 
     ss = np.random.SeedSequence(seed)
@@ -323,8 +321,8 @@ def _knn_blocks(queries: np.ndarray, table: _TieTable, k: int,
                 rule: str) -> list[Prediction]:
     """Exact KNN of every (m, d) query vector against a tie-ordered table,
     one _dist_blocks block at a time.  Distances are elementwise, so
-    identical entries get identical distances."""
-    _check_query(table.columns.shape[1], k, rule)
+    identical entries get identical distances.  The caller checks k and
+    rule with _check_query."""
     out: list[Prediction] = []
     for dists in _dist_blocks(queries, table.columns):
         out += _knn_rows(dists, table.rp_ids, table.xs, table.ys, k, rule)
@@ -335,10 +333,10 @@ def predict_batch(model: EncoderModel, index: EmbeddingIndex, rssi_rows: np.ndar
                   k: int = DEFAULT_K, rule: str = DEFAULT_RULE) -> list[Prediction]:
     """Locate every row of an (m, n_aps) dBm array: embed the scans (no
     noise, no dropout) and run exact KNN over the index."""
+    _check_query(len(index), k, rule)
     if model.config.embed_dim != index.embed_dim:
         raise ValueError("model and index disagree on embedding length")
-    rows = normalize_rows(rssi_rows)
-    queries = encode_batch(model, rows) if len(rows) else np.empty((0, index.embed_dim))
+    queries = encode_batch(model, normalize_rows(rssi_rows))
     return _knn_blocks(queries, index.knn, k, rule)
 
 
@@ -355,6 +353,7 @@ def baseline_predict_batch(train_set: FingerprintDataset, rssi_rows: np.ndarray,
     :func:`predict_batch`."""
     if len(train_set) == 0:
         raise ValueError("empty training set")
+    _check_query(len(train_set), k, rule)
     rows = normalize_rows(rssi_rows)
     if rows.shape[1] != train_set.floorplan.n_aps:
         raise ValueError("scan is not aligned to the training registry")

@@ -5,7 +5,7 @@ Layout (all integers little-endian uint32 unless noted):
     magic  b"STNE"
     format version
     config block: byte length + UTF-8 "key=value\\n" lines
-    parameter count, then per parameter:
+    parameter count (always 8), then per parameter, in encoder.PARAM_ORDER:
         name length + name bytes + rank + dims... + row-major float32 values
     index entry count, then per entry:
         embed_dim float32 + int32 rp_id + float32 x + float32 y
@@ -171,17 +171,13 @@ def load_model_full(path: str | Path) -> tuple[EncoderModel, EmbeddingIndex, dic
     extra = {k: v for k, v in pairs.items() if k not in _FIXED_FIELDS}
 
     n_params = r.u32()
+    if n_params != len(PARAM_ORDER):
+        raise ModelFormatError(f"{n_params} parameters, expected {len(PARAM_ORDER)}")
     params: dict[str, np.ndarray] = {}
-    for _ in range(n_params):
-        try:
-            name = str(r.take(r.u32()), "utf-8")
-        except UnicodeDecodeError as exc:
-            raise ModelFormatError(f"parameter name is not UTF-8: {exc}") from None
-        if name in params:
-            raise ModelFormatError(f"parameter {name!r} appears twice")
+    for name in PARAM_ORDER:
+        if r.take(r.u32()) != name.encode():
+            raise ModelFormatError(f"expected parameter {name!r}")
         rank = r.u32()
-        if rank > 8:
-            raise ModelFormatError(f"parameter {name!r}: implausible rank {rank}")
         dims = struct.unpack(f"<{rank}I", r.take(4 * rank))
         raw = r.take(4 * math.prod(dims))  # Python ints: no overflow
         try:

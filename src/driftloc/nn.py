@@ -79,11 +79,9 @@ def _im2col(x: np.ndarray, k: int, ho: int, wo: int,
 
 def gemm_layout(w: np.ndarray) -> np.ndarray:
     """w's (F, C, k, k) values as float64, a view of C-contiguous (k, k, C,
-    F) memory, with w's write flag: one copy that casts and lays out at
-    once, none when w is a float64 array laid out so already."""
-    out = np.ascontiguousarray(w.transpose(2, 3, 1, 0), dtype=np.float64).transpose(3, 2, 0, 1)
-    out.setflags(write=w.flags.writeable)
-    return out
+    F) memory: one copy that casts and lays out at once, none when w is a
+    float64 array laid out so already."""
+    return np.ascontiguousarray(w.transpose(2, 3, 1, 0), dtype=np.float64).transpose(3, 2, 0, 1)
 
 
 def _gemm_weight(w: np.ndarray) -> np.ndarray:

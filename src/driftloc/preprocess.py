@@ -52,17 +52,12 @@ def pad_square(rows: np.ndarray) -> np.ndarray:
     return flat
 
 
-def pixel_rows(rssi: np.ndarray) -> np.ndarray:
-    """Normalize an (m, n) dBm array and zero-pad it: the read-only
-    (m, s*s) images the encoder sees."""
-    flat = pad_square(normalize_rows(rssi))
+def image_from_rssi(rssi: np.ndarray) -> np.ndarray:
+    """Pixel row of one dBm vector: normalized and zero-padded, the
+    read-only s*s image the encoder sees."""
+    flat = pad_square(normalize_rows([rssi]))[0]
     flat.setflags(write=False)
     return flat
-
-
-def image_from_rssi(rssi: np.ndarray) -> np.ndarray:
-    """Pixel row of one dBm vector."""
-    return pixel_rows([rssi])[0]
 
 
 def to_image(fp: Fingerprint) -> np.ndarray:

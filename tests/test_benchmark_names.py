@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import driftloc
+from driftloc.preprocess import normalize_rows, pad_square
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -95,7 +96,8 @@ def test_encode_batch_takes_a_list_of_rows():
     fp = driftloc.Fingerprint(0, 0, np.random.default_rng(1).uniform(-100.0, 0.0, 14))
     e = driftloc.encode_batch(model, [driftloc.to_image(fp)])
     assert e.shape == (1, 5)
-    np.testing.assert_array_equal(e, driftloc.encode_batch(model, driftloc.pixel_rows([fp.rssi])))
+    rows = pad_square(normalize_rows([fp.rssi]))
+    np.testing.assert_array_equal(e, driftloc.encode_batch(model, rows))
 
 
 def test_dataset_surface_the_workloads_use():

@@ -14,7 +14,7 @@ from driftloc.cli import load_scans, main
 from driftloc.data import Fingerprint
 from driftloc.errors import DatasetFormatError
 from driftloc.localizer import predict
-from driftloc.model_io import load_model_full
+from driftloc.model_io import load_model_full, save_model
 
 
 def run(argv, capsys):
@@ -95,6 +95,14 @@ def test_simulate_removal_ci_given_twice_fails(tmp_path, capsys):
     code, _, err = run(["simulate", "--preset", "office-like", "--out", str(tmp_path),
                         "--removal", "11:0.2,11:0.5"], capsys)
     assert code == 1 and err == "error: removal schedule gives ci 11 twice\n"
+    assert not (tmp_path / "fingerprints.csv").exists()
+
+
+@pytest.mark.parametrize("entry", ["5", "5:", "5;0.2"])
+def test_simulate_malformed_removal_entry_fails(tmp_path, capsys, entry):
+    code, _, err = run(["simulate", "--preset", "office-like", "--out", str(tmp_path),
+                        "--removal", entry], capsys)
+    assert code == 1 and err == f"error: bad removal entry {entry!r}, want ci:frac\n"
     assert not (tmp_path / "fingerprints.csv").exists()
 
 
@@ -392,6 +400,28 @@ def test_eval_without_training_ci(scenario_dir, model_path, tmp_path, capsys):
                         "--report", str(report)], capsys)
     assert code == 1
     assert "baseline" in err
+
+
+def test_predict_with_model_lacking_registry_fails(scenario_dir, model_path, tmp_path, capsys):
+    # a model saved without the AP registry cannot align scan columns
+    model, index, _ = load_model_full(model_path)
+    bare = tmp_path / "bare.stne"
+    save_model(model, index, bare)
+    code, out, err = run(["predict", "--model", str(bare),
+                          "--scan", str(scenario_dir / "fingerprints.csv")], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: model file lacks the AP registry; cannot align scans\n"
+
+
+def test_eval_with_another_registry_fails(scenario_dir, model_path, tmp_path, capsys):
+    fingerprints = _rename_first_ap(scenario_dir, tmp_path, "zz")
+    report = tmp_path / "r.csv"
+    code, out, err = run(["eval", "--model", str(model_path), "--fingerprints",
+                          str(fingerprints), "--report", str(report)], capsys)
+    assert code == 1 and out == ""
+    assert err == ("error: fingerprint CSV registry does not match the model's "
+                   "training registry\n")
+    assert not report.exists()
 
 
 def test_missing_file_fails_cleanly(capsys):

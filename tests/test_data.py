@@ -114,6 +114,40 @@ def test_malformed_headers(tmp_path):
         load_dataset(good_fp, bad2)
 
 
+@pytest.mark.parametrize("kind", ["floorplan", "fingerprint", "scan"])
+def test_empty_csv_names_file(tmp_path, tiny_files, kind):
+    fp, fps = tiny_files
+    empty = write(tmp_path / "empty.csv", "")
+    with pytest.raises(DatasetFormatError, match=f"^{re.escape(str(empty))}: empty {kind} file$"):
+        if kind == "floorplan":
+            load_dataset(empty, fps)
+        elif kind == "fingerprint":
+            load_dataset(fp, empty)
+        else:
+            load_scans(empty, ("a", "b"))
+
+
+def test_negative_ci_reports_row(tmp_path, tiny_files):
+    fp, _ = tiny_files
+    bad = write(tmp_path / "bad.csv", "rp_id,ci,ap_a\n0,0,-40\n1,-1,-50\n")
+    with pytest.raises(DatasetFormatError, match="^row 3: negative ci -1$") as err:
+        load_dataset(fp, bad)
+    assert err.value.row == 3
+
+
+def test_scan_unexpected_leading_column_reports_row_1(tmp_path):
+    scan = write(tmp_path / "scan.csv", "rp_id,floor,ap_a\n0,2,-40\n")
+    with pytest.raises(DatasetFormatError,
+                       match=f"^row 1: {re.escape(str(scan))}: unexpected column 'floor'$"):
+        load_scans(scan, ("a",))
+
+
+def test_scan_without_rows_names_file(tmp_path):
+    scan = write(tmp_path / "scan.csv", "ap_a,ap_b\n\n")
+    with pytest.raises(DatasetFormatError, match=f"^{re.escape(str(scan))}: no scan rows$"):
+        load_scans(scan, ("a", "b"))
+
+
 def test_duplicate_ap_column_reports_row_1(tmp_path, tiny_files):
     fp, _ = tiny_files
     bad = write(tmp_path / "dup.csv", "rp_id,ci,ap_a,ap_b,ap_a\n0,0,-40,-50,-60\n")

@@ -15,7 +15,7 @@ from driftloc.encoder import (BLOCK_ROWS, EncoderConfig, EncoderModel, _forward,
                               train_step, triplet_loss)
 from driftloc.errors import HingeInactiveError, StochasticModelError
 from driftloc.nn import AdamState
-from driftloc.preprocess import image_side, normalize_rows, pixel_rows
+from driftloc.preprocess import image_side, normalize_rows, pad_square
 from driftloc.sampler import build_pmf_table, make_batch, rp_members
 from driftloc.simulate import generate, preset
 
@@ -365,7 +365,17 @@ def test_unpadded_rows_embed_like_pixel_rows(n):
     r = np.random.default_rng(n).uniform(-100.0, 0.0, size=(7, n))
     model = small_model(side=image_side(n))
     np.testing.assert_array_equal(encode_batch(model, normalize_rows(r)),
-                                  encode_batch(model, pixel_rows(r)))
+                                  encode_batch(model, pad_square(normalize_rows(r))))
+
+
+@pytest.mark.parametrize("width", [10, 16])
+def test_encode_batch_of_no_rows(width):
+    # zero rows embed like any other count; a 1-D input is still refused
+    model = small_model(side=4)
+    out = encode_batch(model, np.empty((0, width)))
+    assert out.shape == (0, 3) and out.dtype == np.float64
+    with pytest.raises(ValueError, match="side"):
+        encode_batch(model, [])
 
 
 def test_width_must_fit_model_side():
@@ -411,6 +421,24 @@ def test_gradient_check_reaches_every_conv_weight_layout():
     err = gradient_check(laid, t)
     assert err <= 1e-4
     assert gradient_check(c_order, t) == err
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("laid_out", [False, True])
+def test_params_keep_the_write_flag_they_are_built_from(dtype, laid_out):
+    # the constructor gives each parameter its source's write flag, whether
+    # the cast and layout copy it or not
+    model = small_model()
+    for writeable in (False, True):
+        params = {}
+        for name, p in model.params.items():
+            params[name] = np.array(p, dtype=dtype, order="K" if laid_out else "C")
+            params[name].setflags(write=writeable)
+        built = EncoderModel(model.config, model.input_side, params)
+        for name, p in built.params.items():
+            assert p.dtype == np.float64 and p.flags.writeable == writeable, name
+            copied = dtype == np.float32 or (p.ndim == 4 and not laid_out)
+            assert np.shares_memory(p, params[name]) != copied, name
 
 
 def test_model_lays_out_its_own_param_dict():

@@ -197,6 +197,41 @@ def test_fpr_sweep_rejects_repeated_fpr_before_training(scenario, monkeypatch):
         fpr_sweep(scenario, fprs=[1, 1], cfg=small_cfg(), repeats=1, seed=0)
 
 
+def _counting(monkeypatch, module, name):
+    """Record the calls of ``module.name`` while still making them."""
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    return calls
+
+
+def _bad_k_message(k):
+    return "^k must be >= 1$" if k < 1 else f"^k={k} exceeds index size "
+
+
+@pytest.mark.parametrize("k", [0, 10**6])
+def test_bad_k_refused_before_any_embedding(trained, monkeypatch, k):
+    tr, te, model, index = trained
+    encoded = _counting(monkeypatch, localizer, "encode_batch")
+    normalized = _counting(monkeypatch, localizer, "normalize_rows")
+    with pytest.raises(ValueError, match=_bad_k_message(k)):
+        evaluate_over_time(model, index, te, k=k)
+    with pytest.raises(ValueError, match=_bad_k_message(k)):
+        evaluate_baseline_over_time(tr, te, k=k)
+    assert encoded == [] and normalized == []
+
+
+def test_fpr_sweep_refuses_bad_k_before_training(scenario, monkeypatch):
+    # the smallest index a sweep builds holds min(fprs) entries per RP
+    trained = _counting(monkeypatch, evaluate, "train")
+    split = _counting(monkeypatch, evaluate, "split_by_ci")
+    smallest = len(scenario.floorplan.rps) * 2
+    for k in (0, smallest + 1):
+        with pytest.raises(ValueError, match=_bad_k_message(k)):
+            fpr_sweep(scenario, fprs=[3, 2], cfg=small_cfg(), repeats=1, seed=0, k=k)
+    assert trained == [] and split == []
+
+
 def test_fpr_sweep_deterministic(scenario):
     r1 = fpr_sweep(scenario, fprs=[1], cfg=small_cfg(), repeats=1, seed=8, k=1)
     r2 = fpr_sweep(scenario, fprs=[1], cfg=small_cfg(), repeats=1, seed=8, k=1)

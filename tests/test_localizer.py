@@ -329,6 +329,24 @@ def test_column_kernel_keeps_numpys_summation_bits(widths, monkeypatch):
             assert np.array_equal(np.concatenate(blocks), want), (d, budget)
 
 
+def test_train_refuses_empty_training_set(sim_split, monkeypatch):
+    # rp_members refuses it before any sampling or training step
+    tr, _ = sim_split
+    steps = []
+    monkeypatch.setattr(localizer, "train_step", lambda *a: steps.append(a))
+    with pytest.raises(ValueError, match="^empty training set$"):
+        train(tr.from_columns(tr.floorplan, tr.rssi[:0], tr.rp_ids[:0], tr.ci_ids[:0]),
+              small_train_config(), seed=0)
+    assert steps == []
+
+
+def test_baseline_refuses_scans_of_another_width(sim_split):
+    tr, te = sim_split
+    for rows in (te.rssi[:, :-1], np.hstack([te.rssi, te.rssi[:, :1]])):
+        with pytest.raises(ValueError, match="^scan is not aligned to the training registry$"):
+            baseline_predict_batch(tr, rows)
+
+
 def test_all_missing_baseline_scan(sim_split):
     # an all -100 scan normalizes to the zero vector; the prediction is
     # still well-defined and matches the oracle's tie-break outcome

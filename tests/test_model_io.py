@@ -227,12 +227,12 @@ def test_config_key_given_twice_rejected(tiny, line):
 
 @pytest.mark.parametrize("edit, message", [
     ("input side below the convolutions' minimum", "too small"),
-    ("parameter outside the encoder's set", "unknown parameters"),
-    ("parameter given twice", "appears twice"),
+    ("parameter outside the encoder's set", "9 parameters, expected 8"),
+    ("parameter given twice", "9 parameters, expected 8"),
 ])
 def test_hostile_geometry_and_parameter_set(tiny, edit, message):
-    # CRC-valid files whose structure parses; only the model's geometry and
-    # parameter-set checks can refuse them
+    # CRC-valid files whose structure parses; only the model's geometry
+    # check and the loader's parameter count can refuse them
     raw, path = tiny
     body = raw[:-4]
     fields, names = _layout(raw)
@@ -251,4 +251,47 @@ def test_hostile_geometry_and_parameter_set(tiny, edit, message):
                 + block + body[blocks_end:])
     path.write_bytes(_with_crc(body))
     with pytest.raises(ModelFormatError, match=message):
+        load_model_full(path)
+
+
+def test_parameters_in_another_order_rejected(tiny):
+    # a CRC-valid file with the first two parameter blocks swapped: the
+    # reader takes the parameters in the order the writer writes them
+    raw, path = tiny
+    body = raw[:-4]
+    (first, _), (second, _), (third, _) = _layout(raw)[1][:3]
+    a, b = body[first - 4:second - 4], body[second - 4:third - 4]
+    path.write_bytes(_with_crc(body[:first - 4] + b + a + body[third - 4:]))
+    with pytest.raises(ModelFormatError, match="^expected parameter 'conv1_w'$"):
+        load_model_full(path)
+
+
+def test_trailing_bytes_after_index_rejected(tiny):
+    raw, path = tiny
+    path.write_bytes(_with_crc(raw[:-4] + b"\0" * 3))
+    with pytest.raises(ModelFormatError, match="^3 trailing bytes after index$"):
+        load_model_full(path)
+
+
+@pytest.mark.parametrize("embedding, message", [
+    ((np.nan, 0.0), "index contains non-finite values"),
+    ((2.0, 0.0), "index embeddings must be unit-norm"),
+])
+def test_invalid_index_entry_rejected(tiny, embedding, message):
+    # a CRC-valid file whose first index entry is not a unit embedding
+    raw, path = tiny
+    body = bytearray(raw[:-4])
+    entries_at = _layout(raw)[0][-1] + 4
+    struct.pack_into("<2f", body, entries_at, *embedding)
+    path.write_bytes(_with_crc(bytes(body)))
+    with pytest.raises(ModelFormatError, match=f"^invalid index: {message}$"):
+        load_model_full(path)
+
+
+def test_config_block_not_utf8_rejected(tiny):
+    raw, path = tiny
+    n = struct.unpack_from("<I", raw, 8)[0]
+    block = b"\xff" + raw[13:12 + n]
+    path.write_bytes(_with_crc(raw[:12] + block + raw[12 + n:-4]))
+    with pytest.raises(ModelFormatError, match="^config block is not UTF-8: "):
         load_model_full(path)

@@ -5,7 +5,7 @@ Run from the repository root, with no options:
 
     PYTHONPATH=src python3 tools/model_digests.py
 
-It prints an ``env`` line and then five groups of lines, in this order:
+It prints an ``env`` line and then six groups of lines, in this order:
 
 * ``env ...``: the numpy version, the BLAS library and version, the BLAS
   thread variables and numpy's CPU SIMD features, so that a run on another
@@ -26,7 +26,12 @@ It prints an ``env`` line and then five groups of lines, in this order:
   seeds) are covered too;
 * ``sweep-fpr <16 hex>``: the SHA-256 prefix of the report CSV and then
   the standard output of ``driftloc sweep-fpr`` on the same files.  At
-  FPR 6 every CI-0 fingerprint goes to training, so one report lacks a CI.
+  FPR 6 every CI-0 fingerprint goes to training, so one report lacks a CI;
+* ``office-raw-knn <16 hex>`` and ``uji-raw-knn <16 hex>``: the SHA-256
+  prefix of the ``(rp_id, x, y)`` of each row that
+  ``baseline_predict_batch`` (k=3) returns over the office-like and
+  uji-like test splits, against their training splits.  These come last,
+  so the lines above them read as they did before the two were added.
 
 A change that must keep these bits prints the same lines before and after
 it, on the same machine.  BLAS runs on one thread, because model bytes
@@ -53,6 +58,7 @@ from driftloc import (EncoderConfig, TrainConfig, generate,  # noqa: E402
                       predict, predict_batch, preset, save_model, split_by_ci,
                       train, write_scenario)
 from driftloc.cli import main as cli_main, run_gradcheck  # noqa: E402
+from driftloc.localizer import baseline_predict_batch  # noqa: E402
 
 DATA_SEED, SPLIT_SEED, TRAIN_SEED = 42, 100, 200
 
@@ -79,6 +85,10 @@ CLI_SWEEP_FLAGS = ["--fprs", "1,2,6", "--repeats", "2", "--epochs", "1", "--seed
 
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _predictions_digest(preds) -> str:
+    return _digest("".join(f"{p.rp_id} {p.x!r} {p.y!r}\n" for p in preds).encode())
 
 
 def _env_line() -> str:
@@ -109,8 +119,7 @@ def main() -> None:
             save_model(model, index, path)
             print(name, _digest(path.read_bytes()), flush=True)
             preds = predict_batch(model, index, test_set.rssi, k=3)
-            rows = "".join(f"{p.rp_id} {p.x!r} {p.y!r}\n" for p in preds)
-            predict_lines.append(f"{name}-predict {_digest(rows.encode())}")
+            predict_lines.append(f"{name}-predict {_predictions_digest(preds)}")
             if name == SINGLE_RUN:
                 preds = [predict(model, index, fp, 3)
                          for fp in test_set.fingerprints[:SINGLE_SCANS]]
@@ -125,6 +134,9 @@ def main() -> None:
     cli_train, sweep_fpr = _cli_digests()
     print("cli-train", cli_train, flush=True)
     print("sweep-fpr", sweep_fpr, flush=True)
+    for scenario, (train_set, test_set) in splits.items():
+        preds = baseline_predict_batch(train_set, test_set.rssi, k=3)
+        print(f"{scenario.split('-')[0]}-raw-knn", _predictions_digest(preds), flush=True)
 
 
 def _cli_digests() -> tuple[str, str]:
