@@ -31,11 +31,6 @@ def apply_ap_dropout(row: np.ndarray, p: float, rng: np.random.Generator) -> np.
 
 
 def noise_flat(rows: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """New array: N(0, sigma^2) added to every entry, clamped to [0, 1].
-    Works on one row or a batch."""
-    if sigma < 0.0:
-        raise ValueError("sigma must be >= 0")
-    rows = np.asarray(rows, dtype=np.float64)
-    if sigma == 0.0:
-        return rows.copy()
+    """New array: N(0, sigma^2) added to every entry of a float64 row or
+    batch, clamped to [0, 1]."""
     return np.clip(rows + rng.normal(0.0, sigma, size=rows.shape), 0.0, 1.0)

@@ -231,26 +231,34 @@ def _dbm_row(cells: Sequence[str], columns: Sequence[str], row: int) -> np.ndarr
 
 @contextmanager
 def _csv_table(path: str | Path, kind: str):
-    """A CSV file's stripped header and an iterator over (line number, cells)
-    of each non-empty row after it.  A missing header, or a row with another
-    cell count than the header, raises :class:`DatasetFormatError`."""
-    with open(path, newline="") as fh:
+    """A UTF-8 CSV file's stripped header and an iterator over (line number,
+    cells) of each non-empty row after it.  A missing header, a row with
+    another cell count than the header, a byte that is not UTF-8 or a row
+    the csv module refuses (a cell over its field size limit) raises
+    :class:`DatasetFormatError`."""
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DatasetFormatError(f"{path}: empty {kind} file")
-        header = [h.strip() for h in header]
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise DatasetFormatError(f"{path}: empty {kind} file")
+            header = [h.strip() for h in header]
 
-        def rows() -> Iterator[tuple[int, list[str]]]:
-            for lineno, cells in enumerate(reader, start=2):
-                if not cells:
-                    continue
-                if len(cells) != len(header):
-                    raise DatasetFormatError(
-                        f"expected {len(header)} cells, got {len(cells)}", row=lineno)
-                yield lineno, cells
+            def rows() -> Iterator[tuple[int, list[str]]]:
+                for lineno, cells in enumerate(reader, start=2):
+                    if not cells:
+                        continue
+                    if len(cells) != len(header):
+                        raise DatasetFormatError(
+                            f"expected {len(header)} cells, got {len(cells)}", row=lineno)
+                    yield lineno, cells
 
-        yield header, rows()
+            yield header, rows()
+        except csv.Error as exc:
+            raise DatasetFormatError(f"{path}: {exc}", row=reader.line_num) from None
+        except UnicodeDecodeError as exc:
+            raise DatasetFormatError(f"{path}: not UTF-8 text (byte "
+                                     f"{exc.object[exc.start]:#04x}: {exc.reason})") from None
 
 
 def _ap_columns(header: Sequence[str], path: str | Path) -> list[AccessPointId]:
@@ -376,13 +384,13 @@ def save_dataset(dataset: FingerprintDataset, floorplan_path: str | Path,
 
     ``load_dataset(save_dataset(...))`` reproduces every field bit-exactly.
     """
-    with open(floorplan_path, "w", newline="") as fh:
+    with open(floorplan_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["rp_id", "x_m", "y_m"])
         for rp in dataset.floorplan.rps:
             writer.writerow([rp.rp_id, _format_value(rp.x), _format_value(rp.y)])
 
-    with open(fingerprints_path, "w", newline="") as fh:
+    with open(fingerprints_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["rp_id", "ci"] + [f"ap_{ap}" for ap in dataset.floorplan.ap_registry])
         # row by row: the whole matrix as Python floats would cost 32 bytes a value

@@ -233,21 +233,28 @@ def triplet_loss(ea: np.ndarray, ep: np.ndarray, en: np.ndarray, alpha: float) -
         raise ValueError(f"embedding shapes differ: {ea.shape}, {ep.shape}, {en.shape}")
     if not 0.0 <= alpha < math.inf:
         raise ValueError("alpha must be finite and >= 0")
-    _, loss = _batch_losses(ea[None], ep[None], en[None], alpha)
-    return float(loss[0])
+    return float(np.maximum(_raw_hinges(np.stack([ea, ep, en]), alpha)[0], 0.0))
 
 
-def _batch_losses(ea: np.ndarray, ep: np.ndarray, en: np.ndarray, alpha: float):
-    dp = ((ea - ep) ** 2).sum(axis=1)
-    dn = ((ea - en) ** 2).sum(axis=1)
-    raw = dp - dn + alpha
-    return raw, np.maximum(raw, 0.0)
+def _raw_hinges(e: np.ndarray, alpha: float) -> np.ndarray:
+    """Each triplet's raw hinge ||ea-ep||^2 - ||ea-en||^2 + alpha, from the
+    (3b, d) anchor, positive and negative embeddings stacked in that order."""
+    ea, ep, en = np.split(e, 3)
+    return ((ea - ep) ** 2).sum(axis=1) - ((ea - en) ** 2).sum(axis=1) + alpha
 
 
-def _hinge_grad(ea: np.ndarray, ep: np.ndarray, en: np.ndarray) -> np.ndarray:
-    """Gradient of each raw hinge with respect to its anchor, positive and
-    negative embeddings, stacked in that order as (3b, d)."""
-    return np.concatenate([2.0 * (en - ep), -2.0 * (ea - ep), 2.0 * (ea - en)])
+def _objective(e: np.ndarray, caches, alpha: float):
+    """The training objective of a forward's (3b, d) anchor, positive and
+    negative embeddings and its caches: the b raw hinges, and the gradient
+    of the mean hinged loss for every parameter, None when no hinge is
+    active.  Only active hinges carry gradient, each divided by b."""
+    raw = _raw_hinges(e, alpha)
+    active = (raw > 0.0)[:, None].astype(np.float64)
+    if not active.any():
+        return raw, None
+    ea, ep, en = np.split(e, 3)
+    ge = np.concatenate([2.0 * (en - ep), -2.0 * (ea - ep), 2.0 * (ea - en)])
+    return raw, _backward(caches, ge * np.tile(active / len(raw), (3, 1)))
 
 
 def train_step(model: EncoderModel, batch: np.ndarray, opt_state: nn.AdamState,
@@ -269,23 +276,18 @@ def train_step(model: EncoderModel, batch: np.ndarray, opt_state: nn.AdamState,
     if not all(p.flags.writeable for p in model.params.values()):
         raise ValueError("model parameters are read-only (trained or loaded); "
                          "train a model whose params are writable copies")
-    cfg = model.config
 
+    # caches live until the step returns: freed before the update, they let
+    # glibc trim the heap top, and the next step faults it back in
     e, caches = _forward(model, _input(model, batch.reshape(3 * b, -1)), rng)
-    ea, ep, en = e[:b], e[b:2 * b], e[2 * b:]
-
-    raw, losses = _batch_losses(ea, ep, en, cfg.margin_alpha)
-    mean_loss = float(losses.mean())
+    raw, grads = _objective(e, caches, model.config.margin_alpha)
+    mean_loss = float(np.maximum(raw, 0.0).mean())
     if not np.isfinite(mean_loss):
         raise NonFiniteLossError(
             f"non-finite batch loss {mean_loss}; raw losses: {raw.tolist()}"
         )
-
-    active = (raw > 0.0)[:, None].astype(np.float64)
-    if not active.any():
+    if grads is None:
         return model, opt_state, mean_loss
-
-    grads = _backward(caches, _hinge_grad(ea, ep, en) * np.tile(active / b, (3, 1)))
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise NonFiniteLossError(f"non-finite gradient in {name}")
@@ -293,16 +295,12 @@ def train_step(model: EncoderModel, batch: np.ndarray, opt_state: nn.AdamState,
     return model, opt_state, mean_loss
 
 
-def _raw_loss(e: np.ndarray, alpha: float) -> float:
-    """Raw hinge of the (3, d) anchor, positive and negative embeddings."""
-    raw, _ = _batch_losses(e[0:1], e[1:2], e[2:3], alpha)
-    return float(raw[0])
-
-
 def gradient_check(model: EncoderModel, triplet: np.ndarray) -> float:
     """Max relative error between backprop and central finite differences
     over every parameter entry of the full triplet loss, at the config's
-    margin, of a (3, w) array of anchor, positive and negative rows.
+    margin, of a (3, w) array of anchor, positive and negative rows.  The
+    loss and gradient checked are the ones ``train_step`` applies, from
+    the same code, at b = 1.
 
     Requires a deterministic model (dropout and input noise disabled) and
     an active hinge; both are reported distinctly otherwise.  The
@@ -320,13 +318,11 @@ def gradient_check(model: EncoderModel, triplet: np.ndarray) -> float:
         raise ValueError(f"a triplet has 3 rows, got {len(x)}")
     model = replace(model, params={name: p.copy() for name, p in model.params.items()})
 
-    e, caches = _forward(model, x, None)
-    raw = _raw_loss(e, cfg.margin_alpha)
-    if raw <= 0.0:
+    raw, analytic = _objective(*_forward(model, x, None), cfg.margin_alpha)
+    if analytic is None:
         raise HingeInactiveError(
-            f"raw loss {raw:.6g} <= 0: the hinge is inactive and the check is vacuous"
+            f"raw loss {raw[0]:.6g} <= 0: the hinge is inactive and the check is vacuous"
         )
-    analytic = _backward(caches, _hinge_grad(e[0:1], e[1:2], e[2:3]))
 
     max_rel = 0.0
     for name in PARAM_ORDER:
@@ -335,9 +331,9 @@ def gradient_check(model: EncoderModel, triplet: np.ndarray) -> float:
         for i in np.ndindex(p.shape):  # by index: a conv weight is not C-contiguous
             orig = p[i]
             p[i] = orig + FD_STEP
-            lo_hi = _raw_loss(_infer(model, x), cfg.margin_alpha)
+            lo_hi = _raw_hinges(_infer(model, x), cfg.margin_alpha)[0]
             p[i] = orig - FD_STEP
-            lo_lo = _raw_loss(_infer(model, x), cfg.margin_alpha)
+            lo_lo = _raw_hinges(_infer(model, x), cfg.margin_alpha)[0]
             p[i] = orig
             numeric = (lo_hi - lo_lo) / (2.0 * FD_STEP)
             ai = a[i]

@@ -151,7 +151,7 @@ def fpr_sweep(dataset: FingerprintDataset, fprs: Sequence[int], cfg: TrainConfig
 
 def write_report_csv(reports: Sequence[EvalReport], path: str | Path) -> None:
     """Rows: ci,method,n,mean_error_m — one row per (CI, method)."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["ci", "method", "n", "mean_error_m"])
         for report in reports:
@@ -164,7 +164,7 @@ def write_report_csv(reports: Sequence[EvalReport], path: str | Path) -> None:
 def write_sweep_csv(reports: dict[int, EvalReport], path: str | Path) -> None:
     """Rows: fpr,ci,mean_error_m plus one fpr,overall,mean_error_m row per
     FPR."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["fpr", "ci", "mean_error_m"])
         for fpr, report in reports.items():

@@ -190,7 +190,7 @@ def write_scenario(dataset: FingerprintDataset, truth: GroundTruth,
         "ground_truth": out / "ground_truth.csv",
     }
     save_dataset(dataset, paths["floorplan"], paths["fingerprints"])
-    with open(paths["ground_truth"], "w", newline="") as fh:
+    with open(paths["ground_truth"], "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["ap_id", "x_m", "y_m", "removed_at_ci"])
         for ap, (x, y), removed in zip(dataset.floorplan.ap_registry,

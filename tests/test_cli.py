@@ -442,6 +442,26 @@ def test_malformed_dataset_fails_cleanly(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("cell, message", [
+    (b"9" * 200_000, "row 3: {}: field larger than field limit (131072)"),
+    (b"-5\xff", "{}: not UTF-8 text (byte 0xff: invalid start byte)")])
+def test_train_on_unreadable_csv_cell_fails_cleanly(scenario_dir, tmp_path, capsys,
+                                                   cell, message):
+    # the scenario's fingerprint CSV with row 3's first dBm cell replaced
+    rows = (scenario_dir / "fingerprints.csv").read_bytes().split(b"\r\n")
+    cells = rows[2].split(b",")
+    rows[2] = b",".join(cells[:2] + [cell] + cells[3:])
+    fingerprints = tmp_path / "fingerprints.csv"
+    fingerprints.write_bytes(b"\r\n".join(rows))
+    out = tmp_path / "m.stne"
+    code, _, err = run(["train", "--floorplan", str(scenario_dir / "floorplan.csv"),
+                        "--fingerprints", str(fingerprints), "--fpr", "4",
+                        "--out", str(out)], capsys)
+    assert code == 1
+    assert err == f"error: {message.format(fingerprints)}\n"
+    assert not out.exists()
+
+
 def test_determinism_across_runs(scenario_dir, tmp_path):
     m1, m2 = tmp_path / "m1.stne", tmp_path / "m2.stne"
     for m in (m1, m2):

@@ -1,5 +1,9 @@
 import csv
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,6 +129,73 @@ def test_empty_csv_names_file(tmp_path, tiny_files, kind):
             load_dataset(fp, empty)
         else:
             load_scans(empty, ("a", "b"))
+
+
+# one file of each kind whose row 3 holds `cell`; the other file of the pair is tiny_files'
+CELL_FILES = {
+    "floorplan": "rp_id,x_m,y_m\n0,0.0,0.0\n1,{},0.0\n",
+    "fingerprint": "rp_id,ci,ap_a,ap_b,ap_c\n0,0,-40,-60,-100\n1,0,{},-50,-45\n",
+    "scan": "ap_a,ap_b\n-40,-60\n{},-50\n",
+}
+
+
+def _load_kind(kind, path, tiny_files):
+    fp, fps = tiny_files
+    if kind == "floorplan":
+        return load_dataset(path, fps)
+    if kind == "fingerprint":
+        return load_dataset(fp, path)
+    return load_scans(path, ("a", "b"))
+
+
+@pytest.mark.parametrize("kind", ["floorplan", "fingerprint", "scan"])
+def test_oversized_cell_names_file_and_row(tmp_path, tiny_files, kind):
+    # the csv module refuses a cell over its field size limit (131072 characters)
+    bad = write(tmp_path / "big.csv", CELL_FILES[kind].format("9" * 200_000))
+    with pytest.raises(DatasetFormatError, match=f"^row 3: {re.escape(str(bad))}: "
+                       "field larger than field limit") as err:
+        _load_kind(kind, bad, tiny_files)
+    assert err.value.row == 3
+
+
+@pytest.mark.parametrize("kind", ["floorplan", "fingerprint", "scan"])
+def test_non_utf8_byte_names_file(tmp_path, tiny_files, kind):
+    bad = tmp_path / "latin1.csv"
+    bad.write_bytes(CELL_FILES[kind].format("-5\xff").encode("latin-1"))
+    with pytest.raises(DatasetFormatError,
+                       match=f"^{re.escape(str(bad))}: not UTF-8 text \\(byte 0xff: "):
+        _load_kind(kind, bad, tiny_files)
+
+
+# saves a dataset with a non-ASCII AP id, loads it back, then loads a UTF-8
+# file the test wrote; prints the registries it read
+C_LOCALE_ROUND_TRIP = """
+import sys
+import numpy as np
+from driftloc.data import (FingerprintDataset, FloorPlan, ReferencePoint,
+                           load_dataset, save_dataset)
+fp, fps, utf8_fps = sys.argv[1:]
+plan = FloorPlan(rps=(ReferencePoint(0, 0.0, 0.0), ReferencePoint(1, 5.0, 0.0)),
+                 ap_registry=("caf\\u00e9", "b"))
+save_dataset(FingerprintDataset.from_columns(plan, np.array([[-40.0, -60.0]]), [0], [0]),
+             fp, fps)
+print(ascii(load_dataset(fp, fps).floorplan.ap_registry))
+print(ascii(load_dataset(fp, utf8_fps).floorplan.ap_registry))
+"""
+
+
+def test_csv_files_are_utf8_in_the_c_locale(tmp_path):
+    # without an encoding, open() would follow the C locale's ASCII codec here
+    fp, fps, utf8_fps = tmp_path / "fp.csv", tmp_path / "fps.csv", tmp_path / "utf8.csv"
+    utf8_fps.write_bytes("rp_id,ci,ap_\u00fcber,ap_b\n1,0,-50,-70\n".encode("utf-8"))
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": os.pathsep.join([str(Path(data.__file__).parents[1]),
+                                          os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", C_LOCALE_ROUND_TRIP, str(fp), str(fps),
+                          str(utf8_fps)], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["('caf\\xe9', 'b')", "('\\xfcber', 'b')"]
+    assert fps.read_bytes().startswith("rp_id,ci,ap_caf\u00e9,ap_b\r\n".encode("utf-8"))
 
 
 def test_negative_ci_reports_row(tmp_path, tiny_files):

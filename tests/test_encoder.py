@@ -228,6 +228,31 @@ def test_train_step_rejects_empty_batch():
         train_step(model, np.empty((3, 0, 16)), AdamState(), np.random.default_rng(0))
 
 
+def test_batch_gradient_is_the_mean_over_its_active_triplets(monkeypatch):
+    # a batch's gradient sums its active triplets' gradients and divides by
+    # the batch size, not by the active count
+    cfg = small_check_config(3)
+    model = init_model(cfg, 4, 0)
+    applied = []
+    monkeypatch.setattr(nn, "adam_update", lambda params, grads, state: applied.append(grads))
+    rng = np.random.default_rng(30)
+    active, inactive = [], []
+    while len(active) < 2 or not inactive:
+        t = rng.random((3, 16))
+        (active if triplet_loss(*encode_batch(model, t), cfg.margin_alpha) > 0.0
+         else inactive).append(t)
+    t1, t3, t2 = active[0], active[1], inactive[0]
+    for t in (t1, t2, t3):
+        train_step(model, t[:, None], AdamState(), rng)
+    assert len(applied) == 2  # the inactive triplet alone updates nothing
+    g1, g3 = applied
+    train_step(model, np.stack([t1, t2, t3], axis=1), AdamState(), rng)
+    assert len(applied) == 3
+    for name, got in applied[2].items():
+        want = (g1[name] + g3[name]) / 3
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+
+
 def office_batches(n):
     """n default-size (batch 32) training batches on office-like CI 0, and
     the rows' width."""

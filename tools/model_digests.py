@@ -37,6 +37,13 @@ A change that must keep these bits prints the same lines before and after
 it, on the same machine.  BLAS runs on one thread, because model bytes
 depend on the BLAS thread count.  The name does not start with ``test_``,
 so pytest does not collect this file.
+
+``tests/model_digests.txt`` records this output, and
+``tests/test_golden_digests.py`` checks a fresh run against its digest
+lines.  A change that means to change bits re-records the file, on the
+machine its ``env`` line names where it can, with
+
+    PYTHONPATH=src python3 tools/model_digests.py > tests/model_digests.txt
 """
 
 import os
