@@ -232,10 +232,10 @@ def _dbm_row(cells: Sequence[str], columns: Sequence[str], row: int) -> np.ndarr
 @contextmanager
 def _csv_table(path: str | Path, kind: str):
     """A UTF-8 CSV file's stripped header and an iterator over (line number,
-    cells) of each non-empty row after it.  A missing header, a row with
-    another cell count than the header, a byte that is not UTF-8 or a row
-    the csv module refuses (a cell over its field size limit) raises
-    :class:`DatasetFormatError`."""
+    cells) of each non-empty row after it, numbered by the file line the
+    row starts on.  A missing header, a row with another cell count than
+    the header, a byte that is not UTF-8 or a row the csv module refuses (a
+    cell over its field size limit) raises :class:`DatasetFormatError`."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -245,7 +245,9 @@ def _csv_table(path: str | Path, kind: str):
             header = [h.strip() for h in header]
 
             def rows() -> Iterator[tuple[int, list[str]]]:
-                for lineno, cells in enumerate(reader, start=2):
+                last = reader.line_num  # a row's quoted cell may span lines
+                for cells in reader:
+                    lineno, last = last + 1, reader.line_num
                     if not cells:
                         continue
                     if len(cells) != len(header):

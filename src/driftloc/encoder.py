@@ -13,6 +13,9 @@ Training math is float64; gradients are verifiable against central
 finite differences via :func:`gradient_check`.  Inference runs a separate
 cache-free forward (:func:`_infer`) that keeps no backward state and
 gives the same bits as the training forward without noise and dropout.
+:func:`encode_batch` runs it on BLOCK_ROWS-row blocks, spread over
+nn.map_blocks' worker threads, each pool thread in layer buffers that the
+calling thread made; the bits do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -164,21 +167,36 @@ def _forward(model: EncoderModel, rows: np.ndarray, rng: np.random.Generator | N
     return e, caches
 
 
-def _infer(model: EncoderModel, rows: np.ndarray) -> np.ndarray:
+def _workspace(model: EncoderModel, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat float64 buffers for _infer over up to m rows: conv2's output;
+    conv1's output and then the flat fc1 input, never live at once; and
+    the patch blocks of both convs."""
+    cfg, s, p = model.config, model.input_side, model.params
+    side1 = s - cfg.filter_size + 1
+    out1, patches1 = nn.conv2d_sizes((m, 1, s, s), p["conv1_w"].shape)
+    out2, patches2 = nn.conv2d_sizes((m, cfg.conv1_filters, side1, side1), p["conv2_w"].shape)
+    return np.empty(out2), np.empty(max(out1, out2)), np.empty(max(patches1, patches2))
+
+
+def _infer(model: EncoderModel, rows: np.ndarray, work=None) -> np.ndarray:
     """(N, w) rows -> unit embeddings (N, d), the inference forward: no
     dropout, and each layer's cache and input dropped as soon as the layer
-    returns.  ReLU runs in place on each layer's fresh output but conv2's,
-    which it writes straight into the C-contiguous NCHW fc1 input: the
-    flatten of conv2's channels-last output takes no second pass.
-    Bit-equal to ``_forward(model, rows, None)[0]`` with noise and dropout off."""
-    s = model.input_side
-    p = model.params
-    h = pad_square(rows).reshape(len(rows), 1, s, s)
-    h = nn.conv2d_forward(h, p["conv1_w"], p["conv1_b"])[0]
+    returns.  ReLU runs in place on each layer's output but conv2's, which
+    it writes straight into the C-contiguous NCHW fc1 input: the flatten
+    of conv2's channels-last output takes no second pass.  The conv
+    outputs, their patch blocks and the fc1 input live in ``work``, a
+    _workspace for N rows or more, when it is given, and in fresh arrays
+    when it is None.  Bit-equal to ``_forward(model, rows, None)[0]`` with
+    noise and dropout off."""
+    s, p, m = model.input_side, model.params, len(rows)
+    out2, out1, patches = (None, None, None) if work is None else work
+    h = pad_square(rows).reshape(m, 1, s, s)
+    h = nn.conv2d_into(h, p["conv1_w"], p["conv1_b"], out1, patches)[0]
     np.maximum(h, 0.0, out=h)
-    h = nn.conv2d_forward(h, p["conv2_w"], p["conv2_b"])[0]
-    h = np.maximum(h, 0.0, out=np.empty(h.shape))
-    h = nn.dense_forward(h.reshape(len(h), -1), p["fc1_w"], p["fc1_b"])[0]
+    h = nn.conv2d_into(h, p["conv2_w"], p["conv2_b"], out2, patches)[0]
+    h = np.maximum(h, 0.0, out=np.empty(h.shape) if out1 is None
+                   else out1[:h.size].reshape(h.shape))
+    h = nn.dense_forward(h.reshape(m, -1), p["fc1_w"], p["fc1_b"])[0]
     np.maximum(h, 0.0, out=h)
     h = nn.dense_forward(h, p["fc2_w"], p["fc2_b"])[0]
     return nn.l2norm_forward(h)[0]
@@ -218,11 +236,17 @@ def _input(model: EncoderModel, rows) -> np.ndarray:
 def encode_batch(model: EncoderModel, images) -> np.ndarray:
     """Embed an (m, w) array of rows, or a list of rows, at inference (no
     noise, no dropout), BLOCK_ROWS rows at a time, as an (m, embed_dim)
-    array, m = 0 included; output rows have unit Euclidean norm."""
+    array, m = 0 included; output rows have unit Euclidean norm.  The
+    blocks run on nn.map_blocks' threads, each pool thread's blocks in one
+    _workspace; a block's bits do not depend on the thread it runs on."""
     x = _input(model, images)
     out = np.empty((len(x), model.config.embed_dim))
-    for lo in range(0, len(x), BLOCK_ROWS):
-        out[lo:lo + BLOCK_ROWS] = _infer(model, x[lo:lo + BLOCK_ROWS])
+
+    def run(starts, work):
+        for lo in starts:
+            out[lo:lo + BLOCK_ROWS] = _infer(model, x[lo:lo + BLOCK_ROWS], work)
+
+    nn.map_blocks(run, range(0, len(x), BLOCK_ROWS), lambda: _workspace(model, BLOCK_ROWS))
     return out
 
 

@@ -7,10 +7,12 @@ position.  A KNN table is stored once in that tie order, column-major:
 a (d, n) float64 array whose row j holds every entry's j-th value.  A
 block of queries gets its (rows, n) distances from ops over whole
 (rows, n) tables, up to 8 vector components at a time, summed in numpy's
-pairwise order, so each distance has the bits of numpy's row sum.  Blocks are sized by the kernel's
-scratch bytes, and each block's top k comes from one partition and a
-stable sort of the entries at or below each row's k-th distance, so the
-order never depends on the block size.
+pairwise order, so each distance has the bits of numpy's row sum.  Blocks
+are sized by the kernel's scratch bytes, and each block's top k comes
+from one partition and a stable sort of the entries at or below each
+row's k-th distance, so the order never depends on the block size.  The
+blocks' distances and top k run on nn.map_blocks' worker threads; the
+decisions then run on the calling thread, in query order.
 
 The default decision rule is majority RP vote with ties broken by
 smallest mean neighbor distance and finally lowest rp_id; the
@@ -26,7 +28,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -231,12 +233,10 @@ def _top_k(dists: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return c[first], vals[first]
 
 
-def _knn_rows(dists: np.ndarray, rp_ids: np.ndarray, xs: np.ndarray, ys: np.ndarray,
-              k: int, rule: str) -> list[Prediction]:
-    """Exact top-k and decision for each row of an (m, n) distance table
-    whose columns are in tie order: the first k of a stable sort of each
-    row are its neighbours in (distance, rp_id, position) order."""
-    nb, nb_dist = _top_k(dists, k)
+def _decide_rows(nb: np.ndarray, nb_dist: np.ndarray, rp_ids: np.ndarray, xs: np.ndarray,
+                 ys: np.ndarray, rule: str) -> list[Prediction]:
+    """Decision for each row of (m, k) neighbour columns ``nb`` of a table
+    in tie order, and their distances, in query order."""
     return [_decide(*cols, rule) for cols in zip(
         rp_ids[nb].tolist(), nb_dist.tolist(), xs[nb].tolist(), ys[nb].tolist())]
 
@@ -246,7 +246,8 @@ def _knn_decide(dists: np.ndarray, rp_ids: np.ndarray, xs: np.ndarray,
     """Decision for one query from its distances to every table row."""
     _check_query(dists.shape[0], k, rule)
     order = np.argsort(rp_ids, kind="stable")
-    return _knn_rows(dists[None, order], rp_ids[order], xs[order], ys[order], k, rule)[0]
+    nb, nb_dist = _top_k(dists[None, order], k)
+    return _decide_rows(nb, nb_dist, rp_ids[order], xs[order], ys[order], rule)[0]
 
 
 _PAIRWISE_BLOCK = 128  # numpy's pairwise sum splits longer rows in two
@@ -295,38 +296,53 @@ def _square_sums(columns: np.ndarray, q: np.ndarray, lo: int, hi: int,
     return out
 
 
-def _dist_blocks(queries: np.ndarray, columns: np.ndarray) -> Iterator[np.ndarray]:
-    """Euclidean distances of every (m, d) query vector to the entries of
-    the (d, n) ``columns``, as (rows, n) blocks in query order.
+def _query_rows(d: int, n: int) -> int:
+    """Queries per distance block against a (d, n) table: as many as fit
+    the kernel's _slots(d) (rows, n) buffers into nn._BLOCK_BYTES, one at
+    least."""
+    return max(1, nn._BLOCK_BYTES // (8 * n * _slots(d)))
 
-    A block takes as many queries as fit the kernel's _slots(d) (rows, n)
-    buffers into nn._BLOCK_BYTES (one query at least); the buffers are
-    reused, so each block is valid until the next one.  Each op runs long
-    loops over whole (rows, n) tables, not one d-long loop per (query,
-    entry) pair, and _square_sums adds the d squared differences in
-    numpy's pairwise order, so every distance equals
+
+def _distances(q: np.ndarray, columns: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Euclidean distances of the (rows, d) queries ``q`` to the entries
+    of the (d, n) ``columns``, a (rows, n) view of ``scratch``, the
+    kernel's (_slots(d), rows or more, n) buffers.
+
+    Each op runs long loops over whole (rows, n) tables, not one d-long
+    loop per (query, entry) pair, and _square_sums adds the d squared
+    differences in numpy's pairwise order, so every distance equals
     ``np.sqrt(np.square(table - q).sum(-1))`` bit for bit.  That depends
     on numpy's reduction order, which the tests pin."""
-    d, n = columns.shape
-    slots = _slots(d)
-    step = max(1, nn._BLOCK_BYTES // (8 * n * slots))
-    scratch = np.empty((slots, min(len(queries), step), n))
-    for lo in range(0, len(queries), step):
-        q = queries[lo:lo + step]
-        bufs = scratch[:, :len(q)]
-        yield np.sqrt(_square_sums(columns, q, 0, d, bufs), out=bufs[0])
+    bufs = scratch[:, :len(q)]
+    return np.sqrt(_square_sums(columns, q, 0, len(columns), bufs), out=bufs[0])
 
 
 def _knn_blocks(queries: np.ndarray, table: _TieTable, k: int,
                 rule: str) -> list[Prediction]:
-    """Exact KNN of every (m, d) query vector against a tie-ordered table,
-    one _dist_blocks block at a time.  Distances are elementwise, so
-    identical entries get identical distances.  The caller checks k and
-    rule with _check_query."""
-    out: list[Prediction] = []
-    for dists in _dist_blocks(queries, table.columns):
-        out += _knn_rows(dists, table.rp_ids, table.xs, table.ys, k, rule)
-    return out
+    """Exact KNN of every (m, d) query vector against a tie-ordered table.
+    The queries go in blocks of _query_rows(d, n) on nn.map_blocks'
+    threads, each thread's blocks through one scratch; a block's distances
+    and top k do not depend on its thread or size.  Distances are
+    elementwise, so identical entries get identical distances.  The
+    decisions follow in query order.  The caller checks k and rule with
+    _check_query."""
+    (d, n), m = table.columns.shape, len(queries)
+    step = _query_rows(d, n)
+    blocks = range(0, m, step)
+    found = [None] * len(blocks)  # each block's neighbour columns and distances
+
+    def make_scratch():
+        return np.empty((_slots(d), min(m, step), n))
+
+    def run(starts, scratch):
+        scratch = make_scratch() if scratch is None else scratch
+        for lo in starts:
+            dists = _distances(queries[lo:lo + step], table.columns, scratch)
+            found[lo // step] = _top_k(dists, k)
+
+    nn.map_blocks(run, blocks, make_scratch)
+    return [pred for nb, nb_dist in found
+            for pred in _decide_rows(nb, nb_dist, table.rp_ids, table.xs, table.ys, rule)]
 
 
 def predict_batch(model: EncoderModel, index: EmbeddingIndex, rssi_rows: np.ndarray,

@@ -32,11 +32,21 @@ relu_dropout_forward and relu_dropout_backward overwrite their array
 argument and return it: the caller hands over an array it owns (a fresh
 conv output, a fresh upstream gradient) and must not read the original
 again.
+
+map_blocks runs a call's independent blocks on the CPUs that BLAS leaves
+free: WORKERS threads at most, the calling one included, each pool
+thread with a workspace that the calling thread made.  Every block
+keeps its shape, so no GEMM and no result changes a bit with WORKERS.
+conv2d_into runs conv2d_forward in given buffers rather than fresh ones.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -45,17 +55,95 @@ import numpy as np
 # query block's distance scratch in localizer.
 _BLOCK_BYTES = 1 << 20
 
+# The thread variables that each BLAS reads, in the order it reads them;
+# any BLAS that is not MKL is taken to be OpenBLAS, numpy's own.
+_BLAS_THREAD_VARS = {"mkl": ("MKL_NUM_THREADS", "OMP_NUM_THREADS"),
+                     "openblas": ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
 
-def _check_conv(x: np.ndarray, w: np.ndarray) -> tuple[int, int, int]:
-    """(k, Ho, Wo) of a valid stride-1 convolution of x by w."""
-    n, c, h, wid = x.shape
-    f, c2, k, k2 = w.shape
+
+def _workers(blas: str) -> int:
+    """Usable CPUs over BLAS threads, at least 1, for the BLAS named
+    ``blas``.  Its threads are the first of its _BLAS_THREAD_VARS whose
+    value is a positive integer; with none, BLAS is taken to run on every
+    usable CPU."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    for var in _BLAS_THREAD_VARS["mkl" if "mkl" in blas.lower() else "openblas"]:
+        value = os.environ.get(var, "")
+        if value.isdigit() and int(value) > 0:
+            return max(1, cpus // int(value))
+    return 1
+
+
+# Threads that map_blocks runs a call's blocks on, the calling one included.
+# numpy before 1.25 does not name its BLAS.
+WORKERS = _workers(getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {})
+                   .get("blas", {}).get("name", ""))
+
+
+def map_blocks(run: Callable[[Sequence[int], object], None], starts: Sequence[int],
+               workspace: Callable[[], object]) -> None:
+    """Call ``run(starts[i::w], work)`` for each of w = min(WORKERS,
+    len(starts)) interleaved strides of block starts, at least one.  The
+    calling thread runs stride 0 with ``work`` None.  It first makes a
+    ``workspace()`` for each other stride, so that their large arrays come
+    from its heap and not from a pool thread's own malloc arena, which
+    keeps its pages; w - 1 pool threads then run those strides and are
+    joined before this returns.  A stride's exception is raised
+    unchanged, stride 0's first.  ``run`` must write only its own blocks'
+    results."""
+    w = min(WORKERS, len(starts))
+    if w <= 1:
+        return run(starts, None)
+    works = [workspace() for _ in range(1, w)]
+    with ThreadPoolExecutor(w - 1) as pool:
+        rest = [pool.submit(run, starts[i::w], work) for i, work in enumerate(works, 1)]
+        run(starts[::w], None)
+    for future in rest:
+        future.result()
+
+
+class _Into(threading.local):
+    """The (output, patch) buffers that conv2d_forward writes into on this
+    thread while conv2d_into runs it; None for a fresh array."""
+    bufs = None, None
+
+
+_into = _Into()
+
+
+def conv2d_into(x: np.ndarray, w: np.ndarray, b: np.ndarray,
+                out: np.ndarray | None, work: np.ndarray | None):
+    """``conv2d_forward(x, w, b)``, which writes its output into ``out``'s
+    first entries and its patch blocks into ``work``, flat float64 arrays
+    of at least conv2d_sizes' entries, when ``out`` is given.  They reach
+    it through a thread-local setting, not arguments, so that a wrapper of
+    conv2d_forward that takes (x, w, b) still sees every call."""
+    if out is None:
+        return conv2d_forward(x, w, b)
+    _into.bufs = out, work
+    try:
+        return conv2d_forward(x, w, b)
+    finally:
+        _into.bufs = None, None
+
+
+def _conv_plan(x_shape: tuple, w_shape: tuple) -> tuple[int, int, int, int, int]:
+    """(k, Ho, Wo, images per patch block, patch entries per image) of a
+    valid stride-1 convolution forward of an x_shape input by a w_shape
+    kernel: a patch block takes as many images as fit _BLOCK_BYTES, one at
+    least."""
+    n, c, h, wid = x_shape
+    f, c2, k, k2 = w_shape
     if c2 != c or k != k2:
-        raise ValueError(f"kernel shape {w.shape} incompatible with input {x.shape}")
+        raise ValueError(f"kernel shape {w_shape} incompatible with input {x_shape}")
     ho, wo = h - k + 1, wid - k + 1
     if ho < 1 or wo < 1:
         raise ValueError(f"input {h}x{wid} too small for a {k}x{k} valid convolution")
-    return k, ho, wo
+    per_image = ho * wo * k * k * c
+    return k, ho, wo, max(1, _BLOCK_BYTES // (8 * per_image)), per_image
 
 
 def _im2col(x: np.ndarray, k: int, ho: int, wo: int,
@@ -90,16 +178,25 @@ def _gemm_weight(w: np.ndarray) -> np.ndarray:
     return w.transpose(2, 3, 1, 0).reshape(-1, w.shape[0])
 
 
+def conv2d_sizes(x_shape: tuple, w_shape: tuple) -> tuple[int, int]:
+    """Entries of conv2d_forward's output, and of its patch buffer, for an
+    x_shape input and a w_shape kernel."""
+    k, ho, wo, step, per_image = _conv_plan(x_shape, w_shape)
+    n = x_shape[0]
+    return n * ho * wo * w_shape[0], min(n, step) * per_image
+
+
 def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     """x: (N, C, H, W), w: (F, C, k, k), b: (F,) -> (N, F, H-k+1, W-k+1),
-    a view of channels-last memory."""
-    k, ho, wo = _check_conv(x, w)
+    a view of channels-last memory: conv2d_into's buffers when it runs
+    this, fresh ones otherwise."""
+    k, ho, wo, step, per_image = _conv_plan(x.shape, w.shape)
     n, f = len(x), w.shape[0]
     wm = _gemm_weight(w)
-    per_image = ho * wo * len(wm)  # patch entries of one image
-    step = max(1, _BLOCK_BYTES // (8 * per_image))
-    y = np.empty((n, ho, wo, f))
-    buf = np.empty(min(n, step) * per_image)
+    out, work = _into.bufs
+    y = (np.empty((n, ho, wo, f)) if out is None
+         else out[:n * ho * wo * f].reshape(n, ho, wo, f))
+    buf = np.empty(min(n, step) * per_image) if work is None else work
     for lo in range(0, n, step):
         xs = x[lo:lo + step]
         cols = _im2col(xs, k, ho, wo, buf[:len(xs) * per_image])
@@ -111,7 +208,7 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
 
 def conv2d_backward(cache, gout: np.ndarray):
     x, w = cache
-    k, ho, wo = _check_conv(x, w)
+    k, ho, wo = _conv_plan(x.shape, w.shape)[:3]
     n, c, h, wid = x.shape
     f = w.shape[0]
     g = gout.transpose(0, 2, 3, 1).reshape(n * ho * wo, f)

@@ -158,6 +158,25 @@ def test_oversized_cell_names_file_and_row(tmp_path, tiny_files, kind):
     assert err.value.row == 3
 
 
+# one file of each kind whose row on lines 3-4 has a quoted cell holding a
+# line break, and whose row on line 5 has one cell too few
+MULTILINE_FILES = {
+    "floorplan": 'rp_id,x_m,y_m\n0,0.0,0.0\n1,"1.0\n",0.0\n2,2.0\n',
+    "fingerprint": 'rp_id,ci,ap_a,ap_b,ap_c\n0,0,-40,-60,-100\n1,0,"-40\n",-50,-45\n1,0,-40,-50\n',
+    "scan": 'ap_a,ap_b\n-40,-60\n"-40\n",-50\n-40\n',
+}
+
+
+@pytest.mark.parametrize("kind", ["floorplan", "fingerprint", "scan"])
+def test_row_after_multiline_cell_names_its_file_line(tmp_path, tiny_files, kind):
+    # rows are numbered by the file line they start on, as csv errors are,
+    # not by their count
+    bad = write(tmp_path / "multiline.csv", MULTILINE_FILES[kind])
+    with pytest.raises(DatasetFormatError, match="^row 5: expected") as err:
+        _load_kind(kind, bad, tiny_files)
+    assert err.value.row == 5
+
+
 @pytest.mark.parametrize("kind", ["floorplan", "fingerprint", "scan"])
 def test_non_utf8_byte_names_file(tmp_path, tiny_files, kind):
     bad = tmp_path / "latin1.csv"

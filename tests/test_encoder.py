@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -318,6 +320,92 @@ def test_encode_batch_peak_memory():
     assert peak <= 9e6, f"encode_batch peak {peak / 1e6:.1f} MB"
 
 
+def test_encode_batch_peak_memory_on_two_workers(monkeypatch):
+    # each worker holds one block's layers at a time; together they stay
+    # within a training step's bound, as BLOCK_ROWS' comment says
+    monkeypatch.setattr(nn, "WORKERS", 2)
+    ds, _ = generate(preset("office-like", 0))
+    tr, _ = split_by_ci(ds, 0, 6, 0)
+    rows = normalize_rows(tr.rssi)
+    assert len(rows) == 294
+    model = init_model(EncoderConfig(), image_side(rows.shape[1]), 21)
+    encode_batch(model, rows)
+    tracemalloc.start()
+    try:
+        encode_batch(model, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 30e6, f"encode_batch peak {peak / 1e6:.1f} MB"
+
+
+# the default encoder and the 7/19-filter, 3x3 one that tools/model_digests.py trains
+WORKER_CONFIGS = {"default": EncoderConfig(),
+                  "7-19-k3": EncoderConfig(conv1_filters=7, conv2_filters=19, filter_size=3)}
+
+
+@pytest.mark.parametrize("config", WORKER_CONFIGS.values(), ids=WORKER_CONFIGS.keys())
+@pytest.mark.parametrize("m", [1, 95, 96, 97, 294])
+def test_encode_batch_bits_do_not_depend_on_workers(config, m, monkeypatch):
+    # every block keeps its shape, so each GEMM keeps its bits; 3 workers
+    # is more threads than a 2-CPU host has, and a short switch interval
+    # interleaves them often
+    rows = np.random.default_rng(m).random((m, 50))
+    model = init_model(config, image_side(50), seed=m)
+    monkeypatch.setattr(nn, "WORKERS", 1)
+    want = encode_batch(model, rows)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (2, 3):
+            monkeypatch.setattr(nn, "WORKERS", workers)
+            np.testing.assert_array_equal(encode_batch(model, rows), want)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_pool_threads_run_convs_in_caller_buffers(monkeypatch):
+    # the calling thread's blocks allocate as before; a pool thread's convs
+    # write into the workspace the calling thread made, so no large array
+    # comes from the pool thread's own malloc arena
+    monkeypatch.setattr(nn, "WORKERS", 2)
+    model = init_model(EncoderConfig(), 8, seed=5)
+    rows = np.random.default_rng(6).random((294, 50))
+    want = encode_batch(model, rows)
+    seen = []
+    conv = nn.conv2d_forward
+
+    def recording_conv(x, w, b):
+        lent = nn._into.bufs[0] is not None
+        seen.append((threading.current_thread() is threading.main_thread(), lent))
+        return conv(x, w, b)
+
+    monkeypatch.setattr(nn, "conv2d_forward", recording_conv)
+    np.testing.assert_array_equal(encode_batch(model, rows), want)
+    assert sorted(seen) == [(False, True)] * 4 + [(True, False)] * 4
+
+
+@pytest.mark.parametrize("bad_block", [2, 3])
+def test_collapsed_block_raises_on_any_worker(bad_block, monkeypatch):
+    # an all-zero row through zero biases embeds to zero; the error is the
+    # same whether the calling thread (block 2 of 4) or a pool thread
+    # (block 3) meets it, and every pool thread is gone after the call
+    model = init_model(EncoderConfig(), 8, seed=3)
+    rows = np.random.default_rng(4).random((294, 50))
+    rows[bad_block * BLOCK_ROWS] = 0.0
+    errors = []
+    for workers in (1, 2):
+        monkeypatch.setattr(nn, "WORKERS", workers)
+        threads = threading.active_count()
+        with pytest.raises(FloatingPointError) as err:
+            encode_batch(model, rows)
+        errors.append(str(err.value))
+        assert threading.active_count() == threads
+        encode_batch(model, rows[:bad_block * BLOCK_ROWS])
+        assert threading.active_count() == threads
+    assert errors[0] == errors[1] == "pre-normalization embedding collapsed to zero"
+
+
 # --- input width and padding ------------------------------------------------
 
 def test_noise_never_reaches_padding(monkeypatch):
@@ -340,6 +428,8 @@ def test_noise_never_reaches_padding(monkeypatch):
 
 
 def test_encode_batch_runs_in_blocks(monkeypatch):
+    # one worker, so the calls come in block order
+    monkeypatch.setattr(nn, "WORKERS", 1)
     seen = []
     conv = nn.conv2d_forward
 

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from knn_oracle import oracle_baseline_predict, oracle_decide, oracle_embedding_predict
 
 from driftloc import localizer, nn
-from driftloc.data import Fingerprint, ReferencePoint, split_by_ci
+from driftloc.data import (Fingerprint, FingerprintDataset, FloorPlan, ReferencePoint,
+                           split_by_ci)
 from driftloc.encoder import BLOCK_ROWS, EncoderConfig, encode_batch, init_model, train_step
 from driftloc.errors import ModelFormatError
 from driftloc.localizer import (EmbeddingIndex, TrainConfig,
@@ -14,7 +15,7 @@ from driftloc.localizer import (EmbeddingIndex, TrainConfig,
                                 train)
 from driftloc.model_io import load_model, load_model_full, save_model
 from driftloc.nn import AdamState
-from driftloc.preprocess import to_image
+from driftloc.preprocess import image_side, normalize_rows, to_image
 from driftloc.simulate import SimConfig, generate, preset
 
 
@@ -290,15 +291,16 @@ def test_knn_blocks_exact_on_ties(case, data, rule):
     runs = []
     for bytes_, step in ((budget, rows), (1, 1), (default, default // per_query)):
         blocks = []
-        knn_rows = localizer._knn_rows
+        top_k = localizer._top_k
 
-        def recording_rows(dists, *args):
+        def recording_top_k(dists, k):
             blocks.append(len(dists))
-            return knn_rows(dists, *args)
+            return top_k(dists, k)
 
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nn, "WORKERS", 1)  # one worker, so the blocks come in order
             mp.setattr(nn, "_BLOCK_BYTES", bytes_)
-            mp.setattr(localizer, "_knn_rows", recording_rows)
+            mp.setattr(localizer, "_top_k", recording_top_k)
             runs.append(localizer._knn_blocks(queries, tied, k, rule))
         assert blocks == [min(step, m - lo) for lo in range(0, m, step)]
         assert blocks[0] == 1 or blocks[0] * per_query <= bytes_  # the scratch fits
@@ -308,6 +310,47 @@ def test_knn_blocks_exact_on_ties(case, data, rule):
         x, y, rp, nb = oracle_decide(dists, rp_ids.tolist(), xs.tolist(), ys.tolist(), k, rule)
         assert (got.x, got.y, got.rp_id) == (x, y, rp)
         assert got.neighbor_rps == tuple((r, dist) for r, dist, _, _ in nb)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=tied_knn_cases(), data=st.data(), rule=st.sampled_from(["vote", "centroid"]))
+def test_knn_paths_exact_on_ties_on_two_workers(case, data, rule):
+    # The same tied cases, their query blocks split over two workers: the
+    # table itself, an embedding index of it and the raw-RSSI baseline over
+    # it give the oracle's answer for every query, in query order.
+    table, rp_ids, xs, ys, queries, rows, budget = case
+    n, d = table.shape
+    k = data.draw(st.integers(1, n), label="k")
+    # the table and queries as dBm scans, -70 to -30 in steps of 5
+    scans, query_scans = -50.0 + 10.0 * table, -50.0 + 10.0 * queries
+    floorplan = FloorPlan(tuple(ReferencePoint(r, r / 2, -r) for r in range(4)),
+                          tuple(f"ap{j}" for j in range(d)))
+    train_set = FingerprintDataset(floorplan, [Fingerprint(int(r), 0, v)
+                                               for r, v in zip(rp_ids, scans)])
+    model = init_model(EncoderConfig(conv1_filters=2, conv2_filters=3, filter_size=1,
+                                     fc_units=4, embed_dim=2, dropout_rate=0.0,
+                                     noise_sigma=0.0), image_side(d), seed=n)
+    model.params["fc2_b"][:] = 1.0  # no embedding collapses to zero
+    index = EmbeddingIndex(encode_batch(model, normalize_rows(scans)).astype(np.float32),
+                           rp_ids, xs, ys)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nn, "WORKERS", 2)
+        mp.setattr(nn, "_BLOCK_BYTES", budget)
+        got = localizer._knn_blocks(queries, localizer._tie_table(table, rp_ids, xs, ys),
+                                    k, rule)
+        q_emb = encode_batch(model, normalize_rows(query_scans))
+        got_emb = predict_batch(model, index, query_scans, k, rule)
+        got_raw = baseline_predict_batch(train_set, query_scans, k, rule)
+    for i, q in enumerate(queries):
+        dists = [float(np.sqrt(((row - q) ** 2).sum())) for row in table]
+        want = oracle_decide(dists, rp_ids.tolist(), xs.tolist(), ys.tolist(), k, rule)
+        for pred, (x, y, rp, nb) in (
+                (got[i], want),
+                (got_emb[i], oracle_embedding_predict(index, q_emb[i], k, rule)),
+                (got_raw[i], oracle_baseline_predict(train_set, Fingerprint(0, 0, query_scans[i]),
+                                                     k, rule))):
+            assert (pred.x, pred.y, pred.rp_id) == (x, y, rp)
+            assert pred.neighbor_rps == tuple((r, dist) for r, dist, _, _ in nb)
 
 
 @pytest.mark.parametrize("widths", [range(1, 8), range(8, 129), range(129, 301), (512, 1000)],
@@ -324,7 +367,10 @@ def test_column_kernel_keeps_numpys_summation_bits(widths, monkeypatch):
         per_query = 8 * n * localizer._slots(d)
         for budget, step in ((1, 1), (2 * per_query, 2), (nn._BLOCK_BYTES, m)):
             monkeypatch.setattr(nn, "_BLOCK_BYTES", budget)
-            blocks = [b.copy() for b in localizer._dist_blocks(queries, table.T.copy())]
+            assert min(localizer._query_rows(d, n), m) == step
+            scratch = np.empty((localizer._slots(d), step, n))
+            blocks = [localizer._distances(queries[lo:lo + step], table.T.copy(), scratch).copy()
+                      for lo in range(0, m, step)]
             assert [len(b) for b in blocks] == [min(step, m - lo) for lo in range(0, m, step)]
             assert np.array_equal(np.concatenate(blocks), want), (d, budget)
 
@@ -571,7 +617,8 @@ def test_oversized_index_count_rejected(tmp_path, trained):
 
 def test_train_runs_the_network_on_bounded_blocks(monkeypatch):
     # office-like CI 0 has 294 training rows; the index build must not run
-    # the network on all of them at once
+    # the network on all of them at once; one worker keeps the block order
+    monkeypatch.setattr(nn, "WORKERS", 1)
     ds, _ = generate(preset("office-like", 0))
     tr, _ = split_by_ci(ds, 0, 6, seed=0)
     assert len(tr) == 294

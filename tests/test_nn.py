@@ -160,6 +160,51 @@ def test_conv_forward_chunks_fit_the_budget(n, c, h, wid, f, k, monkeypatch):
             np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("n, c, h, wid, f, k", CONV_CASES + DEFAULT_CONVS)
+def test_conv_forward_into_given_buffers(n, c, h, wid, f, k):
+    # buffers of exactly conv2d_sizes' entries take the output and the
+    # patch blocks, with the bits of fresh ones, and only within the call
+    rng = np.random.default_rng(n * 100 + c * 10 + k + 12)
+    x = rng.standard_normal((n, c, h, wid))
+    w = nn.gemm_layout(rng.standard_normal((f, c, k, k)))
+    b = rng.standard_normal(f)
+    size, patches = nn.conv2d_sizes(x.shape, w.shape)
+    out, work = np.full(size, np.nan), np.full(patches, np.nan)
+    got = nn.conv2d_into(x, w, b, out, work)[0]
+    assert np.shares_memory(got, out)
+    fresh = nn.conv2d_forward(x, w, b)[0]
+    assert not np.shares_memory(fresh, out)
+    np.testing.assert_array_equal(got, fresh)
+    assert not np.isnan(out).any() and not np.isnan(work).any()
+
+
+@pytest.mark.parametrize("blas, env, cpus, workers", [
+    ("scipy-openblas", {}, 2, 1),
+    ("scipy-openblas", {"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
+    ("scipy-openblas", {"OMP_NUM_THREADS": "2"}, 8, 4),
+    ("scipy-openblas", {"OPENBLAS_NUM_THREADS": "4", "GOTO_NUM_THREADS": "1",
+                        "OMP_NUM_THREADS": "1"}, 8, 2),
+    ("scipy-openblas", {"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 8, 4),
+    ("scipy-openblas", {"MKL_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 8, 2),
+    ("mkl-sdl", {"MKL_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 8, 8),
+    ("mkl-sdl", {"OPENBLAS_NUM_THREADS": "1"}, 8, 1),
+    ("", {"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
+    ("scipy-openblas", {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, 2),
+    ("scipy-openblas", {"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "4,2"}, 2, 1),
+    ("scipy-openblas", {"OPENBLAS_NUM_THREADS": "3"}, 2, 1),
+], ids=["unset", "openblas-1", "omp-2", "openblas-first", "goto-before-omp",
+        "openblas-ignores-mkl", "mkl-before-omp", "mkl-ignores-openblas", "unnamed-blas",
+        "zero-skipped", "not-a-count", "more-blas-than-cpus"])
+def test_workers_are_usable_cpus_over_blas_threads(blas, env, cpus, workers, monkeypatch):
+    # each BLAS's own variables, in the order it reads them
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(nn.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    assert nn._workers(blas) == workers
+
+
 def test_conv_shape_errors():
     x = np.zeros((2, 3, 4, 5))
     with pytest.raises(ValueError, match="incompatible"):

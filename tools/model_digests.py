@@ -8,8 +8,9 @@ Run from the repository root, with no options:
 It prints an ``env`` line and then six groups of lines, in this order:
 
 * ``env ...``: the numpy version, the BLAS library and version, the BLAS
-  thread variables and numpy's CPU SIMD features, so that a run on another
-  machine can be told apart from changed bits;
+  thread variables, ``nn.WORKERS`` (the threads that embed and query in
+  blocks; the bits do not depend on it) and numpy's CPU SIMD features, so
+  that a run on another machine can be told apart from changed bits;
 * ``<name> <16 hex>``: the SHA-256 prefix of the model file that each of
   a fixed set of training runs writes;
 * ``<name>-predict <16 hex>``: the SHA-256 prefix of the ``(rp_id, x, y)``
@@ -64,6 +65,7 @@ import numpy as np  # noqa: E402
 from driftloc import (EncoderConfig, TrainConfig, generate,  # noqa: E402
                       predict, predict_batch, preset, save_model, split_by_ci,
                       train, write_scenario)
+from driftloc import nn  # noqa: E402
 from driftloc.cli import main as cli_main, run_gradcheck  # noqa: E402
 from driftloc.localizer import baseline_predict_batch  # noqa: E402
 
@@ -107,7 +109,7 @@ def _env_line() -> str:
     threads = " ".join(f"{var}={os.environ[var]}" for var in THREAD_VARS)
     simd = ",".join(sorted(name for name, on in features.items() if on)) or "?"
     return (f"env numpy={np.__version__} blas={blas.get('name', '?')}-"
-            f"{blas.get('version', '?')} {threads} simd={simd}")
+            f"{blas.get('version', '?')} {threads} workers={nn.WORKERS} simd={simd}")
 
 
 def main() -> None:
