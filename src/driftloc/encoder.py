@@ -14,8 +14,8 @@ finite differences via :func:`gradient_check`.  Inference runs a separate
 cache-free forward (:func:`_infer`) that keeps no backward state and
 gives the same bits as the training forward without noise and dropout.
 :func:`encode_batch` runs it on BLOCK_ROWS-row blocks, spread over
-nn.map_blocks' worker threads, each pool thread in layer buffers that the
-calling thread made; the bits do not depend on the thread count.
+nn.map_blocks' worker threads, each in layer buffers that the calling
+thread made; the bits do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -167,35 +167,37 @@ def _forward(model: EncoderModel, rows: np.ndarray, rng: np.random.Generator | N
     return e, caches
 
 
-def _workspace(model: EncoderModel, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat float64 buffers for _infer over up to m rows: conv2's output;
-    conv1's output and then the flat fc1 input, never live at once; and
-    the patch blocks of both convs."""
+def _workspace(model: EncoderModel, m: int) -> tuple[np.ndarray, ...]:
+    """Flat float64 buffers for _infer over up to m rows: conv2's output,
+    conv1's output, the patch blocks of both convs, and the flat fc1
+    input.  The last three are views of one array: conv1's output and the
+    patch blocks side by side, the fc1 input over both once they are
+    dead."""
     cfg, s, p = model.config, model.input_side, model.params
     side1 = s - cfg.filter_size + 1
     out1, patches1 = nn.conv2d_sizes((m, 1, s, s), p["conv1_w"].shape)
     out2, patches2 = nn.conv2d_sizes((m, cfg.conv1_filters, side1, side1), p["conv2_w"].shape)
-    return np.empty(out2), np.empty(max(out1, out2)), np.empty(max(patches1, patches2))
+    patches = max(patches1, patches2)
+    shared = np.empty(max(out1 + patches, out2))
+    return np.empty(out2), shared[:out1], shared[out1:out1 + patches], shared[:out2]
 
 
-def _infer(model: EncoderModel, rows: np.ndarray, work=None) -> np.ndarray:
+def _infer(model: EncoderModel, rows: np.ndarray, work: tuple[np.ndarray, ...]) -> np.ndarray:
     """(N, w) rows -> unit embeddings (N, d), the inference forward: no
     dropout, and each layer's cache and input dropped as soon as the layer
     returns.  ReLU runs in place on each layer's output but conv2's, which
     it writes straight into the C-contiguous NCHW fc1 input: the flatten
     of conv2's channels-last output takes no second pass.  The conv
     outputs, their patch blocks and the fc1 input live in ``work``, a
-    _workspace for N rows or more, when it is given, and in fresh arrays
-    when it is None.  Bit-equal to ``_forward(model, rows, None)[0]`` with
-    noise and dropout off."""
+    _workspace for N rows or more.  Bit-equal to ``_forward(model, rows,
+    None)[0]`` with noise and dropout off."""
     s, p, m = model.input_side, model.params, len(rows)
-    out2, out1, patches = (None, None, None) if work is None else work
+    out2, out1, patches, flat = work
     h = pad_square(rows).reshape(m, 1, s, s)
     h = nn.conv2d_into(h, p["conv1_w"], p["conv1_b"], out1, patches)[0]
     np.maximum(h, 0.0, out=h)
     h = nn.conv2d_into(h, p["conv2_w"], p["conv2_b"], out2, patches)[0]
-    h = np.maximum(h, 0.0, out=np.empty(h.shape) if out1 is None
-                   else out1[:h.size].reshape(h.shape))
+    h = np.maximum(h, 0.0, out=flat[:h.size].reshape(h.shape))
     h = nn.dense_forward(h.reshape(m, -1), p["fc1_w"], p["fc1_b"])[0]
     np.maximum(h, 0.0, out=h)
     h = nn.dense_forward(h, p["fc2_w"], p["fc2_b"])[0]
@@ -237,16 +239,18 @@ def encode_batch(model: EncoderModel, images) -> np.ndarray:
     """Embed an (m, w) array of rows, or a list of rows, at inference (no
     noise, no dropout), BLOCK_ROWS rows at a time, as an (m, embed_dim)
     array, m = 0 included; output rows have unit Euclidean norm.  The
-    blocks run on nn.map_blocks' threads, each pool thread's blocks in one
-    _workspace; a block's bits do not depend on the thread it runs on."""
+    blocks run on nn.map_blocks' threads, each thread's blocks in one
+    _workspace for min(m, BLOCK_ROWS) rows; a block's bits do not depend
+    on the thread it runs on."""
     x = _input(model, images)
-    out = np.empty((len(x), model.config.embed_dim))
+    m = len(x)
+    out = np.empty((m, model.config.embed_dim))
 
     def run(starts, work):
         for lo in starts:
             out[lo:lo + BLOCK_ROWS] = _infer(model, x[lo:lo + BLOCK_ROWS], work)
 
-    nn.map_blocks(run, range(0, len(x), BLOCK_ROWS), lambda: _workspace(model, BLOCK_ROWS))
+    nn.map_blocks(run, range(0, m, BLOCK_ROWS), lambda: _workspace(model, min(m, BLOCK_ROWS)))
     return out
 
 
@@ -349,15 +353,16 @@ def gradient_check(model: EncoderModel, triplet: np.ndarray) -> float:
         )
 
     max_rel = 0.0
+    work = _workspace(model, 3)
     for name in PARAM_ORDER:
         p = model.params[name]
         a = analytic[name]
         for i in np.ndindex(p.shape):  # by index: a conv weight is not C-contiguous
             orig = p[i]
             p[i] = orig + FD_STEP
-            lo_hi = _raw_hinges(_infer(model, x), cfg.margin_alpha)[0]
+            lo_hi = _raw_hinges(_infer(model, x, work), cfg.margin_alpha)[0]
             p[i] = orig - FD_STEP
-            lo_lo = _raw_hinges(_infer(model, x), cfg.margin_alpha)[0]
+            lo_lo = _raw_hinges(_infer(model, x, work), cfg.margin_alpha)[0]
             p[i] = orig
             numeric = (lo_hi - lo_lo) / (2.0 * FD_STEP)
             ai = a[i]

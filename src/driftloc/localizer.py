@@ -331,16 +331,12 @@ def _knn_blocks(queries: np.ndarray, table: _TieTable, k: int,
     blocks = range(0, m, step)
     found = [None] * len(blocks)  # each block's neighbour columns and distances
 
-    def make_scratch():
-        return np.empty((_slots(d), min(m, step), n))
-
     def run(starts, scratch):
-        scratch = make_scratch() if scratch is None else scratch
         for lo in starts:
             dists = _distances(queries[lo:lo + step], table.columns, scratch)
             found[lo // step] = _top_k(dists, k)
 
-    nn.map_blocks(run, blocks, make_scratch)
+    nn.map_blocks(run, blocks, lambda: np.empty((_slots(d), min(m, step), n)))
     return [pred for nb, nb_dist in found
             for pred in _decide_rows(nb, nb_dist, table.rp_ids, table.xs, table.ys, rule)]
 

@@ -34,15 +34,16 @@ conv output, a fresh upstream gradient) and must not read the original
 again.
 
 map_blocks runs a call's independent blocks on the CPUs that BLAS leaves
-free: WORKERS threads at most, the calling one included, each pool
-thread with a workspace that the calling thread made.  Every block
-keeps its shape, so no GEMM and no result changes a bit with WORKERS.
-conv2d_into runs conv2d_forward in given buffers rather than fresh ones.
+free: WORKERS threads at most, the calling one included, each in a
+workspace that the calling thread made.  Every block keeps its shape, so
+no GEMM and no result changes a bit with WORKERS.  conv2d_into runs
+conv2d_forward in such buffers; training runs it in fresh ones.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -63,17 +64,18 @@ _BLAS_THREAD_VARS = {"mkl": ("MKL_NUM_THREADS", "OMP_NUM_THREADS"),
 
 def _workers(blas: str) -> int:
     """Usable CPUs over BLAS threads, at least 1, for the BLAS named
-    ``blas``.  Its threads are the first of its _BLAS_THREAD_VARS whose
-    value is a positive integer; with none, BLAS is taken to run on every
-    usable CPU."""
+    ``blas``.  Its threads are the first of its _BLAS_THREAD_VARS that
+    holds a positive count, read as BLAS reads it, with C's atoi: leading
+    whitespace, an optional sign, then the leading ASCII digits.  With
+    none, BLAS is taken to run on every usable CPU."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
     for var in _BLAS_THREAD_VARS["mkl" if "mkl" in blas.lower() else "openblas"]:
-        value = os.environ.get(var, "")
-        if value.isdigit() and int(value) > 0:
-            return max(1, cpus // int(value))
+        count = re.match(r"[ \t\n\v\f\r]*([+-]?[0-9]+)", os.environ.get(var, ""))
+        if count and int(count[1]) > 0:
+            return max(1, cpus // int(count[1]))
     return 1
 
 
@@ -86,28 +88,26 @@ WORKERS = _workers(getattr(np.__config__, "CONFIG", {}).get("Build Dependencies"
 def map_blocks(run: Callable[[Sequence[int], object], None], starts: Sequence[int],
                workspace: Callable[[], object]) -> None:
     """Call ``run(starts[i::w], work)`` for each of w = min(WORKERS,
-    len(starts)) interleaved strides of block starts, at least one.  The
-    calling thread runs stride 0 with ``work`` None.  It first makes a
-    ``workspace()`` for each other stride, so that their large arrays come
-    from its heap and not from a pool thread's own malloc arena, which
-    keeps its pages; w - 1 pool threads then run those strides and are
-    joined before this returns.  A stride's exception is raised
-    unchanged, stride 0's first.  ``run`` must write only its own blocks'
-    results."""
+    len(starts)) interleaved strides of block starts, at least one, each
+    with a ``workspace()`` that the calling thread makes, so that no large
+    array comes from a pool thread's own malloc arena, which keeps its
+    pages.  The calling thread runs stride 0, and w - 1 pool threads the
+    others, joined before this returns.  A stride's exception is raised
+    unchanged, stride 0's first.  ``run`` writes only its blocks' results."""
     w = min(WORKERS, len(starts))
     if w <= 1:
-        return run(starts, None)
-    works = [workspace() for _ in range(1, w)]
+        return run(starts, workspace())
+    works = [workspace() for _ in range(w)]
     with ThreadPoolExecutor(w - 1) as pool:
-        rest = [pool.submit(run, starts[i::w], work) for i, work in enumerate(works, 1)]
-        run(starts[::w], None)
+        rest = [pool.submit(run, starts[i::w], works[i]) for i in range(1, w)]
+        run(starts[::w], works[0])
     for future in rest:
         future.result()
 
 
 class _Into(threading.local):
     """The (output, patch) buffers that conv2d_forward writes into on this
-    thread while conv2d_into runs it; None for a fresh array."""
+    thread while conv2d_into runs it; None for fresh ones."""
     bufs = None, None
 
 
@@ -115,14 +115,12 @@ _into = _Into()
 
 
 def conv2d_into(x: np.ndarray, w: np.ndarray, b: np.ndarray,
-                out: np.ndarray | None, work: np.ndarray | None):
+                out: np.ndarray, work: np.ndarray):
     """``conv2d_forward(x, w, b)``, which writes its output into ``out``'s
     first entries and its patch blocks into ``work``, flat float64 arrays
-    of at least conv2d_sizes' entries, when ``out`` is given.  They reach
-    it through a thread-local setting, not arguments, so that a wrapper of
+    of at least conv2d_sizes' entries.  They reach it through a
+    thread-local setting, not arguments, so that a wrapper of
     conv2d_forward that takes (x, w, b) still sees every call."""
-    if out is None:
-        return conv2d_forward(x, w, b)
     _into.bufs = out, work
     try:
         return conv2d_forward(x, w, b)
@@ -189,17 +187,17 @@ def conv2d_sizes(x_shape: tuple, w_shape: tuple) -> tuple[int, int]:
 def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     """x: (N, C, H, W), w: (F, C, k, k), b: (F,) -> (N, F, H-k+1, W-k+1),
     a view of channels-last memory: conv2d_into's buffers when it runs
-    this, fresh ones otherwise."""
+    this, fresh ones of conv2d_sizes' entries otherwise."""
     k, ho, wo, step, per_image = _conv_plan(x.shape, w.shape)
     n, f = len(x), w.shape[0]
     wm = _gemm_weight(w)
     out, work = _into.bufs
-    y = (np.empty((n, ho, wo, f)) if out is None
-         else out[:n * ho * wo * f].reshape(n, ho, wo, f))
-    buf = np.empty(min(n, step) * per_image) if work is None else work
+    if out is None:
+        out, work = map(np.empty, conv2d_sizes(x.shape, w.shape))
+    y = out[:n * ho * wo * f].reshape(n, ho, wo, f)
     for lo in range(0, n, step):
         xs = x[lo:lo + step]
-        cols = _im2col(xs, k, ho, wo, buf[:len(xs) * per_image])
+        cols = _im2col(xs, k, ho, wo, work[:len(xs) * per_image])
         ys = y[lo:lo + len(xs)].reshape(len(cols), f)
         np.matmul(cols, wm, out=ys)  # (rows*Ho*Wo, k*k*C) x (k*k*C, F)
         ys += b

@@ -320,6 +320,22 @@ def test_encode_batch_peak_memory():
     assert peak <= 9e6, f"encode_batch peak {peak / 1e6:.1f} MB"
 
 
+def test_one_row_encode_batch_peak_memory():
+    # a one-scan call sizes its workspace to its one row, not to BLOCK_ROWS
+    ds, _ = generate(preset("office-like", 0))
+    tr, _ = split_by_ci(ds, 0, 6, 0)
+    rows = normalize_rows(tr.rssi)[:1]
+    model = init_model(EncoderConfig(), image_side(rows.shape[1]), 21)
+    encode_batch(model, rows)
+    tracemalloc.start()
+    try:
+        encode_batch(model, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1e6, f"one-row encode_batch peak {peak / 1e6:.2f} MB"
+
+
 def test_encode_batch_peak_memory_on_two_workers(monkeypatch):
     # each worker holds one block's layers at a time; together they stay
     # within a training step's bound, as BLOCK_ROWS' comment says
@@ -364,25 +380,38 @@ def test_encode_batch_bits_do_not_depend_on_workers(config, m, monkeypatch):
         sys.setswitchinterval(interval)
 
 
-def test_pool_threads_run_convs_in_caller_buffers(monkeypatch):
-    # the calling thread's blocks allocate as before; a pool thread's convs
-    # write into the workspace the calling thread made, so no large array
-    # comes from the pool thread's own malloc arena
-    monkeypatch.setattr(nn, "WORKERS", 2)
+def test_every_thread_runs_convs_in_caller_buffers(monkeypatch):
+    # every conv, the calling thread's included, writes into the workspace
+    # that the calling thread made for its thread: each thread reuses one
+    # output and one patch buffer per conv for all its blocks, no block
+    # allocates its layers afresh, and the bits stay those of one worker
     model = init_model(EncoderConfig(), 8, seed=5)
     rows = np.random.default_rng(6).random((294, 50))
+    monkeypatch.setattr(nn, "WORKERS", 1)
     want = encode_batch(model, rows)
-    seen = []
     conv = nn.conv2d_forward
+    for workers in (1, 2):
+        monkeypatch.setattr(nn, "WORKERS", workers)
+        seen = []
 
-    def recording_conv(x, w, b):
-        lent = nn._into.bufs[0] is not None
-        seen.append((threading.current_thread() is threading.main_thread(), lent))
-        return conv(x, w, b)
+        def recording_conv(x, w, b):
+            out, work = nn._into.bufs
+            seen.append((threading.get_ident(), x.shape[1],
+                         None if out is None else out.ctypes.data,
+                         None if work is None else work.ctypes.data))
+            return conv(x, w, b)
 
-    monkeypatch.setattr(nn, "conv2d_forward", recording_conv)
-    np.testing.assert_array_equal(encode_batch(model, rows), want)
-    assert sorted(seen) == [(False, True)] * 4 + [(True, False)] * 4
+        monkeypatch.setattr(nn, "conv2d_forward", recording_conv)
+        np.testing.assert_array_equal(encode_batch(model, rows), want)
+        monkeypatch.setattr(nn, "conv2d_forward", conv)
+        assert len(seen) == 8  # 4 blocks, 2 convs each
+        assert all(out is not None and work is not None for _, _, out, work in seen)
+        # one (output, patch) address pair per thread and conv
+        buffers = {(thread, channels): set() for thread, channels, _, _ in seen}
+        for thread, channels, out, work in seen:
+            buffers[thread, channels].add((out, work))
+        assert len(buffers) == 2 * workers
+        assert all(len(pairs) == 1 for pairs in buffers.values())
 
 
 @pytest.mark.parametrize("bad_block", [2, 3])

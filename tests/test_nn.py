@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -192,17 +196,34 @@ def test_conv_forward_into_given_buffers(n, c, h, wid, f, k):
     ("scipy-openblas", {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, 2),
     ("scipy-openblas", {"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "4,2"}, 2, 1),
     ("scipy-openblas", {"OPENBLAS_NUM_THREADS": "3"}, 2, 1),
+    ("scipy-openblas", {"OPENBLAS_NUM_THREADS": "\u00b2", "OMP_NUM_THREADS": "1"}, 2, 2),
+    ("scipy-openblas", {"OPENBLAS_NUM_THREADS": " 1"}, 2, 2),
+    ("scipy-openblas", {"OPENBLAS_NUM_THREADS": "4x"}, 8, 2),
 ], ids=["unset", "openblas-1", "omp-2", "openblas-first", "goto-before-omp",
         "openblas-ignores-mkl", "mkl-before-omp", "mkl-ignores-openblas", "unnamed-blas",
-        "zero-skipped", "not-a-count", "more-blas-than-cpus"])
+        "zero-skipped", "not-a-count", "more-blas-than-cpus",
+        "superscript-not-a-digit", "leading-space", "trailing-text"])
 def test_workers_are_usable_cpus_over_blas_threads(blas, env, cpus, workers, monkeypatch):
-    # each BLAS's own variables, in the order it reads them
+    # each BLAS's own variables, in the order it reads them, each read as
+    # C's atoi reads it: "\u00b2" is no ASCII digit, " 1" is 1, "4x" is 4
     for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)
     for var, value in env.items():
         monkeypatch.setenv(var, value)
     monkeypatch.setattr(nn.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     assert nn._workers(blas) == workers
+
+
+def test_any_blas_thread_value_lets_the_cli_start():
+    # WORKERS is read at import, so a value that is no count must not
+    # stop every command
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="\u00b2",
+               PYTHONPATH=os.pathsep.join([os.path.dirname(os.path.dirname(nn.__file__)),
+                                           os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-m", "driftloc.cli", "--help"], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert "usage:" in done.stdout
 
 
 def test_conv_shape_errors():
