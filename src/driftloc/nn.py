@@ -8,15 +8,15 @@ im2col GEMM (Chellapilla et al., 2006).  The forward goes one chunk of
 images at a time, as many as fit their (rows*Ho*Wo, k*k*C) patch block,
 gathered in one copy from a window view of the input's memory, into
 _BLOCK_BYTES (one image at least), so the block stays in cache (Goto &
-van de Geijn, 2008).  It reuses one patch buffer and multiplies each
-block by the weights' (k*k*C, F) GEMM matrix into its rows of the one
-output.  BLAS picks its kernel by the product's size, so for some shapes
-an output's last bits depend on the chunk's row count; the default
-office-like encoder's convs give the same bits at every budget the tests
-try.  The backward still gathers the whole (N*Ho*Wo, k*k*C) patch
+van de Geijn, 2008).  Each thread that runs its blocks reuses one patch
+buffer and multiplies each block by the weights' (k*k*C, F) GEMM matrix
+into its rows of the one output.  BLAS picks its kernel by the product's
+size, so for some shapes an output's last bits depend on the chunk's row
+count; the default office-like encoder's convs give the same bits at
+every budget the tests try.  The backward still gathers the whole (N*Ho*Wo, k*k*C) patch
 matrix: it forms the weight gradient, a sum over every patch row, as one
 GEMM, and adds the input gradient as k*k per-shift GEMMs into a
-channels-last buffer.
+channels-last buffer.  The two halves are independent.
 
 conv2d_forward returns its GEMM output without a copy: an (N, F, Ho, Wo)
 view of channels-last memory, so ``out.transpose(0, 2, 3, 1)`` is
@@ -34,10 +34,20 @@ conv output, a fresh upstream gradient) and must not read the original
 again.
 
 map_blocks runs a call's independent blocks on the CPUs that BLAS leaves
-free: WORKERS threads at most, the calling one included, each in a
-workspace that the calling thread made.  Every block keeps its shape, so
-no GEMM and no result changes a bit with WORKERS.  conv2d_into runs
-conv2d_forward in such buffers; training runs it in fresh ones.
+free: WORKERS threads at most, the calling one and those of one live
+pool, each in a workspace that the calling thread made.  Training uses
+it in three places.  A conv2d_forward with fresh buffers maps its patch
+blocks, each thread with its own patch buffer.  conv2d_backward and
+dense_backward run the weight gradient (for a conv, the patch gather and
+its GEMM) on the calling thread while a pool thread runs the input
+gradient (run_apart).  adam_update maps its row blocks, each thread with
+its own scratch.  The calling thread makes every array that a pool
+thread writes, and does any layout copy, before the handoff; a pool task
+runs only GEMMs into given outputs and in-place passes, and never maps
+blocks itself.  Every block and half keeps its shape, so no GEMM and no
+result changes a bit with WORKERS.  conv2d_into runs conv2d_forward in
+lent buffers, its patch blocks in turn on whichever thread runs it, as
+encode_batch's blocks do.
 """
 
 from __future__ import annotations
@@ -45,7 +55,7 @@ from __future__ import annotations
 import os
 import re
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -85,24 +95,89 @@ WORKERS = _workers(getattr(np.__config__, "CONFIG", {}).get("Build Dependencies"
                    .get("blas", {}).get("name", ""))
 
 
-def map_blocks(run: Callable[[Sequence[int], object], None], starts: Sequence[int],
+class _PoolThread(threading.local):
+    """Whether this thread is one of the pool's."""
+    on = False
+
+
+_pool_thread = _PoolThread()
+_pool: tuple[int, ThreadPoolExecutor] | None = None  # (threads, the pool)
+_pool_lock = threading.Lock()
+
+
+def _mark_pool_thread() -> None:
+    _pool_thread.on = True
+
+
+def _forget_pool() -> None:
+    """In a forked child: its copy of the pool has no threads to run
+    anything, so the child makes its own on first use."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX only
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _pool_of(threads: int) -> ThreadPoolExecutor:
+    """The one live pool of ``threads`` threads, made on first use and
+    made anew, the old one shut down, when WORKERS has changed."""
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] != threads:
+            if _pool is not None:
+                _pool[1].shutdown()
+            _pool = threads, ThreadPoolExecutor(threads, initializer=_mark_pool_thread)
+        return _pool[1]
+
+
+def map_blocks(run: Callable[[Sequence, object], None], blocks: Sequence,
                workspace: Callable[[], object]) -> None:
-    """Call ``run(starts[i::w], work)`` for each of w = min(WORKERS,
-    len(starts)) interleaved strides of block starts, at least one, each
-    with a ``workspace()`` that the calling thread makes, so that no large
-    array comes from a pool thread's own malloc arena, which keeps its
-    pages.  The calling thread runs stride 0, and w - 1 pool threads the
-    others, joined before this returns.  A stride's exception is raised
-    unchanged, stride 0's first.  ``run`` writes only its blocks' results."""
-    w = min(WORKERS, len(starts))
+    """Call ``run(blocks[i::w], work)`` for each of w = min(WORKERS,
+    len(blocks)) interleaved strides of a call's independent blocks, at
+    least one, each with a ``workspace()`` that the calling thread makes,
+    so that no large array comes from a pool thread's own malloc arena,
+    which keeps its pages.  The calling thread runs stride 0, and the
+    threads of one live pool of WORKERS - 1 the others, waited for before
+    this returns.  A stride's exception is raised unchanged, stride 0's
+    first.  ``run`` writes only its blocks' results, and never maps blocks
+    itself: a pool thread that waited on the pool could wait on itself, so
+    a pool thread's call with w > 1 raises RuntimeError."""
+    w = min(WORKERS, len(blocks))
     if w <= 1:
-        return run(starts, workspace())
+        return run(blocks, workspace())
+    if _pool_thread.on:
+        raise RuntimeError("map_blocks called from one of its own pool threads")
     works = [workspace() for _ in range(w)]
-    with ThreadPoolExecutor(w - 1) as pool:
-        rest = [pool.submit(run, starts[i::w], works[i]) for i in range(1, w)]
-        run(starts[::w], works[0])
+    pool = _pool_of(WORKERS - 1)
+    rest = [pool.submit(run, blocks[i::w], works[i]) for i in range(1, w)]
+    try:
+        run(blocks[::w], works[0])
+    finally:
+        wait(rest)
     for future in rest:
         future.result()
+
+
+def run_apart(*tasks: tuple[Callable[[], object], Callable[[object], object]]) -> list:
+    """``[run(make()) for make, run in tasks]`` for independent tasks, each
+    ``run`` writing only the arrays that its ``make`` made; every make()
+    runs on the calling thread.  With WORKERS 1 the tasks go in turn, each
+    make() just before its run, so a task's arrays that its run does not
+    return are gone before the next task's are made.  Otherwise every
+    make() comes first, and each run is one block of map_blocks."""
+    if min(WORKERS, len(tasks)) <= 1:
+        return [run(make()) for make, run in tasks]
+    works = [make() for make, _ in tasks]
+    results = [None] * len(tasks)
+
+    def stride(picked, _):
+        for i in picked:
+            results[i] = tasks[i][1](works[i])
+
+    map_blocks(stride, range(len(tasks)), lambda: None)
+    return results
 
 
 class _Into(threading.local):
@@ -144,16 +219,23 @@ def _conv_plan(x_shape: tuple, w_shape: tuple) -> tuple[int, int, int, int, int]
     return k, ho, wo, max(1, _BLOCK_BYTES // (8 * per_image)), per_image
 
 
+def _patch_source(x: np.ndarray) -> np.ndarray:
+    """x's (N, C, H, W) values in NCHW or channels-last memory: x itself
+    when it is laid out so, a channels-last copy otherwise."""
+    if x.flags.c_contiguous:
+        return x
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
 def _im2col(x: np.ndarray, k: int, ho: int, wo: int,
             out: np.ndarray | None = None) -> np.ndarray:
     """(N*Ho*Wo, k*k*C) patch matrix of x, columns in (dy, dx, c) order,
     written into ``out``, a flat float64 array of that size, when given:
     one copy from a (N, Ho, Wo, k, k, C) window view of x's memory, read in
     place when it is NCHW or channels-last and copied to channels-last
-    memory first otherwise."""
+    memory first otherwise (_patch_source)."""
     n, c = x.shape[:2]
-    if not x.flags.c_contiguous:
-        x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    x = _patch_source(x)
     sn, sc, sh, sw = x.strides
     mem = x if x.flags.c_contiguous else x.transpose(0, 2, 3, 1)  # C-contiguous
     shape = (n, ho, wo, k, k, c)
@@ -186,43 +268,74 @@ def conv2d_sizes(x_shape: tuple, w_shape: tuple) -> tuple[int, int]:
 
 def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     """x: (N, C, H, W), w: (F, C, k, k), b: (F,) -> (N, F, H-k+1, W-k+1),
-    a view of channels-last memory: conv2d_into's buffers when it runs
-    this, fresh ones of conv2d_sizes' entries otherwise."""
+    a view of channels-last memory.  Run by conv2d_into, it writes into
+    the lent buffers and goes through its patch blocks in turn on the
+    thread that runs it.  Otherwise it makes a fresh output and maps its
+    patch blocks over map_blocks' threads, each with a fresh patch buffer
+    of conv2d_sizes' entries."""
     k, ho, wo, step, per_image = _conv_plan(x.shape, w.shape)
     n, f = len(x), w.shape[0]
     wm = _gemm_weight(w)
     out, work = _into.bufs
-    if out is None:
-        out, work = map(np.empty, conv2d_sizes(x.shape, w.shape))
+    if out is None:  # fresh: any layout copy comes before the handoff
+        x, out = _patch_source(x), np.empty(n * ho * wo * f)
     y = out[:n * ho * wo * f].reshape(n, ho, wo, f)
-    for lo in range(0, n, step):
-        xs = x[lo:lo + step]
-        cols = _im2col(xs, k, ho, wo, work[:len(xs) * per_image])
-        ys = y[lo:lo + len(xs)].reshape(len(cols), f)
-        np.matmul(cols, wm, out=ys)  # (rows*Ho*Wo, k*k*C) x (k*k*C, F)
-        ys += b
+
+    def run(starts, work):
+        for lo in starts:
+            xs = x[lo:lo + step]
+            cols = _im2col(xs, k, ho, wo, work[:len(xs) * per_image])
+            ys = y[lo:lo + len(xs)].reshape(len(cols), f)
+            np.matmul(cols, wm, out=ys)  # (rows*Ho*Wo, k*k*C) x (k*k*C, F)
+            ys += b
+
+    if work is None:
+        map_blocks(run, range(0, n, step), lambda: np.empty(min(n, step) * per_image))
+    else:
+        run(range(0, n, step), work)
     return y.transpose(0, 3, 1, 2), (x, w)
 
 
 def conv2d_backward(cache, gout: np.ndarray):
+    """Gradients (dx, dw, db) of conv2d_forward: dx in NCHW memory, dw in
+    gemm_layout.  The weight gradient (the patch matrix's gather and its
+    GEMM) and the input gradient (k*k per-shift GEMMs) are two run_apart
+    tasks, the weight gradient first."""
     x, w = cache
     k, ho, wo = _conv_plan(x.shape, w.shape)[:3]
+    x = _patch_source(x)
     n, c, h, wid = x.shape
     f = w.shape[0]
     g = gout.transpose(0, 2, 3, 1).reshape(n * ho * wo, f)
-    # (k*k*C, F) GEMM product, returned in gemm_layout without a copy
-    dw = (_im2col(x, k, ho, wo).T @ g).reshape(k, k, c, f).transpose(3, 2, 0, 1)
-    dxh = np.zeros((n, h, wid, c), dtype=np.float64)
-    shift = np.empty((n * ho * wo, c), dtype=np.float64)  # one shift's product
-    for dy in range(k):
-        for dx in range(k):
-            # a C-order (F, C) slice: the same product whatever w's layout
-            np.matmul(g, np.ascontiguousarray(w[:, :, dy, dx]), out=shift)
+
+    def weight_arrays():
+        return np.empty(n * ho * wo * k * k * c), np.empty((k * k * c, f))
+
+    def weight_grad(work):
+        cols, dwm = work
+        return np.matmul(_im2col(x, k, ho, wo, cols).T, g, out=dwm)
+
+    def input_arrays():
+        # w as (k, k, F, C) memory, whose C-order (F, C) slices give the
+        # same products whatever w's layout; dx in channels-last memory;
+        # one shift's product
+        return (np.ascontiguousarray(w.transpose(2, 3, 0, 1)),
+                np.zeros((n, h, wid, c)), np.empty((n * ho * wo, c)))
+
+    def input_grad(work):
+        wk, dxh, shift = work
+        for dy, dx in np.ndindex(k, k):
+            np.matmul(g, wk[dy, dx], out=shift)
             dxh[:, dy:dy + ho, dx:dx + wo, :] += shift.reshape(n, ho, wo, c)
+        return dxh
+
+    dwm, dxh = run_apart((weight_arrays, weight_grad), (input_arrays, input_grad))
     db = gout.sum(axis=(0, 2, 3))
+    # dw: the (k*k*C, F) GEMM product, in gemm_layout without a copy; dx
     # copied to NCHW: the layer below takes dx as gout, and its db sum adds
     # in memory order, so a channels-last view would change its bits
-    return np.ascontiguousarray(dxh.transpose(0, 3, 1, 2)), dw, db
+    return (np.ascontiguousarray(dxh.transpose(0, 3, 1, 2)),
+            dwm.reshape(k, k, c, f).transpose(3, 2, 0, 1), db)
 
 
 def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
@@ -231,8 +344,14 @@ def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
 
 
 def dense_backward(cache, gout: np.ndarray):
+    """Gradients (dx, dw, db) of dense_forward: the weight gradient's GEMM
+    and the input gradient's are two run_apart tasks, the weight
+    gradient first."""
     x, w = cache
-    return gout @ w.T, x.T @ gout, gout.sum(axis=0)
+    dw, dx = run_apart(
+        (lambda: np.empty((x.shape[1], gout.shape[1])), lambda dw: np.matmul(x.T, gout, out=dw)),
+        (lambda: np.empty((len(gout), len(w))), lambda dx: np.matmul(gout, w.T, out=dx)))
+    return dx, dw, gout.sum(axis=0)
 
 
 def relu_dropout_forward(x: np.ndarray, rate: float, rng: np.random.Generator | None):
@@ -299,8 +418,9 @@ def adam_update(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     """One Adam step, in place: m and v updated, then
     p -= (lr * mhat) / (sqrt(vhat) + eps) with mhat = m / (1 - beta1**t) and
     vhat = v / (1 - beta2**t).  Each parameter goes by blocks of leading-axis
-    rows, a conv weight in its (k, k, C, F) memory order, through two
-    scratch buffers that the whole call shares."""
+    rows, a conv weight in its (k, k, C, F) memory order, and the blocks
+    go over map_blocks' threads, each thread's through two scratch buffers
+    of its own."""
     state.step += 1
     t = state.step
     c1 = 1.0 - ADAM_BETA1 ** t
@@ -316,11 +436,16 @@ def adam_update(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               for name, grad in grads.items()]
     # a block is as many rows as fit in ADAM_BLOCK entries, or one longer row
     size = max([ADAM_BLOCK] + [g.size // len(g) for _, g, _, _ in arrays])
-    buf_a, buf_b = np.empty(size), np.empty(size)
-    for param, grad, mom1, mom2 in arrays:
+    blocks = []
+    for arrs in arrays:
+        grad = arrs[1]
         r = max(1, ADAM_BLOCK // (grad.size // len(grad)))
-        for lo in range(0, len(param), r):
-            p, g, m, v = (arr[lo:lo + r] for arr in (param, grad, mom1, mom2))
+        blocks += [(arrs, lo, r) for lo in range(0, len(grad), r)]
+
+    def run(picked, scratch):
+        buf_a, buf_b = scratch
+        for arrs, lo, r in picked:
+            p, g, m, v = (arr[lo:lo + r] for arr in arrs)
             a = buf_a[:p.size].reshape(p.shape)
             b = buf_b[:p.size].reshape(p.shape)
             m *= ADAM_BETA1
@@ -334,3 +459,5 @@ def adam_update(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
             np.sqrt(b, out=b)
             b += ADAM_EPS
             p -= np.divide(a, b, out=a)
+
+    map_blocks(run, blocks, lambda: (np.empty(size), np.empty(size)))

@@ -12,10 +12,12 @@ from test_nn import reference_relu_dropout_backward, reference_relu_dropout_forw
 from driftloc import nn
 from driftloc.cli import random_check_triplet, run_gradcheck
 from driftloc.data import split_by_ci
-from driftloc.encoder import (BLOCK_ROWS, EncoderConfig, EncoderModel, _forward,
-                              encode_batch, gradient_check, init_model, small_check_config,
-                              train_step, triplet_loss)
+from driftloc.encoder import (BLOCK_ROWS, PARAM_ORDER, EncoderConfig, EncoderModel,
+                              _forward, encode_batch, gradient_check, init_model,
+                              small_check_config, train_step, triplet_loss)
 from driftloc.errors import HingeInactiveError, StochasticModelError
+from driftloc.localizer import TrainConfig, train
+from driftloc.model_io import save_model
 from driftloc.nn import AdamState
 from driftloc.preprocess import image_side, normalize_rows, pad_square
 from driftloc.sampler import build_pmf_table, make_batch, rp_members
@@ -303,6 +305,32 @@ def test_train_step_peak_memory():
     assert peak <= 30e6, f"train_step peak {peak / 1e6:.1f} MB"
 
 
+def test_train_step_peak_memory_on_two_workers(monkeypatch):
+    # a backward's weight and input gradients run side by side, so the
+    # arrays of both halves are alive at once, on any host
+    monkeypatch.setattr(nn, "WORKERS", 2)
+    test_train_step_peak_memory()
+
+
+def test_train_step_peak_memory_on_one_worker(monkeypatch):
+    # in turn, each backward half makes its arrays just before it runs, so
+    # conv2's 7 MB patch matrix is gone before the input gradient's arrays
+    # are made: about 25.0 MB, against 29.6 MB with both halves' arrays
+    # made first
+    monkeypatch.setattr(nn, "WORKERS", 1)
+    (first, second), width = office_batches(2)
+    model = init_model(EncoderConfig(), image_side(width), 21)
+    opt, rng = AdamState(), np.random.default_rng(22)
+    train_step(model, first, opt, rng)
+    tracemalloc.start()
+    try:
+        train_step(model, second, opt, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 26e6, f"one-worker train_step peak {peak / 1e6:.1f} MB"
+
+
 def test_encode_batch_peak_memory():
     # one block: conv2 gathers its patches in chunks of about nn._BLOCK_BYTES,
     # not as one 7 MB patch matrix
@@ -380,6 +408,37 @@ def test_encode_batch_bits_do_not_depend_on_workers(config, m, monkeypatch):
         sys.setswitchinterval(interval)
 
 
+@pytest.mark.parametrize("config", WORKER_CONFIGS.values(), ids=WORKER_CONFIGS.keys())
+def test_training_bits_do_not_depend_on_workers(config, tmp_path, monkeypatch):
+    # each backward's two halves, the conv forward's patch blocks and Adam's
+    # row blocks keep their GEMMs and elementwise passes whatever thread runs
+    # them, so one step's params, m and v and a whole train()'s model bytes
+    # are those of one worker
+    (batch,), width = office_batches(1)
+    ds, _ = generate(preset("office-like", 0))
+    tr, _ = split_by_ci(ds, 0, 6, 0)
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(nn, "WORKERS", workers)
+            model, opt = init_model(config, image_side(width), 23), AdamState()
+            train_step(model, batch, opt, np.random.default_rng(24))
+            assert opt.step == 1
+            path = tmp_path / f"{workers}.stne"
+            save_model(*train(tr, TrainConfig(encoder=config, epochs=1), 25), path)
+            runs.append(([model.params, opt.m, opt.v], path.read_bytes()))
+    finally:
+        sys.setswitchinterval(interval)
+    (want_arrays, want_bytes), *rest = runs
+    for arrays, model_bytes in rest:
+        for got, want in zip(arrays, want_arrays):
+            for name in PARAM_ORDER:
+                np.testing.assert_array_equal(got[name], want[name])
+        assert model_bytes == want_bytes
+
+
 def test_every_thread_runs_convs_in_caller_buffers(monkeypatch):
     # every conv, the calling thread's included, writes into the workspace
     # that the calling thread made for its thread: each thread reuses one
@@ -418,13 +477,15 @@ def test_every_thread_runs_convs_in_caller_buffers(monkeypatch):
 def test_collapsed_block_raises_on_any_worker(bad_block, monkeypatch):
     # an all-zero row through zero biases embeds to zero; the error is the
     # same whether the calling thread (block 2 of 4) or a pool thread
-    # (block 3) meets it, and every pool thread is gone after the call
+    # (block 3) meets it, and no call adds a thread to those of the live
+    # pool, which the first call on two workers makes
     model = init_model(EncoderConfig(), 8, seed=3)
     rows = np.random.default_rng(4).random((294, 50))
     rows[bad_block * BLOCK_ROWS] = 0.0
     errors = []
     for workers in (1, 2):
         monkeypatch.setattr(nn, "WORKERS", workers)
+        encode_batch(model, rows[:bad_block * BLOCK_ROWS])
         threads = threading.active_count()
         with pytest.raises(FloatingPointError) as err:
             encode_batch(model, rows)

@@ -1,6 +1,9 @@
 import os
+import signal
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -142,6 +145,7 @@ def test_conv_forward_chunks_fit_the_budget(n, c, h, wid, f, k, monkeypatch):
         return cols
 
     monkeypatch.setattr(nn, "_im2col", recording_im2col)
+    monkeypatch.setattr(nn, "WORKERS", 1)  # one worker, so the blocks come in order
     outs = []
     # one-image chunks, a partial last chunk (for n > 2), one chunk
     for budget in (1, per_image * (n // 2 + 1), per_image * n):
@@ -224,6 +228,154 @@ def test_any_blas_thread_value_lets_the_cli_start():
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert "usage:" in done.stdout
+
+
+def assert_fails_alike(fail, ok, same_error):
+    """fail() raises an exception that same_error accepts, ok() returns,
+    and neither adds a thread to those of the live pool, which a first
+    ok() makes, over repeated calls."""
+    ok()
+    threads = threading.active_count()
+    for _ in range(3):
+        with pytest.raises(Exception) as err:
+            fail()
+        assert same_error(err.value), repr(err.value)
+        assert threading.active_count() == threads
+        ok()
+        assert threading.active_count() == threads
+
+
+class NanError(Exception):
+    pass
+
+
+@pytest.fixture
+def fail_on_nan(monkeypatch):
+    """A function that makes ``owner.name`` raise a NanError when an array
+    argument holds a NaN, and the list of the NanErrors raised."""
+    raised = []
+
+    def install(owner, name):
+        real = getattr(owner, name)
+
+        def failing(*args, **kwargs):
+            if any(isinstance(a, np.ndarray) and np.isnan(a).any() for a in args):
+                raised.append(NanError(f"{name} met a NaN"))
+                raise raised[-1]
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, failing)
+
+    return install, raised
+
+
+def conv_inputs():
+    """x, w, b of a small conv, and copies of x and w that hold a NaN, in
+    image 1 and in filter 0."""
+    rng = np.random.default_rng(41)
+    x, w, b = rng.standard_normal((4, 2, 5, 5)), rng.standard_normal((3, 2, 2, 2)), np.zeros(3)
+    bad_x, bad_w = x.copy(), w.copy()
+    bad_x[1, 0, 2, 2] = bad_w[0, 1, 1, 0] = np.nan
+    return x, w, b, bad_x, bad_w
+
+
+# On two workers, each failure below is in the part that a pool thread
+# runs: stride 1's blocks, or the input-gradient half of a backward.
+@pytest.mark.parametrize("workers", [1, 2])
+def test_conv_forward_block_error_reaches_the_caller(workers, fail_on_nan, monkeypatch):
+    install, raised = fail_on_nan
+    install(nn, "_im2col")  # the patch gather of image 1, stride 1's block
+    monkeypatch.setattr(nn, "WORKERS", workers)
+    monkeypatch.setattr(nn, "_BLOCK_BYTES", 1)  # one-image blocks
+    x, w, b, bad_x, _ = conv_inputs()
+    assert_fails_alike(lambda: nn.conv2d_forward(bad_x, w, b), lambda: nn.conv2d_forward(x, w, b),
+                       lambda err: err is raised[-1])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_conv_backward_input_half_error_reaches_the_caller(workers, fail_on_nan, monkeypatch):
+    # only the input gradient's per-shift GEMMs multiply by w
+    install, raised = fail_on_nan
+    install(np, "matmul")
+    monkeypatch.setattr(nn, "WORKERS", workers)
+    x, w, _, _, bad_w = conv_inputs()
+    gout = np.random.default_rng(42).standard_normal((4, 3, 4, 4))
+    assert_fails_alike(lambda: nn.conv2d_backward((x, bad_w), gout),
+                       lambda: nn.conv2d_backward((x, w), gout),
+                       lambda err: err is raised[-1])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_dense_backward_input_half_error_reaches_the_caller(workers, monkeypatch):
+    # w has an output column more than gout, so only the input GEMM's
+    # shapes clash
+    monkeypatch.setattr(nn, "WORKERS", workers)
+    rng = np.random.default_rng(43)
+    x, w = rng.standard_normal((4, 3)), rng.standard_normal((3, 3))
+    gout = rng.standard_normal((4, 2))
+    with pytest.raises(ValueError) as want:
+        np.matmul(gout, w.T)
+    assert_fails_alike(lambda: nn.dense_backward((x, w), gout),
+                       lambda: nn.dense_backward((x, w[:, :2]), gout),
+                       lambda err: type(err) is ValueError and str(err) == str(want.value))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_adam_block_error_reaches_the_caller(workers, monkeypatch):
+    # the second parameter, the second block and stride 1's, is read-only
+    monkeypatch.setattr(nn, "WORKERS", workers)
+    params = {"a": np.zeros(3), "b": np.zeros(3)}
+    params["b"].setflags(write=False)
+    with pytest.raises(ValueError) as want:
+        params["b"] -= 1.0
+    grads = {"a": np.ones(3), "b": np.ones(3)}
+    assert_fails_alike(lambda: nn.adam_update(params, grads, nn.AdamState()),
+                       lambda: nn.adam_update({"a": np.zeros(3)}, {"a": grads["a"]}, nn.AdamState()),
+                       lambda err: type(err) is ValueError and str(err) == str(want.value))
+
+
+def test_one_live_pool_runs_every_call(monkeypatch):
+    # the pool thread outlives a call and runs the next one's stride 1; a
+    # pool task that mapped blocks itself could wait on its own thread, so
+    # it raises instead
+    monkeypatch.setattr(nn, "WORKERS", 2)
+    strides = []
+    for _ in range(3):
+        nn.map_blocks(lambda blocks, _: strides.append((blocks, threading.get_ident())),
+                      [0, 1], lambda: None)
+    assert {ident for blocks, ident in strides if blocks == [0]} == {threading.get_ident()}
+    pool_threads = {ident for blocks, ident in strides if blocks == [1]}
+    assert len(pool_threads) == 1 and threading.get_ident() not in pool_threads
+
+    def nested(blocks, _):
+        nn.map_blocks(lambda inner, _: None, [0, 1], lambda: None)
+
+    with pytest.raises(RuntimeError, match="its own pool threads"):
+        nn.map_blocks(nested, [0, 1], lambda: None)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_makes_its_own_pool(monkeypatch):
+    # a forked child's copy of the live pool has no threads; a child that
+    # waited on it would hang
+    monkeypatch.setattr(nn, "WORKERS", 2)
+    nn.map_blocks(lambda blocks, _: None, [0, 1], lambda: None)
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            nn.map_blocks(lambda blocks, _: None, [0, 1], lambda: None)
+            code = 0
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 10
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child's map_blocks call hung")
+    assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 def test_conv_shape_errors():

@@ -1,15 +1,19 @@
 """Print digests that show whether a change keeps the model bytes, the
 predictions and the gradients.
 
-Run from the repository root, with no options:
+Run from the repository root:
 
-    PYTHONPATH=src python3 tools/model_digests.py
+    PYTHONPATH=src python3 tools/model_digests.py [--workers N]
+
+``--workers N`` sets ``nn.WORKERS``, the threads that train, embed and
+query in blocks, to N before any work; without it the tool keeps the
+count that ``nn`` reads from the host.  The digest lines do not depend
+on it.
 
 It prints an ``env`` line and then six groups of lines, in this order:
 
 * ``env ...``: the numpy version, the BLAS library and version, the BLAS
-  thread variables, ``nn.WORKERS`` (the threads that embed and query in
-  blocks; the bits do not depend on it) and numpy's CPU SIMD features, so
+  thread variables, ``nn.WORKERS`` and numpy's CPU SIMD features, so
   that a run on another machine can be told apart from changed bits;
 * ``<name> <16 hex>``: the SHA-256 prefix of the model file that each of
   a fixed set of training runs writes;
@@ -54,6 +58,7 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 for var in THREAD_VARS:
     os.environ[var] = "1"
 
+import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
@@ -112,7 +117,14 @@ def _env_line() -> str:
             f"{blas.get('version', '?')} {threads} workers={nn.WORKERS} simd={simd}")
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workers", type=int, help="set nn.WORKERS to this count")
+    args = parser.parse_args(argv)
+    if args.workers is not None:
+        if args.workers < 1:
+            parser.error("--workers must be >= 1")
+        nn.WORKERS = args.workers
     print(_env_line(), flush=True)
     splits = {}
     predict_lines = []
