@@ -251,15 +251,17 @@ class NanError(Exception):
 
 @pytest.fixture
 def fail_on_nan(monkeypatch):
-    """A function that makes ``owner.name`` raise a NanError when an array
-    argument holds a NaN, and the list of the NanErrors raised."""
+    """A function that makes ``owner.name`` raise a NanError when one of
+    its first ``inputs`` positional arguments, the arrays it reads, holds a
+    NaN, and the list of the NanErrors raised.  An output buffer is not
+    looked at: np.empty memory may hold a NaN before it is written."""
     raised = []
 
-    def install(owner, name):
+    def install(owner, name, inputs):
         real = getattr(owner, name)
 
         def failing(*args, **kwargs):
-            if any(isinstance(a, np.ndarray) and np.isnan(a).any() for a in args):
+            if any(isinstance(a, np.ndarray) and np.isnan(a).any() for a in args[:inputs]):
                 raised.append(NanError(f"{name} met a NaN"))
                 raise raised[-1]
             return real(*args, **kwargs)
@@ -284,7 +286,7 @@ def conv_inputs():
 @pytest.mark.parametrize("workers", [1, 2])
 def test_conv_forward_block_error_reaches_the_caller(workers, fail_on_nan, monkeypatch):
     install, raised = fail_on_nan
-    install(nn, "_im2col")  # the patch gather of image 1, stride 1's block
+    install(nn, "_im2col", 1)  # the patch gather of image 1, stride 1's block
     monkeypatch.setattr(nn, "WORKERS", workers)
     monkeypatch.setattr(nn, "_BLOCK_BYTES", 1)  # one-image blocks
     x, w, b, bad_x, _ = conv_inputs()
@@ -296,7 +298,7 @@ def test_conv_forward_block_error_reaches_the_caller(workers, fail_on_nan, monke
 def test_conv_backward_input_half_error_reaches_the_caller(workers, fail_on_nan, monkeypatch):
     # only the input gradient's per-shift GEMMs multiply by w
     install, raised = fail_on_nan
-    install(np, "matmul")
+    install(np, "matmul", 2)
     monkeypatch.setattr(nn, "WORKERS", workers)
     x, w, _, _, bad_w = conv_inputs()
     gout = np.random.default_rng(42).standard_normal((4, 3, 4, 4))
