@@ -26,10 +26,13 @@ from .evaluate import (evaluate_baseline_over_time, evaluate_over_time,
                        fpr_sweep, write_report_csv, write_sweep_csv)
 from .localizer import DEFAULT_K, DEFAULT_RULE, RULES, TrainConfig, predict_batch, train
 from .model_io import load_model_full, save_model
+from .preprocess import normalize_rows
 
 logger = logging.getLogger(__name__)
 
 GRADCHECK_THRESHOLD = 1e-4
+# How far a replayed training row's embedding may lie from its index entry
+REPLAY_TOLERANCE = 1e-5
 
 
 # SimConfig's number fields but seed, which has its own flag: `simulate`
@@ -187,6 +190,19 @@ def _dataset_for_model(args, index, extra) -> FingerprintDataset:
     return dataset
 
 
+def _check_replay(model, index, train_part: FingerprintDataset, train_ci: int) -> None:
+    """Refuse a replayed training split that is not the one the model's
+    index holds: its rows' rp_ids must be the index's, in order, and their
+    embeddings within REPLAY_TOLERANCE of the stored ones."""
+    if not (np.array_equal(train_part.rp_ids, index.rp_ids)
+            and np.abs(encode_batch(model, normalize_rows(train_part.rssi))
+                       - index.embeddings).max() <= REPLAY_TOLERANCE):
+        raise DriftlocError(
+            f"the fingerprints at training ci {train_ci} are not the ones this "
+            "model was trained on; evaluate on the CSV it was trained from"
+        )
+
+
 def _cmd_eval(args) -> int:
     model, index, extra = load_model_full(args.model)
     dataset = _dataset_for_model(args, index, extra)
@@ -198,6 +214,7 @@ def _cmd_eval(args) -> int:
             train_part, test_part = split_by_ci(
                 dataset, train_ci, int(extra["fpr"]), int(extra["split_seed"])
             )
+            _check_replay(model, index, train_part, train_ci)
     if test_part is None:
         logger.info("training split not recoverable; evaluating all fingerprints")
         test_part = dataset

@@ -400,6 +400,21 @@ def save_dataset(dataset: FingerprintDataset, floorplan_path: str | Path,
             writer.writerow([rp_id, ci] + [_format_value(v) for v in row.tolist()])
 
 
+def train_ci_rows(dataset: FingerprintDataset, train_ci: int) -> dict[int, list[int]]:
+    """``dataset.by_rp(ci=train_ci)``, refused with a ValueError unless
+    ``train_ci`` is present and holds a fingerprint of every RP."""
+    cis = dataset.cis()
+    if train_ci not in cis:
+        raise ValueError(f"train_ci {train_ci} absent from dataset (has {cis})")
+    per_rp = dataset.by_rp(ci=train_ci)
+    empty = sorted(rp for rp, idxs in per_rp.items() if not idxs)
+    if empty:
+        raise ValueError(
+            f"RPs {empty} have no fingerprints at ci {train_ci}; cannot split"
+        )
+    return per_rp
+
+
 def split_by_ci(dataset: FingerprintDataset, train_ci: int, fpr: int,
                 seed: int) -> tuple[FingerprintDataset, FingerprintDataset]:
     """Split into a training set drawn from one collection instance and a
@@ -412,16 +427,7 @@ def split_by_ci(dataset: FingerprintDataset, train_ci: int, fpr: int,
     """
     if fpr < 1:
         raise ValueError("fpr must be >= 1")
-    cis = dataset.cis()
-    if train_ci not in cis:
-        raise ValueError(f"train_ci {train_ci} absent from dataset (has {cis})")
-    per_rp = dataset.by_rp(ci=train_ci)
-    empty = sorted(rp for rp, idxs in per_rp.items() if not idxs)
-    if empty:
-        raise ValueError(
-            f"RPs {empty} have no fingerprints at ci {train_ci}; cannot split"
-        )
-
+    per_rp = train_ci_rows(dataset, train_ci)
     rng = np.random.default_rng(seed)
     chosen = np.zeros(len(dataset), dtype=bool)
     for idxs in per_rp.values():  # floorplan order keeps the draw deterministic

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import Fingerprint, FingerprintDataset, split_by_ci
+from .data import Fingerprint, FingerprintDataset, split_by_ci, train_ci_rows
 from .encoder import EncoderModel
 from .localizer import (DEFAULT_K, DEFAULT_RULE, EmbeddingIndex, Prediction,
                         TrainConfig, _check_query, baseline_predict_batch,
@@ -103,10 +103,10 @@ def fpr_sweep(dataset: FingerprintDataset, fprs: Sequence[int], cfg: TrainConfig
     """Re-split (fresh seed per repeat), train, and evaluate for every FPR;
     return each FPR's report averaged over its repeats, in ``fprs`` order.
 
-    The fprs must be distinct.  Requires every RP to actually have
-    max(fprs) fingerprints at the training CI, so all sweep rows are
+    The fprs must be distinct.  Requires train_ci to be present, every RP
+    to actually have max(fprs) fingerprints there, so all sweep rows are
     comparable, and k to fit the smallest index, min(fprs) entries per
-    RP: both are checked before any training.
+    RP: all are checked before any training.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -116,7 +116,7 @@ def fpr_sweep(dataset: FingerprintDataset, fprs: Sequence[int], cfg: TrainConfig
     repeated = sorted({f for f in fprs if fprs.count(f) > 1})
     if repeated:
         raise ValueError(f"fprs must be distinct; repeated: {repeated}")
-    available = min(len(v) for v in dataset.by_rp(ci=train_ci).values())
+    available = min(len(v) for v in train_ci_rows(dataset, train_ci).values())
     if max(fprs) > available:
         raise ValueError(
             f"max fpr {max(fprs)} exceeds the {available} fingerprints "

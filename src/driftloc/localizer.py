@@ -245,9 +245,9 @@ def _knn_decide(dists: np.ndarray, rp_ids: np.ndarray, xs: np.ndarray,
                 ys: np.ndarray, k: int, rule: str) -> Prediction:
     """Decision for one query from its distances to every table row."""
     _check_query(dists.shape[0], k, rule)
-    order = np.argsort(rp_ids, kind="stable")
-    nb, nb_dist = _top_k(dists[None, order], k)
-    return _decide_rows(nb, nb_dist, rp_ids[order], xs[order], ys[order], rule)[0]
+    table = _tie_table(dists[:, None], rp_ids, xs, ys)
+    nb, nb_dist = _top_k(table.columns, k)
+    return _decide_rows(nb, nb_dist, table.rp_ids, table.xs, table.ys, rule)[0]
 
 
 _PAIRWISE_BLOCK = 128  # numpy's pairwise sum splits longer rows in two
@@ -296,13 +296,6 @@ def _square_sums(columns: np.ndarray, q: np.ndarray, lo: int, hi: int,
     return out
 
 
-def _query_rows(d: int, n: int) -> int:
-    """Queries per distance block against a (d, n) table: as many as fit
-    the kernel's _slots(d) (rows, n) buffers into nn._BLOCK_BYTES, one at
-    least."""
-    return max(1, nn._BLOCK_BYTES // (8 * n * _slots(d)))
-
-
 def _distances(q: np.ndarray, columns: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Euclidean distances of the (rows, d) queries ``q`` to the entries
     of the (d, n) ``columns``, a (rows, n) view of ``scratch``, the
@@ -320,14 +313,15 @@ def _distances(q: np.ndarray, columns: np.ndarray, scratch: np.ndarray) -> np.nd
 def _knn_blocks(queries: np.ndarray, table: _TieTable, k: int,
                 rule: str) -> list[Prediction]:
     """Exact KNN of every (m, d) query vector against a tie-ordered table.
-    The queries go in blocks of _query_rows(d, n) on nn.map_blocks'
-    threads, each thread's blocks through one scratch; a block's distances
-    and top k do not depend on its thread or size.  Distances are
+    The queries go in blocks of nn.per_block queries, each with _slots(d)
+    (n,) scratch rows, on nn.map_blocks' threads, each thread's blocks
+    through one scratch; a block's distances and top k do not depend on
+    its thread or size.  Distances are
     elementwise, so identical entries get identical distances.  The
     decisions follow in query order.  The caller checks k and rule with
     _check_query."""
     (d, n), m = table.columns.shape, len(queries)
-    step = _query_rows(d, n)
+    step = nn.per_block(8 * n * _slots(d))
     blocks = range(0, m, step)
     found = [None] * len(blocks)  # each block's neighbour columns and distances
 

@@ -3,20 +3,22 @@
 Plain numpy float64 throughout.  Each layer is a forward function
 returning (output, cache) and a matching backward function taking
 (cache, grad_out).  Convolutions are valid (no padding), stride 1, and
-take (N, C, H, W) arrays of any memory layout.  Inside, each is an
-im2col GEMM (Chellapilla et al., 2006).  The forward goes one chunk of
-images at a time, as many as fit their (rows*Ho*Wo, k*k*C) patch block,
-gathered in one copy from a window view of the input's memory, into
-_BLOCK_BYTES (one image at least), so the block stays in cache (Goto &
-van de Geijn, 2008).  Each thread that runs its blocks reuses one patch
-buffer and multiplies each block by the weights' (k*k*C, F) GEMM matrix
-into its rows of the one output.  BLAS picks its kernel by the product's
-size, so for some shapes an output's last bits depend on the chunk's row
-count; the default office-like encoder's convs give the same bits at
-every budget the tests try.  The backward still gathers the whole (N*Ho*Wo, k*k*C) patch
-matrix: it forms the weight gradient, a sum over every patch row, as one
-GEMM, and adds the input gradient as k*k per-shift GEMMs into a
-channels-last buffer.  The two halves are independent.
+take (N, C, H, W) arrays in one of two memory layouts, NCHW or
+channels-last, which they read in place; any other layout raises
+ValueError.  Inside, each is an im2col GEMM (Chellapilla et al., 2006).
+The forward goes one chunk of images at a time, as many as fit their
+(rows*Ho*Wo, k*k*C) patch block, gathered in one copy from a window view
+of the input's memory, into one working block (per_block), so the block
+stays in cache (Goto & van de Geijn, 2008).  Each thread that runs its
+blocks reuses one patch buffer and multiplies each block by the weights'
+(k*k*C, F) GEMM matrix into its rows of the one output.  BLAS picks its
+kernel by the product's size, so for some shapes an output's last bits
+depend on the chunk's row count; the default office-like encoder's convs
+give the same bits at every budget the tests try.  The backward still
+gathers the whole (N*Ho*Wo, k*k*C) patch matrix: it forms the weight
+gradient, a sum over every patch row, as one GEMM, and adds the input
+gradient as k*k per-shift GEMMs into a channels-last buffer.  The two
+halves are independent.
 
 conv2d_forward returns its GEMM output without a copy: an (N, F, Ho, Wo)
 view of channels-last memory, so ``out.transpose(0, 2, 3, 1)`` is
@@ -42,12 +44,11 @@ dense_backward run the weight gradient (for a conv, the patch gather and
 its GEMM) on the calling thread while a pool thread runs the input
 gradient (run_apart).  adam_update maps its row blocks, each thread with
 its own scratch.  The calling thread makes every array that a pool
-thread writes, and does any layout copy, before the handoff; a pool task
-runs only GEMMs into given outputs and in-place passes, and never maps
-blocks itself.  Every block and half keeps its shape, so no GEMM and no
-result changes a bit with WORKERS.  conv2d_into runs conv2d_forward in
-lent buffers, its patch blocks in turn on whichever thread runs it, as
-encode_batch's blocks do.
+thread writes before the handoff; a pool task runs only GEMMs into given
+outputs and in-place passes, and never maps blocks itself.  Every block
+and half keeps its shape, so no GEMM and no result changes a bit with
+WORKERS.  conv2d_into runs conv2d_forward in lent buffers, its patch
+blocks in turn on whichever thread runs it, as encode_batch's blocks do.
 """
 
 from __future__ import annotations
@@ -65,6 +66,13 @@ import numpy as np
 # forward's patch block and Adam's two float64 scratch buffers here, a KNN
 # query block's distance scratch in localizer.
 _BLOCK_BYTES = 1 << 20
+
+
+def per_block(nbytes: int) -> int:
+    """Items of ``nbytes`` each in one working block: as many as fit
+    _BLOCK_BYTES, one at least."""
+    return max(1, _BLOCK_BYTES // nbytes)
+
 
 # The thread variables that each BLAS reads, in the order it reads them;
 # any BLAS that is not MKL is taken to be OpenBLAS, numpy's own.
@@ -206,8 +214,7 @@ def conv2d_into(x: np.ndarray, w: np.ndarray, b: np.ndarray,
 def _conv_plan(x_shape: tuple, w_shape: tuple) -> tuple[int, int, int, int, int]:
     """(k, Ho, Wo, images per patch block, patch entries per image) of a
     valid stride-1 convolution forward of an x_shape input by a w_shape
-    kernel: a patch block takes as many images as fit _BLOCK_BYTES, one at
-    least."""
+    kernel: a patch block takes per_block images."""
     n, c, h, wid = x_shape
     f, c2, k, k2 = w_shape
     if c2 != c or k != k2:
@@ -216,31 +223,20 @@ def _conv_plan(x_shape: tuple, w_shape: tuple) -> tuple[int, int, int, int, int]
     if ho < 1 or wo < 1:
         raise ValueError(f"input {h}x{wid} too small for a {k}x{k} valid convolution")
     per_image = ho * wo * k * k * c
-    return k, ho, wo, max(1, _BLOCK_BYTES // (8 * per_image)), per_image
+    return k, ho, wo, per_block(8 * per_image), per_image
 
 
-def _patch_source(x: np.ndarray) -> np.ndarray:
-    """x's (N, C, H, W) values in NCHW or channels-last memory: x itself
-    when it is laid out so, a channels-last copy otherwise."""
-    if x.flags.c_contiguous:
-        return x
-    return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
-
-
-def _im2col(x: np.ndarray, k: int, ho: int, wo: int,
-            out: np.ndarray | None = None) -> np.ndarray:
+def _im2col(x: np.ndarray, k: int, ho: int, wo: int, out: np.ndarray) -> np.ndarray:
     """(N*Ho*Wo, k*k*C) patch matrix of x, columns in (dy, dx, c) order,
-    written into ``out``, a flat float64 array of that size, when given:
-    one copy from a (N, Ho, Wo, k, k, C) window view of x's memory, read in
-    place when it is NCHW or channels-last and copied to channels-last
-    memory first otherwise (_patch_source)."""
+    written into ``out``, a flat float64 array of that size: one copy from
+    a (N, Ho, Wo, k, k, C) window view of x's NCHW or channels-last memory.
+    Any other layout raises ValueError (the view needs contiguous memory)."""
     n, c = x.shape[:2]
-    x = _patch_source(x)
     sn, sc, sh, sw = x.strides
     mem = x if x.flags.c_contiguous else x.transpose(0, 2, 3, 1)  # C-contiguous
     shape = (n, ho, wo, k, k, c)
     windows = np.ndarray(shape, x.dtype, mem, 0, (sn, sh, sw, sh, sw, sc))
-    cols = np.empty(shape) if out is None else out.reshape(shape)
+    cols = out.reshape(shape)
     cols[...] = windows
     return cols.reshape(n * ho * wo, k * k * c)
 
@@ -277,8 +273,8 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     n, f = len(x), w.shape[0]
     wm = _gemm_weight(w)
     out, work = _into.bufs
-    if out is None:  # fresh: any layout copy comes before the handoff
-        x, out = _patch_source(x), np.empty(n * ho * wo * f)
+    if out is None:
+        out = np.empty(n * ho * wo * f)
     y = out[:n * ho * wo * f].reshape(n, ho, wo, f)
 
     def run(starts, work):
@@ -303,7 +299,6 @@ def conv2d_backward(cache, gout: np.ndarray):
     tasks, the weight gradient first."""
     x, w = cache
     k, ho, wo = _conv_plan(x.shape, w.shape)[:3]
-    x = _patch_source(x)
     n, c, h, wid = x.shape
     f = w.shape[0]
     g = gout.transpose(0, 2, 3, 1).reshape(n * ho * wo, f)
@@ -399,8 +394,8 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 # Adam walks each parameter in blocks of about this many entries, so the
 # dozen elementwise passes of one block run in cache: its two float64
-# scratch buffers fill one _BLOCK_BYTES.
-ADAM_BLOCK = _BLOCK_BYTES // 16
+# scratch buffers fill one working block.
+ADAM_BLOCK = per_block(16)
 
 
 @dataclass

@@ -5,13 +5,14 @@ import io
 import logging
 from typing import get_type_hints
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftloc import cli
 from driftloc.cli import load_scans, main
-from driftloc.data import Fingerprint
+from driftloc.data import Fingerprint, load_dataset, split_by_ci
 from driftloc.errors import DatasetFormatError
 from driftloc.localizer import predict
 from driftloc.model_io import load_model_full, save_model
@@ -400,6 +401,65 @@ def test_eval_without_training_ci(scenario_dir, model_path, tmp_path, capsys):
                         "--report", str(report)], capsys)
     assert code == 1
     assert "baseline" in err
+
+
+def _without_first_training_row(scenario_dir, tmp_path):
+    """The scenario's fingerprint CSV without its first CI-0 row of RP 0."""
+    lines = (scenario_dir / "fingerprints.csv").read_text().splitlines()
+    first = next(i for i, line in enumerate(lines) if line.split(",")[:2] == ["0", "0"])
+    fps = tmp_path / "cut.csv"
+    fps.write_text("\n".join(lines[:first] + lines[first + 1:]) + "\n")
+    return fps
+
+
+@pytest.mark.parametrize("fpr", ["4", "2"])
+def test_eval_refuses_a_csv_whose_training_rows_changed(scenario_dir, tmp_path, capsys, fpr):
+    # At fpr 4 every CI-0 row trained, so the replay picks one row fewer for
+    # RP 0; at fpr 2 it picks the index's rp_ids in order, but other rows.
+    floorplan = scenario_dir / "floorplan.csv"
+    model = tmp_path / "m.stne"
+    code, _, err = run(["train", "--floorplan", str(floorplan),
+                        "--fingerprints", str(scenario_dir / "fingerprints.csv"),
+                        "--fpr", fpr, "--embed-dim", "3", "--epochs", "1", "--batch", "16",
+                        "--seed", "1", "--out", str(model)], capsys)
+    assert code == 0, err
+    cut = _without_first_training_row(scenario_dir, tmp_path)
+    _, index, extra = load_model_full(model)
+    replayed, _ = split_by_ci(load_dataset(floorplan, cut), 0, int(fpr),
+                              int(extra["split_seed"]))
+    assert np.array_equal(replayed.rp_ids, index.rp_ids) == (fpr == "2")
+    report = tmp_path / "r.csv"
+    code, out, err = run(["eval", "--model", str(model), "--fingerprints", str(cut),
+                          "--baseline", "--report", str(report)], capsys)
+    assert code == 1 and out == ""
+    assert err == ("error: the fingerprints at training ci 0 are not the ones this "
+                   "model was trained on; evaluate on the CSV it was trained from\n")
+    assert not report.exists()
+
+
+def test_eval_replay_check_changes_no_report_byte(scenario_dir, model_path, tmp_path,
+                                                  capsys, monkeypatch):
+    # on the CSV the model trained from, the check passes and the report
+    # and stdout are those of an eval without it
+    outputs = []
+    for check in (cli._check_replay, lambda *args: None):
+        monkeypatch.setattr(cli, "_check_replay", check)
+        report = tmp_path / "r.csv"
+        code, out, err = run(["eval", "--model", str(model_path), "--fingerprints",
+                              str(scenario_dir / "fingerprints.csv"), "--baseline",
+                              "--report", str(report)], capsys)
+        assert code == 0, err
+        outputs.append((report.read_bytes(), out))
+    assert outputs[0] == outputs[1]
+
+
+def test_sweep_fpr_names_an_absent_train_ci(scenario_dir, tmp_path, capsys):
+    code, out, err = run(["sweep-fpr", "--floorplan", str(scenario_dir / "floorplan.csv"),
+                          "--fingerprints", str(scenario_dir / "fingerprints.csv"),
+                          "--fprs", "1", "--train-ci", "9",
+                          "--report", str(tmp_path / "s.csv")], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: train_ci 9 absent from dataset (has (0, 1, 2))\n"
 
 
 def test_predict_with_model_lacking_registry_fails(scenario_dir, model_path, tmp_path, capsys):

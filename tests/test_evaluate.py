@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -188,6 +189,15 @@ def test_write_sweep_csv_text(tmp_path):
 def test_fpr_sweep_rejects_unavailable_fpr(scenario):
     with pytest.raises(ValueError, match="exceeds"):
         fpr_sweep(scenario, fprs=[99], cfg=small_cfg(), repeats=1, seed=0)
+
+
+def test_fpr_sweep_names_an_absent_train_ci_before_training(scenario, monkeypatch):
+    # split_by_ci's check and wording, not a count of 0 fingerprints per RP
+    trained = _counting(monkeypatch, evaluate, "train")
+    with pytest.raises(ValueError, match=re.escape(
+            f"train_ci 9 absent from dataset (has {scenario.cis()})")):
+        fpr_sweep(scenario, fprs=[1], cfg=small_cfg(), repeats=1, seed=0, train_ci=9)
+    assert trained == []
 
 
 def test_fpr_sweep_rejects_repeated_fpr_before_training(scenario, monkeypatch):

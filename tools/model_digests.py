@@ -10,7 +10,7 @@ query in blocks, to N before any work; without it the tool keeps the
 count that ``nn`` reads from the host.  The digest lines do not depend
 on it.
 
-It prints an ``env`` line and then six groups of lines, in this order:
+It prints an ``env`` line and then seven groups of lines, in this order:
 
 * ``env ...``: the numpy version, the BLAS library and version, the BLAS
   thread variables, ``nn.WORKERS`` and numpy's CPU SIMD features, so
@@ -35,8 +35,13 @@ It prints an ``env`` line and then six groups of lines, in this order:
 * ``office-raw-knn <16 hex>`` and ``uji-raw-knn <16 hex>``: the SHA-256
   prefix of the ``(rp_id, x, y)`` of each row that
   ``baseline_predict_batch`` (k=3) returns over the office-like and
-  uji-like test splits, against their training splits.  These come last,
-  so the lines above them read as they did before the two were added.
+  uji-like test splits, against their training splits;
+* ``cli-eval <16 hex>``: the SHA-256 prefix of the report CSV and then
+  the standard output of ``driftloc eval --baseline`` on the cli-train
+  model and the same files.
+
+Each group was added after the ones above it, so the lines above a new
+group read as they did before it was added.
 
 A change that must keep these bits prints the same lines before and after
 it, on the same machine.  BLAS runs on one thread, because model bytes
@@ -152,26 +157,32 @@ def main(argv: list[str] | None = None) -> None:
         print(line, flush=True)
     for seed in GRADCHECK_SEEDS:
         print("gradcheck", seed, repr(float(run_gradcheck(seed, 4, 3))), flush=True)
-    cli_train, sweep_fpr = _cli_digests()
+    cli_train, sweep_fpr, cli_eval = _cli_digests()
     print("cli-train", cli_train, flush=True)
     print("sweep-fpr", sweep_fpr, flush=True)
     for scenario, (train_set, test_set) in splits.items():
         preds = baseline_predict_batch(train_set, test_set.rssi, k=3)
         print(f"{scenario.split('-')[0]}-raw-knn", _predictions_digest(preds), flush=True)
+    print("cli-eval", cli_eval, flush=True)
 
 
-def _cli_digests() -> tuple[str, str]:
-    """Digests of `driftloc train`'s model file and of `driftloc
-    sweep-fpr`'s report followed by its stdout."""
+def _cli_digests() -> tuple[str, str, str]:
+    """Digests of `driftloc train`'s model file, of `driftloc sweep-fpr`'s
+    report followed by its stdout, and of `driftloc eval --baseline`'s
+    report on that model followed by its stdout."""
     with tempfile.TemporaryDirectory() as tmp:
         paths = write_scenario(*generate(preset("office-like", seed=DATA_SEED)), tmp)
         data = ["--floorplan", str(paths["floorplan"]),
                 "--fingerprints", str(paths["fingerprints"])]
-        model, report = Path(tmp) / "model.stne", Path(tmp) / "sweep.csv"
+        model, sweep, report = (Path(tmp) / name for name in ("model.stne", "sweep.csv",
+                                                               "report.csv"))
         _run_cli(["train", *data, *CLI_TRAIN_FLAGS, "--out", str(model)])
-        stdout = _run_cli(["sweep-fpr", *data, *CLI_SWEEP_FLAGS, "--report", str(report)])
+        swept = _run_cli(["sweep-fpr", *data, *CLI_SWEEP_FLAGS, "--report", str(sweep)])
+        evaluated = _run_cli(["eval", *data, "--model", str(model), "--baseline",
+                              "--report", str(report)])
         return (_digest(model.read_bytes()),
-                _digest(report.read_bytes() + stdout.encode()))
+                _digest(sweep.read_bytes() + swept.encode()),
+                _digest(report.read_bytes() + evaluated.encode()))
 
 
 def _run_cli(argv: list[str]) -> str:
