@@ -205,16 +205,22 @@ def _infer(model: EncoderModel, rows: np.ndarray, work: tuple[np.ndarray, ...]) 
 
 
 def _backward(caches, ge: np.ndarray) -> dict[str, np.ndarray]:
+    """The gradient of every parameter.  The calling thread runs the input
+    gradients down to conv2's, and each layer queues its weight gradient
+    to the pool as soon as its upstream gradient is ready; conv1's input
+    gradient is never formed.  Every gradient is whole once the tasks'
+    block has exited."""
     (c_conv1, c_act1, c_conv2, c_act2, conv2_out_shape,
      c_fc1, c_act3, c_fc2, c_norm) = caches
-    gz = nn.l2norm_backward(c_norm, ge)
-    ga3, g_fc2_w, g_fc2_b = nn.dense_backward(c_fc2, gz)
-    gh3 = nn.relu_dropout_backward(c_act3, ga3)
-    gflat, g_fc1_w, g_fc1_b = nn.dense_backward(c_fc1, gh3)
-    gh2 = nn.relu_dropout_backward(c_act2, gflat.reshape(conv2_out_shape))
-    ga1, g_conv2_w, g_conv2_b = nn.conv2d_backward(c_conv2, gh2)
-    gh1 = nn.relu_dropout_backward(c_act1, ga1)
-    _, g_conv1_w, g_conv1_b = nn.conv2d_backward(c_conv1, gh1)
+    with nn.Tasks() as tasks:
+        gz = nn.l2norm_backward(c_norm, ge)
+        ga3, g_fc2_w, g_fc2_b = nn.dense_backward(c_fc2, gz, tasks)
+        gh3 = nn.relu_dropout_backward(c_act3, ga3)
+        gflat, g_fc1_w, g_fc1_b = nn.dense_backward(c_fc1, gh3, tasks)
+        gh2 = nn.relu_dropout_backward(c_act2, gflat.reshape(conv2_out_shape))
+        ga1, g_conv2_w, g_conv2_b = nn.conv2d_backward(c_conv2, gh2, tasks)
+        gh1 = nn.relu_dropout_backward(c_act1, ga1)
+        g_conv1_w, g_conv1_b = nn.conv2d_weight_grad(c_conv1, gh1, tasks)
     return {
         "conv1_w": g_conv1_w, "conv1_b": g_conv1_b,
         "conv2_w": g_conv2_w, "conv2_b": g_conv2_b,

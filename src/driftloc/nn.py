@@ -14,11 +14,13 @@ blocks reuses one patch buffer and multiplies each block by the weights'
 (k*k*C, F) GEMM matrix into its rows of the one output.  BLAS picks its
 kernel by the product's size, so for some shapes an output's last bits
 depend on the chunk's row count; the default office-like encoder's convs
-give the same bits at every budget the tests try.  The backward still
-gathers the whole (N*Ho*Wo, k*k*C) patch matrix: it forms the weight
-gradient, a sum over every patch row, as one GEMM, and adds the input
-gradient as k*k per-shift GEMMs into a channels-last buffer.  The two
-halves are independent.
+give the same bits at every budget the tests try.  The backward
+gathers the whole (N*Ho*Wo, k*k*C) patch matrix for the weight gradient,
+a sum over every patch row, as one GEMM, and forms the input gradient in
+per_block chunks of images: each chunk's k*k per-shift GEMMs add into one
+small channels-last buffer.  Chunking changes a GEMM's row count, so its
+bits hold only where BLAS keeps its kernel, which the tests check for the
+convs whose input gradient training forms.
 
 conv2d_forward returns its GEMM output without a copy: an (N, F, Ho, Wo)
 view of channels-last memory, so ``out.transpose(0, 2, 3, 1)`` is
@@ -33,22 +35,27 @@ conv2d_backward returns the weight gradient in the same layout.
 relu_dropout_forward and relu_dropout_backward overwrite their array
 argument and return it: the caller hands over an array it owns (a fresh
 conv output, a fresh upstream gradient) and must not read the original
-again.
+again.  A conv backward takes over its upstream gradient the same way,
+and lays it out channels-last in place.
 
-map_blocks runs a call's independent blocks on the CPUs that BLAS leaves
-free: WORKERS threads at most, the calling one and those of one live
-pool, each in a workspace that the calling thread made.  Training uses
-it in three places.  A conv2d_forward with fresh buffers maps its patch
-blocks, each thread with its own patch buffer.  conv2d_backward and
-dense_backward run the weight gradient (for a conv, the patch gather and
-its GEMM) on the calling thread while a pool thread runs the input
-gradient (run_apart).  adam_update maps its row blocks, each thread with
-its own scratch.  The calling thread makes every array that a pool
-thread writes before the handoff; a pool task runs only GEMMs into given
-outputs and in-place passes, and never maps blocks itself.  Every block
-and half keeps its shape, so no GEMM and no result changes a bit with
-WORKERS.  conv2d_into runs conv2d_forward in lent buffers, its patch
-blocks in turn on whichever thread runs it, as encode_batch's blocks do.
+Two streams run a training backward on the CPUs that BLAS leaves free:
+WORKERS threads at most, the calling one and those of one live pool.
+The calling thread runs the input-gradient chain, layer by layer, and
+each layer queues its weight gradient (for a dense layer xT*g, for a conv
+the patch gather and its GEMM) on a Tasks block as soon as its upstream
+gradient is ready; the pool runs them beside the chain.  At the block's
+exit a task that the pool has not started runs on the calling thread.
+map_blocks runs a call's independent blocks: a conv2d_forward with fresh
+buffers its patch blocks, adam_update its row blocks, encode_batch and
+the KNN theirs, each thread in a workspace that the calling thread made.
+Each thread takes the next block when it is free, and a pool share that
+has not started when the blocks run out finds none left, so a busy pool
+thread never stalls a call.  The calling thread makes every array that a
+pool thread writes; a pool task runs only GEMMs into given outputs and
+in-place passes, and never queues work itself.  Every block and task
+keeps its shape, so no GEMM and no result changes a bit with WORKERS.
+conv2d_into runs conv2d_forward in lent buffers, its patch blocks in turn
+on whichever thread runs it, as encode_batch's blocks do.
 """
 
 from __future__ import annotations
@@ -56,9 +63,9 @@ from __future__ import annotations
 import os
 import re
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -97,7 +104,7 @@ def _workers(blas: str) -> int:
     return 1
 
 
-# Threads that map_blocks runs a call's blocks on, the calling one included.
+# Threads that run map_blocks' blocks and Tasks, the calling one included.
 # numpy before 1.25 does not name its BLAS.
 WORKERS = _workers(getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {})
                    .get("blas", {}).get("name", ""))
@@ -140,52 +147,113 @@ def _pool_of(threads: int) -> ThreadPoolExecutor:
         return _pool[1]
 
 
-def map_blocks(run: Callable[[Sequence, object], None], blocks: Sequence,
+class _Task:
+    """``run(*arrays)``, which keeps its exception and lets go of its
+    arrays once it has run, whichever thread runs it."""
+
+    def __init__(self, run: Callable, arrays: tuple):
+        self.run, self.arrays, self.error = run, arrays, None
+
+    def __call__(self) -> None:
+        run, arrays = self.run, self.arrays
+        self.run = self.arrays = None
+        try:
+            run(*arrays)
+        except Exception as err:  # raised on the thread that waits for the task
+            self.error = err
+
+
+class Tasks:
+    """Independent tasks that the live pool runs while the calling thread
+    goes on; a context manager whose exit waits for every one.
+
+    ``add(run, *arrays)`` queues ``run(*arrays)``, which writes only
+    arrays that the calling thread made, and lets go of them once it has
+    run.  With WORKERS 1 it runs at once, inside add(), so its arrays are
+    gone before the next task's are made.  On a normal exit, each task
+    that the pool has not started is cancelled and runs on the calling
+    thread instead, the latest first, so a busy pool thread never stalls
+    the exit; then the first task exception, in queue order, is raised
+    unchanged.  When the block raises, the unstarted tasks are cancelled
+    and never run, the running ones are waited for, and the block's
+    exception goes on.  After the exit no task is queued or running.  A
+    pool thread that queued a task raises RuntimeError: the pool runs no
+    task of its own."""
+
+    def __init__(self):
+        self._queued: list[tuple[_Task, Future]] = []
+
+    def __enter__(self) -> "Tasks":
+        return self
+
+    def add(self, run: Callable, *arrays) -> None:
+        task = _Task(run, arrays)
+        if WORKERS <= 1:
+            task()
+            if task.error is not None:
+                raise task.error
+            return
+        if _pool_thread.on:
+            raise RuntimeError("a task queued from one of its own pool threads")
+        self._queued.append((task, _pool_of(WORKERS - 1).submit(task)))
+
+    def __exit__(self, kind, value, traceback) -> None:
+        queued, self._queued = self._queued, []
+        started = []
+        for task, future in reversed(queued):  # the pool takes the earliest first
+            if not future.cancel():
+                started.append(future)
+            elif kind is None:
+                task()
+        # a cancelled future counts as done only once a pool thread has
+        # dequeued it, so only the started ones are waited for
+        wait(started)
+        if kind is None:
+            for task, _ in queued:
+                if task.error is not None:
+                    raise task.error
+
+
+class _Shared:
+    """An iterator over one call's blocks that its threads share: each
+    next() hands the next block, under a lock, to whichever thread asks,
+    so every block goes to one thread, once."""
+
+    def __init__(self, blocks: Sequence):
+        self._blocks, self._lock = iter(blocks), threading.Lock()
+
+    def __iter__(self) -> "_Shared":
+        return self
+
+    def __next__(self):
+        with self._lock:
+            return next(self._blocks)
+
+
+def map_blocks(run: Callable[[Iterable, object], None], blocks: Sequence,
                workspace: Callable[[], object]) -> None:
-    """Call ``run(blocks[i::w], work)`` for each of w = min(WORKERS,
-    len(blocks)) interleaved strides of a call's independent blocks, at
-    least one, each with a ``workspace()`` that the calling thread makes,
-    so that no large array comes from a pool thread's own malloc arena,
-    which keeps its pages.  The calling thread runs stride 0, and the
-    threads of one live pool of WORKERS - 1 the others, waited for before
-    this returns.  A stride's exception is raised unchanged, stride 0's
-    first.  ``run`` writes only its blocks' results, and never maps blocks
-    itself: a pool thread that waited on the pool could wait on itself, so
-    a pool thread's call with w > 1 raises RuntimeError."""
+    """Run a call's independent blocks on w = min(WORKERS, len(blocks))
+    threads, at least one.  Each calls ``run(shared, work)``: ``shared``
+    is one iterator over the blocks that hands the next block to whichever
+    thread asks, and ``work`` is a ``workspace()`` that the calling thread
+    makes, so that no large array comes from a pool thread's own malloc
+    arena, which keeps its pages.  The calling thread runs one share and
+    queues the others as Tasks.  When the blocks run out, a share that the
+    pool has not started runs on the calling thread and finds no block
+    left, so a busy pool thread never stalls the call.  A share's
+    exception is raised unchanged, the calling thread's first.  ``run``
+    writes only its blocks' results, and never maps blocks itself, so a
+    pool thread's call with w > 1 raises RuntimeError.  With w = 1,
+    ``run`` gets ``blocks`` itself."""
     w = min(WORKERS, len(blocks))
     if w <= 1:
         return run(blocks, workspace())
-    if _pool_thread.on:
-        raise RuntimeError("map_blocks called from one of its own pool threads")
     works = [workspace() for _ in range(w)]
-    pool = _pool_of(WORKERS - 1)
-    rest = [pool.submit(run, blocks[i::w], works[i]) for i in range(1, w)]
-    try:
-        run(blocks[::w], works[0])
-    finally:
-        wait(rest)
-    for future in rest:
-        future.result()
-
-
-def run_apart(*tasks: tuple[Callable[[], object], Callable[[object], object]]) -> list:
-    """``[run(make()) for make, run in tasks]`` for independent tasks, each
-    ``run`` writing only the arrays that its ``make`` made; every make()
-    runs on the calling thread.  With WORKERS 1 the tasks go in turn, each
-    make() just before its run, so a task's arrays that its run does not
-    return are gone before the next task's are made.  Otherwise every
-    make() comes first, and each run is one block of map_blocks."""
-    if min(WORKERS, len(tasks)) <= 1:
-        return [run(make()) for make, run in tasks]
-    works = [make() for make, _ in tasks]
-    results = [None] * len(tasks)
-
-    def stride(picked, _):
-        for i in picked:
-            results[i] = tasks[i][1](works[i])
-
-    map_blocks(stride, range(len(tasks)), lambda: None)
-    return results
+    shared = _Shared(blocks)
+    with Tasks() as tasks:
+        for work in works[1:]:
+            tasks.add(run, shared, work)
+        run(shared, works[0])
 
 
 class _Into(threading.local):
@@ -292,45 +360,72 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     return y.transpose(0, 3, 1, 2), (x, w)
 
 
-def conv2d_backward(cache, gout: np.ndarray):
-    """Gradients (dx, dw, db) of conv2d_forward: dx in NCHW memory, dw in
-    gemm_layout.  The weight gradient (the patch matrix's gather and its
-    GEMM) and the input gradient (k*k per-shift GEMMs) are two run_apart
-    tasks, the weight gradient first."""
+def _channels_last_rows(a: np.ndarray) -> np.ndarray:
+    """a's (N, C, H, W) values as C-contiguous (N*H*W, C) channels-last
+    rows, written over a's own C-contiguous NCHW memory one per_block
+    chunk of images at a time through one small buffer.  Any other layout
+    raises ValueError."""
+    if not a.flags.c_contiguous:
+        raise ValueError("a conv backward takes its upstream gradient in C-contiguous NCHW memory")
+    n, c, h, w = a.shape
+    images = a.reshape(n, -1)
+    step = per_block(8 * images.shape[1])
+    buf = np.empty((min(n, step), h, w, c))
+    for lo in range(0, n, step):
+        r = min(step, n - lo)
+        buf[:r] = a[lo:lo + r].transpose(0, 2, 3, 1)
+        images[lo:lo + r] = buf[:r].reshape(r, -1)
+    return a.reshape(n * h * w, c)
+
+
+def conv2d_weight_grad(cache, gout: np.ndarray, tasks: Tasks):
+    """The (dw, db) gradients of conv2d_forward, dw in gemm_layout.  gout
+    is C-contiguous NCHW memory that the caller hands over, as to
+    relu_dropout_backward: db is summed from it, in memory order, and then
+    its values are laid out channels-last in place.  dw, the patch
+    matrix's gather and its GEMM, is a task queued on ``tasks``, its
+    arrays made here; read dw after their block exits."""
     x, w = cache
+    k, ho, wo = _conv_plan(x.shape, w.shape)[:3]
+    c, f = x.shape[1], w.shape[0]
+    db = gout.sum(axis=(0, 2, 3))
+    g = _channels_last_rows(gout)
+    dwm = np.empty((k * k * c, f))
+    tasks.add(lambda cols, dwm: np.matmul(_im2col(x, k, ho, wo, cols).T, g, out=dwm),
+              np.empty(g.size // f * k * k * c), dwm)
+    # the (k*k*C, F) GEMM product, in gemm_layout without a copy
+    return dwm.reshape(k, k, c, f).transpose(3, 2, 0, 1), db
+
+
+def conv2d_backward(cache, gout: np.ndarray, tasks: Tasks):
+    """Gradients (dx, dw, db) of conv2d_forward: conv2d_weight_grad's
+    (dw, db), which takes over gout, and dx in NCHW memory.  dx runs on
+    the calling thread while the pool runs dw: per_block chunks of images,
+    each chunk's k*k per-shift GEMMs adding into one small channels-last
+    buffer that stays in cache, which is then written into dx."""
+    x, w = cache
+    dw, db = conv2d_weight_grad(cache, gout, tasks)
     k, ho, wo = _conv_plan(x.shape, w.shape)[:3]
     n, c, h, wid = x.shape
     f = w.shape[0]
-    g = gout.transpose(0, 2, 3, 1).reshape(n * ho * wo, f)
-
-    def weight_arrays():
-        return np.empty(n * ho * wo * k * k * c), np.empty((k * k * c, f))
-
-    def weight_grad(work):
-        cols, dwm = work
-        return np.matmul(_im2col(x, k, ho, wo, cols).T, g, out=dwm)
-
-    def input_arrays():
-        # w as (k, k, F, C) memory, whose C-order (F, C) slices give the
-        # same products whatever w's layout; dx in channels-last memory;
-        # one shift's product
-        return (np.ascontiguousarray(w.transpose(2, 3, 0, 1)),
-                np.zeros((n, h, wid, c)), np.empty((n * ho * wo, c)))
-
-    def input_grad(work):
-        wk, dxh, shift = work
-        for dy, dx in np.ndindex(k, k):
-            np.matmul(g, wk[dy, dx], out=shift)
-            dxh[:, dy:dy + ho, dx:dx + wo, :] += shift.reshape(n, ho, wo, c)
-        return dxh
-
-    dwm, dxh = run_apart((weight_arrays, weight_grad), (input_arrays, input_grad))
-    db = gout.sum(axis=(0, 2, 3))
-    # dw: the (k*k*C, F) GEMM product, in gemm_layout without a copy; dx
-    # copied to NCHW: the layer below takes dx as gout, and its db sum adds
-    # in memory order, so a channels-last view would change its bits
-    return (np.ascontiguousarray(dxh.transpose(0, 3, 1, 2)),
-            dwm.reshape(k, k, c, f).transpose(3, 2, 0, 1), db)
+    g = gout.reshape(n * ho * wo, f)  # the channels-last rows that conv2d_weight_grad laid out
+    # w as (k, k, F, C) memory, whose C-order (F, C) slices give the same
+    # products whatever w's layout
+    wk = np.ascontiguousarray(w.transpose(2, 3, 0, 1))
+    step = per_block(8 * (h * wid + ho * wo) * c)
+    acc, shift = np.empty((min(n, step), h, wid, c)), np.empty((min(n, step) * ho * wo, c))
+    # dx in NCHW memory: the layer below takes dx as gout, and its db sum
+    # adds in memory order, so a channels-last view would change its bits
+    dx = np.empty(x.shape)
+    for lo in range(0, n, step):
+        r = min(step, n - lo)
+        part, prod = acc[:r], shift[:r * ho * wo]
+        part[...] = 0.0
+        for i, j in np.ndindex(k, k):
+            np.matmul(g[lo * ho * wo:(lo + r) * ho * wo], wk[i, j], out=prod)
+            part[:, i:i + ho, j:j + wo, :] += prod.reshape(r, ho, wo, c)
+        dx[lo:lo + r] = part.transpose(0, 3, 1, 2)
+    return dx, dw, db
 
 
 def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
@@ -338,15 +433,14 @@ def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     return x @ w + b, (x, w)
 
 
-def dense_backward(cache, gout: np.ndarray):
-    """Gradients (dx, dw, db) of dense_forward: the weight gradient's GEMM
-    and the input gradient's are two run_apart tasks, the weight
-    gradient first."""
+def dense_backward(cache, gout: np.ndarray, tasks: Tasks):
+    """Gradients (dx, dw, db) of dense_forward: dx on the calling thread,
+    dw a task queued on ``tasks``, its array made here; read dw after
+    their block exits."""
     x, w = cache
-    dw, dx = run_apart(
-        (lambda: np.empty((x.shape[1], gout.shape[1])), lambda dw: np.matmul(x.T, gout, out=dw)),
-        (lambda: np.empty((len(gout), len(w))), lambda dx: np.matmul(gout, w.T, out=dx)))
-    return dx, dw, gout.sum(axis=0)
+    dw = np.empty((x.shape[1], gout.shape[1]))
+    tasks.add(lambda dw: np.matmul(x.T, gout, out=dw), dw)
+    return np.matmul(gout, w.T), dw, gout.sum(axis=0)
 
 
 def relu_dropout_forward(x: np.ndarray, rate: float, rng: np.random.Generator | None):

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from test_nn import reference_relu_dropout_backward, reference_relu_dropout_forward
 
-from driftloc import nn
+from driftloc import encoder, nn
 from driftloc.cli import random_check_triplet, run_gradcheck
 from driftloc.data import split_by_ci
 from driftloc.encoder import (BLOCK_ROWS, PARAM_ORDER, EncoderConfig, EncoderModel,
@@ -289,9 +290,11 @@ def test_fused_layers_match_reference_step(monkeypatch):
         np.testing.assert_array_equal(opt.v[name], ref_opt.v[name])
 
 
-def test_train_step_peak_memory():
-    # numpy reports its buffers to tracemalloc, so the peak is host-independent;
-    # step 2 is measured because step 1 also allocates the Adam moments
+def train_step_peak():
+    """The peak of numpy buffers, in bytes, of a default office-like
+    training step.  numpy reports its buffers to tracemalloc, so the peak
+    is host-independent; step 2 is measured because step 1 also allocates
+    the Adam moments."""
     (first, second), width = office_batches(2)
     model = init_model(EncoderConfig(), image_side(width), 21)
     opt, rng = AdamState(), np.random.default_rng(22)
@@ -299,36 +302,106 @@ def test_train_step_peak_memory():
     tracemalloc.start()
     try:
         train_step(model, second, opt, rng)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_train_step_peak_memory():
+    peak = train_step_peak()
     assert peak <= 30e6, f"train_step peak {peak / 1e6:.1f} MB"
 
 
 def test_train_step_peak_memory_on_two_workers(monkeypatch):
-    # a backward's weight and input gradients run side by side, so the
-    # arrays of both halves are alive at once, on any host
+    # the weight tasks' arrays are alive beside the input-gradient chain's,
+    # so conv2's 7 MB patch matrix lives until its task has run: about
+    # 25.3 MB, on any host
     monkeypatch.setattr(nn, "WORKERS", 2)
     test_train_step_peak_memory()
 
 
 def test_train_step_peak_memory_on_one_worker(monkeypatch):
-    # in turn, each backward half makes its arrays just before it runs, so
-    # conv2's 7 MB patch matrix is gone before the input gradient's arrays
-    # are made: about 25.0 MB, against 29.6 MB with both halves' arrays
-    # made first
+    # in turn, each weight task runs as it is queued, so conv2's 7 MB patch
+    # matrix is gone before its input gradient's arrays are made: about
+    # 21.5 MB
     monkeypatch.setattr(nn, "WORKERS", 1)
-    (first, second), width = office_batches(2)
-    model = init_model(EncoderConfig(), image_side(width), 21)
-    opt, rng = AdamState(), np.random.default_rng(22)
-    train_step(model, first, opt, rng)
-    tracemalloc.start()
-    try:
-        train_step(model, second, opt, rng)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = train_step_peak()
     assert peak <= 26e6, f"one-worker train_step peak {peak / 1e6:.1f} MB"
+
+
+def slow_pool_tasks(monkeypatch, delay, events=None):
+    """Make every task that a pool thread runs sleep ``delay`` seconds
+    first, and log "start" and "end" of every task run to ``events``."""
+    call = nn._Task.__call__
+
+    def slowed(task):
+        if events is not None:
+            events.append("start")
+        if nn._pool_thread.on:
+            time.sleep(delay)
+        call(task)
+        if events is not None:
+            events.append("end")
+
+    monkeypatch.setattr(nn._Task, "__call__", slowed)
+
+
+def test_train_step_peak_memory_with_a_slow_pool_thread(monkeypatch):
+    # whether the pool runs each weight task as it is queued, or the
+    # calling thread runs the ones left at the exit, every task's arrays
+    # were made by then: both peaks stay under the 29.59 MB that two
+    # workers reached when both backward halves' arrays were made at once
+    monkeypatch.setattr(nn, "WORKERS", 2)
+    peaks = [train_step_peak()]
+    slow_pool_tasks(monkeypatch, 0.005)
+    peaks.append(train_step_peak())
+    assert max(peaks) <= 29.59e6, f"train_step peaks {[p / 1e6 for p in peaks]} MB"
+
+
+class ChainError(Exception):
+    pass
+
+
+def test_backward_error_leaves_no_task_behind(monkeypatch):
+    # conv2's backward fails while a weight task that fc2 or fc1 queued
+    # runs on a slow pool thread: once _backward raises, every task that
+    # started has ended, none starts later, no thread was added, and the
+    # next backward gives the gradients of the first
+    monkeypatch.setattr(nn, "WORKERS", 2)
+    model = init_model(EncoderConfig(), 8, seed=5)
+    rows = np.random.default_rng(6).random((96, 50))
+
+    def backward():
+        e, caches = _forward(model, rows, np.random.default_rng(7))
+        return encoder._backward(caches, np.ones_like(e))
+
+    want = backward()
+    threads = threading.active_count()
+    events = []
+    slow_pool_tasks(monkeypatch, 0.05, events)
+    running = []
+
+    def failing(cache, gout, tasks):
+        deadline = time.monotonic() + 10
+        while events.count("start") == events.count("end") and time.monotonic() < deadline:
+            time.sleep(0.001)
+        running.append(events.count("start") - events.count("end"))
+        raise ChainError
+
+    conv2d_backward = nn.conv2d_backward
+    monkeypatch.setattr(nn, "conv2d_backward", failing)
+    with pytest.raises(ChainError):
+        backward()
+    at_raise = list(events)
+    assert running == [1]  # a weight task was running when the chain failed
+    assert at_raise.count("start") == at_raise.count("end")
+    time.sleep(0.2)
+    assert events == at_raise
+    assert threading.active_count() == threads
+    monkeypatch.setattr(nn, "conv2d_backward", conv2d_backward)
+    got = backward()
+    for name in PARAM_ORDER:
+        np.testing.assert_array_equal(got[name], want[name])
 
 
 def test_encode_batch_peak_memory():

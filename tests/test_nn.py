@@ -46,6 +46,13 @@ def naive_conv_backward(x, w, gout):
     return gx, gw, gb
 
 
+def conv_backward(cache, gout):
+    """nn.conv2d_backward's (dx, dw, db) on a copy of gout, which it takes
+    over, once its weight task has run."""
+    with nn.Tasks() as tasks:
+        return nn.conv2d_backward(cache, gout.copy(), tasks)
+
+
 # (N, C, H, W, F, k): k in {1, 2, 3}, C = 1 and C > 1, N = 1 and N > 1, H != W
 CONV_CASES = [
     (1, 1, 5, 4, 3, 1),
@@ -72,7 +79,7 @@ def test_conv_matches_nested_loops(n, c, h, wid, f, k):
                                rtol=0, atol=1e-12)
 
     gout = rng.standard_normal(out.shape)
-    gx, gw, gb = nn.conv2d_backward(cache, gout)
+    gx, gw, gb = conv_backward(cache, gout)
     want_gx, want_gw, want_gb = naive_conv_backward(x, w, gout)
     assert gx.shape == x.shape and gw.shape == w.shape and gb.shape == (f,)
     # gx is NCHW memory: the layer below sums it as its gout for its bias
@@ -119,8 +126,8 @@ def test_gemm_layout_is_bit_neutral(n, c, h, wid, f, k):
     out_l, cache_l = nn.conv2d_forward(x, wl, b)
     np.testing.assert_array_equal(out_l, out)
     gout = rng.standard_normal(out.shape)
-    grads = nn.conv2d_backward(cache, gout)
-    grads_l = nn.conv2d_backward(cache_l, gout)
+    grads = conv_backward(cache, gout)
+    grads_l = conv_backward(cache_l, gout)
     for got, want in zip(grads_l, grads):
         np.testing.assert_array_equal(got, want)
     dw = grads_l[1]
@@ -185,6 +192,66 @@ def test_conv_forward_into_given_buffers(n, c, h, wid, f, k):
     assert not np.shares_memory(fresh, out)
     np.testing.assert_array_equal(got, fresh)
     assert not np.isnan(out).any() and not np.isnan(work).any()
+
+
+def whole_batch_conv_backward(x, w, gout):
+    """(dx, dw, db) of a conv by the whole-batch formula: one patch matrix
+    and its GEMM for dw, and k*k per-shift GEMMs over every image at once,
+    adding into one channels-last buffer, for dx."""
+    n, c, h, wid = x.shape
+    f, _, k, _ = w.shape
+    ho, wo = h - k + 1, wid - k + 1
+    g = np.ascontiguousarray(gout.transpose(0, 2, 3, 1)).reshape(n * ho * wo, f)
+    cols = nn._im2col(x, k, ho, wo, np.empty(n * ho * wo * k * k * c))
+    dwm = np.matmul(cols.T, g, out=np.empty((k * k * c, f)))
+    wk = np.ascontiguousarray(w.transpose(2, 3, 0, 1))
+    dxh, shift = np.zeros((n, h, wid, c)), np.empty((n * ho * wo, c))
+    for i, j in np.ndindex(k, k):
+        np.matmul(g, wk[i, j], out=shift)
+        dxh[:, i:i + ho, j:j + wo, :] += shift.reshape(n, ho, wo, c)
+    return (np.ascontiguousarray(dxh.transpose(0, 3, 1, 2)),
+            dwm.reshape(k, k, c, f).transpose(3, 2, 0, 1), gout.sum(axis=(0, 2, 3)))
+
+
+# the default encoder's conv2, and both convs of the 7/19-filter, 3x3 one
+# that tools/model_digests.py trains, conv1 with one input channel
+CHUNKED_CONVS = [(96, 64, 7, 7, 128, 2), (96, 1, 8, 8, 7, 3), (96, 7, 6, 6, 19, 3)]
+
+
+@pytest.mark.parametrize("n, c, h, wid, f, k", CHUNKED_CONVS)
+@pytest.mark.parametrize("budget", ["one-image", "default", "one-chunk"])
+def test_chunked_input_gradient_keeps_the_whole_batch_bits(n, c, h, wid, f, k, budget,
+                                                           monkeypatch):
+    # dx goes in per_block chunks of images; each chunk's per-shift GEMMs
+    # must give the bits of the whole batch's, on any thread count.  (The
+    # default conv1, 64 filters of one channel, does not at one-image
+    # chunks; training never forms its dx.)
+    rng = np.random.default_rng(n + c * 10 + k)
+    x = rng.standard_normal((n, c, h, wid))
+    w = nn.gemm_layout(rng.standard_normal((f, c, k, k)))
+    gout = rng.standard_normal((n, f, h - k + 1, wid - k + 1))
+    want = whole_batch_conv_backward(x, w, gout)
+    monkeypatch.setattr(nn, "_BLOCK_BYTES", {"one-image": 1, "default": nn._BLOCK_BYTES,
+                                             "one-chunk": 8 * x.size * 2}[budget])
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(nn, "WORKERS", workers)
+        for got, expected in zip(conv_backward((x, w), gout), want):
+            np.testing.assert_array_equal(got, expected)
+
+
+def test_conv_backward_takes_over_its_upstream_gradient():
+    # db is summed from gout's NCHW memory first, and then gout holds the
+    # channels-last rows that both GEMMs read; any other layout is refused
+    rng = np.random.default_rng(44)
+    x, w = rng.standard_normal((5, 3, 4, 4)), rng.standard_normal((2, 3, 2, 2))
+    gout = rng.standard_normal((5, 2, 3, 3))
+    g = gout.copy()
+    with nn.Tasks() as tasks:
+        db = nn.conv2d_weight_grad((x, w), g, tasks)[1]
+    np.testing.assert_array_equal(db, gout.sum(axis=(0, 2, 3)))
+    np.testing.assert_array_equal(g.reshape(-1, 2), gout.transpose(0, 2, 3, 1).reshape(-1, 2))
+    with pytest.raises(ValueError, match="C-contiguous NCHW"), nn.Tasks() as tasks:
+        nn.conv2d_backward((x, w), channels_last(gout), tasks)
 
 
 @pytest.mark.parametrize("blas, env, cpus, workers", [
@@ -283,11 +350,11 @@ def conv_inputs():
 
 
 # On two workers, each failure below is in the part that a pool thread
-# runs: stride 1's blocks, or the input-gradient half of a backward.
+# runs: a pool share's blocks, or a backward's weight-gradient task.
 @pytest.mark.parametrize("workers", [1, 2])
 def test_conv_forward_block_error_reaches_the_caller(workers, fail_on_nan, monkeypatch):
     install, raised = fail_on_nan
-    install(nn, "_im2col", 1)  # the patch gather of image 1, stride 1's block
+    install(nn, "_im2col", 1)  # the patch gather of image 1's block
     monkeypatch.setattr(nn, "WORKERS", workers)
     monkeypatch.setattr(nn, "_BLOCK_BYTES", 1)  # one-image blocks
     x, w, b, bad_x, _ = conv_inputs()
@@ -296,30 +363,33 @@ def test_conv_forward_block_error_reaches_the_caller(workers, fail_on_nan, monke
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_conv_backward_input_half_error_reaches_the_caller(workers, fail_on_nan, monkeypatch):
-    # only the input gradient's per-shift GEMMs multiply by w
+def test_conv_backward_weight_task_error_reaches_the_caller(workers, fail_on_nan, monkeypatch):
+    # only the weight task gathers patches of x
     install, raised = fail_on_nan
-    install(np, "matmul", 2)
+    install(nn, "_im2col", 1)
     monkeypatch.setattr(nn, "WORKERS", workers)
-    x, w, _, _, bad_w = conv_inputs()
+    x, w, _, bad_x, _ = conv_inputs()
     gout = np.random.default_rng(42).standard_normal((4, 3, 4, 4))
-    assert_fails_alike(lambda: nn.conv2d_backward((x, bad_w), gout),
-                       lambda: nn.conv2d_backward((x, w), gout),
+    assert_fails_alike(lambda: conv_backward((bad_x, w), gout),
+                       lambda: conv_backward((x, w), gout),
                        lambda err: err is raised[-1])
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_dense_backward_input_half_error_reaches_the_caller(workers, monkeypatch):
-    # w has an output column more than gout, so only the input GEMM's
-    # shapes clash
+def test_dense_backward_weight_task_error_reaches_the_caller(workers, monkeypatch):
+    # x has a row more than gout, so only the weight GEMM's shapes clash
     monkeypatch.setattr(nn, "WORKERS", workers)
     rng = np.random.default_rng(43)
-    x, w = rng.standard_normal((4, 3)), rng.standard_normal((3, 3))
+    x, w = rng.standard_normal((5, 3)), rng.standard_normal((3, 2))
     gout = rng.standard_normal((4, 2))
     with pytest.raises(ValueError) as want:
-        np.matmul(gout, w.T)
-    assert_fails_alike(lambda: nn.dense_backward((x, w), gout),
-                       lambda: nn.dense_backward((x, w[:, :2]), gout),
+        np.matmul(x.T, gout, out=np.empty((3, 2)))
+
+    def backward(x):
+        with nn.Tasks() as tasks:
+            return nn.dense_backward((x, w), gout, tasks)
+
+    assert_fails_alike(lambda: backward(x), lambda: backward(x[:4]),
                        lambda err: type(err) is ValueError and str(err) == str(want.value))
 
 
@@ -338,23 +408,87 @@ def test_adam_block_error_reaches_the_caller(workers, monkeypatch):
 
 
 def test_one_live_pool_runs_every_call(monkeypatch):
-    # the pool thread outlives a call and runs the next one's stride 1; a
-    # pool task that mapped blocks itself could wait on its own thread, so
-    # it raises instead
+    # the pool thread outlives a call and takes a block of the next one:
+    # each block waits for the other, so both threads take one; a pool
+    # task that mapped blocks itself raises instead
     monkeypatch.setattr(nn, "WORKERS", 2)
-    strides = []
+    threads = []
+
     for _ in range(3):
-        nn.map_blocks(lambda blocks, _: strides.append((blocks, threading.get_ident())),
-                      [0, 1], lambda: None)
-    assert {ident for blocks, ident in strides if blocks == [0]} == {threading.get_ident()}
-    pool_threads = {ident for blocks, ident in strides if blocks == [1]}
-    assert len(pool_threads) == 1 and threading.get_ident() not in pool_threads
+        both = threading.Barrier(2, timeout=10)
+
+        def run(blocks, _):
+            for _ in blocks:
+                threads.append(threading.get_ident())
+                both.wait()
+
+        nn.map_blocks(run, [0, 1], lambda: None)
+    assert threads.count(threading.get_ident()) == 3
+    pool_threads = set(threads) - {threading.get_ident()}
+    assert len(pool_threads) == 1 and len(threads) == 6
+
+    both = threading.Barrier(2, timeout=10)
 
     def nested(blocks, _):
-        nn.map_blocks(lambda inner, _: None, [0, 1], lambda: None)
+        for _ in blocks:
+            both.wait()
+            nn.map_blocks(lambda inner, _: None, [0, 1], lambda: None)
 
     with pytest.raises(RuntimeError, match="its own pool threads"):
         nn.map_blocks(nested, [0, 1], lambda: None)
+
+
+def test_map_blocks_hands_out_blocks_on_demand(monkeypatch):
+    # with the pool thread busy, the calling thread takes every block and
+    # cancels the pool's share, rather than wait for the busy thread
+    monkeypatch.setattr(nn, "WORKERS", 2)
+    release = threading.Event()
+    busy = nn._pool_of(1).submit(release.wait, 30)
+    ran, caller = [], []
+
+    def call():
+        caller.append(threading.get_ident())
+        nn.map_blocks(lambda blocks, _: ran.extend((b, threading.get_ident()) for b in blocks),
+                      range(5), lambda: None)
+
+    thread = threading.Thread(target=call)
+    thread.start()
+    thread.join(5)
+    finished = not thread.is_alive()
+    release.set()
+    thread.join(30)
+    assert busy.result(timeout=30) is True
+    assert finished, "map_blocks waited for the busy pool thread"
+    assert sorted(b for b, _ in ran) == list(range(5))
+    assert {ident for _, ident in ran} == set(caller)
+    test_one_live_pool_runs_every_call(monkeypatch)  # the pool still takes blocks
+
+
+def test_tasks_run_where_they_can(monkeypatch):
+    # a task that the busy pool has not started runs on the calling thread
+    # at the block's exit, latest first; the first error in queue order
+    # is raised once every task has run
+    monkeypatch.setattr(nn, "WORKERS", 2)
+    release = threading.Event()
+    busy = nn._pool_of(1).submit(release.wait, 30)
+    ran = []
+
+    def task(name, out):
+        ran.append((name, threading.get_ident()))
+        out[0] = len(ran)
+        if name != "a":
+            raise ValueError(name)
+
+    outs = [np.zeros(1) for _ in range(3)]
+    try:
+        with pytest.raises(ValueError, match="^b$"), nn.Tasks() as tasks:
+            for name, out in zip("abc", outs):
+                tasks.add(task, name, out)
+    finally:
+        release.set()
+    assert busy.result(timeout=30) is True
+    assert ran == [(name, threading.get_ident()) for name in "cba"]
+    assert [out[0] for out in outs] == [3, 2, 1]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
