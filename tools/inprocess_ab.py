@@ -71,7 +71,7 @@ class Side:
 
     def __init__(self, tree: str, name: str, seed: int):
         self.name = name
-        self.pkg = load(tree, name)
+        load(tree, name)
         mod = {m: importlib.import_module(f"{name}.{m}")
                for m in ("simulate", "data", "localizer", "model_io")}
         cfg = mod["simulate"].preset("office-like", seed)
